@@ -14,12 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePencilError
-from .paulis import PauliSum, dense_matrix
+from .paulis import PauliSum, apply_sum, dense_matrix
 from .krylov import ToeplitzPencil
 
 DEFAULT_EPSILON = 1e-8
 
 _HERMITICITY_TOL = 1e-10
+
+#: max-entry tolerance of the commutator checks in the sector reference
+_COMMUTATOR_TOL = 1e-12
+
+#: largest residual projector diagonal allowed once the sector basis is
+#: complete.  For an exact projector the residual is rounding, O(r * eps)
+#: ~ 1e-14 at the dense cap; a rank that round(tr P) miscounts leaves at
+#: least one unit of trace on the d diagonal entries, so some entry keeps
+#: >= 1 / d >= 6e-5 (d <= 2**14).
+_SECTOR_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,28 +94,60 @@ def exact_reference(h: PauliSum, max_qubits: int | None = None) -> np.ndarray:
     return np.linalg.eigvalsh(dense_matrix(h, max_qubits=max_qubits))
 
 
-def sector_ground_energy(h: PauliSum, generators: list[PauliSum],
-                         max_qubits: int | None = None) -> float:
-    """Ground energy restricted to the joint +1 eigenspace of the generators."""
-    hd = dense_matrix(h, max_qubits=max_qubits)
-    if not generators:
-        return float(np.linalg.eigvalsh(hd)[0])
-    dense_gens = [dense_matrix(g, max_qubits=max_qubits) for g in generators]
-    for i, gd in enumerate(dense_gens):
-        if np.max(np.abs(gd @ hd - hd @ gd)) > 1e-12:
-            raise ValueError(f"generator {i} does not commute with the Hamiltonian")
-        for j in range(i):
-            if np.max(np.abs(gd @ dense_gens[j] - dense_gens[j] @ gd)) > 1e-12:
-                raise ValueError(f"generators {i} and {j} do not commute")
-    dim = hd.shape[0]
-    projector = np.eye(dim, dtype=complex)
-    for gd in dense_gens:
-        projector = projector @ (np.eye(dim) + gd) / 2.0
+def _commutes(gx: np.ndarray) -> bool:
+    """[G, X] = 0 from GX alone: for Hermitian G and X, XG = (GX)^dagger."""
+    return bool(np.max(np.abs(gx - gx.conj().T)) <= _COMMUTATOR_TOL)
+
+
+def _sector_basis(projector: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a projector, by pivoted Gram-Schmidt
+    on its columns (largest remaining diagonal first), r = round(tr P) steps."""
     rank = int(round(np.trace(projector).real))
     if rank == 0:
         raise ValueError("the joint +1 sector is empty")
-    evals, evecs = np.linalg.eigh(projector)
-    basis = evecs[:, evals > 0.5]
-    restricted = basis.conj().T @ hd @ basis
+    rows = np.empty((rank, projector.shape[0]), dtype=complex)
+    # residual[i] = |column i minus its part in the basis so far|^2, which
+    # is P[i, i] - sum_k |basis[i, k]|^2 for a Hermitian idempotent P
+    residual = projector.diagonal().real.copy()
+    for k in range(rank):
+        column = projector[:, int(np.argmax(residual))]
+        column = column - rows[:k].T @ (rows[:k].conj() @ column)
+        rows[k] = column / np.linalg.norm(column)
+        residual -= np.abs(rows[k]) ** 2
+    if np.max(np.abs(residual)) > _SECTOR_RESIDUAL_TOL:
+        raise ValueError(
+            f"generators do not define a projector: residual diagonal "
+            f"{np.max(np.abs(residual)):.3e} after {rank} basis vectors")
+    return rows.T
+
+
+def sector_ground_energy(h: PauliSum, generators: list[PauliSum],
+                         max_qubits: int | None = None) -> float:
+    """Ground energy restricted to the joint +1 eigenspace of the generators.
+
+    Generators act through their compiled Pauli actions (see
+    :mod:`ktr.paulis`), so each check is one kernel application to a dense
+    matrix: G commutes with H exactly when GH is Hermitian, and with an
+    earlier generator G' exactly when G'G is, both to a max-entry tolerance
+    of 1e-12.  One dense generator matrix is held at a time.  The projector
+    P = prod_k (I + G_k) / 2 is built as P <- (P + G P) / 2, and the sector
+    basis comes from round(tr P) steps of pivoted Gram-Schmidt on the
+    columns of P; a sector with no states raises ValueError.
+    """
+    hd = dense_matrix(h, max_qubits=max_qubits)
+    if not generators:
+        return float(np.linalg.eigvalsh(hd)[0])
+    projector = np.eye(hd.shape[0], dtype=complex)
+    for i, g in enumerate(generators):
+        if not _commutes(apply_sum(g, hd)):
+            raise ValueError(f"generator {i} does not commute with the Hamiltonian")
+        if i:
+            gd = dense_matrix(g, max_qubits=max_qubits)
+            for j in range(i):
+                if not _commutes(apply_sum(generators[j], gd)):
+                    raise ValueError(f"generators {i} and {j} do not commute")
+        projector = 0.5 * (projector + apply_sum(g, projector))
+    basis = _sector_basis(projector)
+    restricted = basis.conj().T @ (hd @ basis)
     restricted = 0.5 * (restricted + restricted.conj().T)
     return float(np.linalg.eigvalsh(restricted)[0])

@@ -14,11 +14,26 @@ to the literal product of {I, X, Y, Z} factors, since Y = i X Z.
 Hamiltonians are real-weighted sums of Hermitian strings (:class:`PauliSum`)
 with a line-oriented text interchange format, ``<coeff> <label>`` per term,
 e.g. ``-1.0 XXII``.
+
+Every action of a string on amplitudes runs through one kernel.  A string
+compiles, on first use, into a read-only pair ``(src, diag)`` with
+
+    (P v)[i] = diag[i] * v[src[i]],
+
+where ``src = i ^ mask(x)`` and ``diag`` holds the phase times the sign
+``(-1)**popcount(src & mask(z))``.  The pair takes 24 B * 2**n (an int64
+index and a complex128 entry per basis state) and is cached on the string;
+a :class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
+Nothing compiles until a statevector operation, a dense matrix or
+:func:`apply_sum` asks for it, so sums on hundreds of qubits stay cheap
+for the GF(2) code.
+:func:`apply_action` acts on the leading axis of 1-D and 2-D arrays, and
+:func:`dense_matrix` scatters the same pairs into a matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,18 +43,39 @@ from .errors import NotTimeReversalError, ResourceLimitError
 #: Dense matrices above this many qubits are refused by default.
 DENSE_QUBIT_CAP = 14
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+#: Statevectors and compiled string actions above this many qubits are
+#: refused before anything is allocated.  At the cap one complex128 state
+#: takes 16 B * 2**20 = 16 MiB and one compiled string 24 B * 2**20 = 24 MiB,
+#: so a compiled 40-term Hamiltonian (the tfim chain at n = 20 has 39 terms)
+#: stays under 1 GiB.
+STATE_QUBIT_CAP = 20
 
-# single-qubit X**x Z**z factors, keyed by (x, z)
-_FACTORS = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-}
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {xz: letter for letter, xz in _LETTER_TO_XZ.items()}
+
+
+def check_state_qubits(n: int) -> None:
+    """Refuse statevectors and compiled actions above :data:`STATE_QUBIT_CAP`."""
+    if n > STATE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"{n} qubits exceed the statevector cap of {STATE_QUBIT_CAP}")
+
+
+def _mask(bits: tuple[int, ...]) -> int:
+    acc = 0
+    for b in bits:
+        acc = (acc << 1) | b
+    return acc
+
+
+def _parity(values: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry, folded over all 64 bits."""
+    v = values.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return v & 1
 
 
 def _as_bits(values: Iterable[int]) -> tuple[int, ...]:
@@ -56,6 +92,8 @@ class PauliString:
     x: tuple[int, ...]
     z: tuple[int, ...]
     phase_exp: int
+    _action: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_bits(self.x))
@@ -114,6 +152,20 @@ class PauliString:
         if self.phase_exp != self.canonical_phase():
             raise ValueError("string carries a non-canonical phase, no literal label")
         return "".join(_XZ_TO_LETTER[(a, b)] for a, b in zip(self.x, self.z))
+
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """Compiled ``(src, diag)`` with ``(P v)[i] = diag[i] * v[src[i]]``.
+
+        Built on first use and cached; both arrays are read-only.
+        """
+        if self._action is None:
+            check_state_qubits(self.n)
+            src = np.arange(2 ** self.n) ^ _mask(self.x)
+            diag = _PHASES[self.phase_exp] * (1.0 - 2.0 * _parity(src & _mask(self.z)))
+            src.flags.writeable = False
+            diag.flags.writeable = False
+            object.__setattr__(self, "_action", (src, diag))
+        return self._action
 
     def __repr__(self) -> str:
         letters = "".join(_XZ_TO_LETTER[(a, b)] for a, b in zip(self.x, self.z))
@@ -185,6 +237,7 @@ class PauliSum:
 
     n: int
     terms: tuple[tuple[float, PauliString], ...]
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm_terms = []
@@ -229,6 +282,30 @@ class PauliSum:
     def scaled(self, factor: float) -> "PauliSum":
         return PauliSum(self.n, tuple((factor * c, s) for c, s in self.terms))
 
+    def compiled(self) -> tuple[tuple[float, tuple[np.ndarray, np.ndarray]], ...]:
+        """``(coeff, (src, diag))`` per term in stored order, built on first use
+        and cached; see :meth:`PauliString.action`."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled",
+                               tuple((c, s.action()) for c, s in self.terms))
+        return self._compiled
+
+
+def apply_action(action: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.ndarray:
+    """One compiled string on the leading axis of a 1-D or 2-D array."""
+    src, diag = action
+    if arr.ndim == 2:
+        diag = diag[:, None]
+    return diag * arr[src]
+
+
+def apply_sum(op: PauliSum, arr: np.ndarray) -> np.ndarray:
+    """O @ arr for a Pauli sum, on the leading axis of a 1-D or 2-D array."""
+    out = np.zeros(arr.shape, dtype=complex)
+    for coeff, action in op.compiled():
+        out += coeff * apply_action(action, arr)
+    return out
+
 
 def build_iht_observable(h: PauliSum, t: PauliString) -> PauliSum:
     """Hermitian observable equal to i H T for an anticommuting involution T.
@@ -256,21 +333,26 @@ def build_iht_observable(h: PauliSum, t: PauliString) -> PauliSum:
 
 
 def dense_matrix(op: PauliString | PauliSum, max_qubits: int | None = None) -> np.ndarray:
-    """Exact 2**n x 2**n matrix via Kronecker products (oracle backbone)."""
+    """Exact 2**n x 2**n matrix, scattered from the compiled actions.
+
+    Row i of a string holds ``diag[i]`` in column ``src[i]``; a sum adds
+    ``coeff * diag`` term by term in stored order.
+    """
+    if not isinstance(op, (PauliString, PauliSum)):
+        raise TypeError(f"unsupported operand type {type(op).__name__}")
     cap = DENSE_QUBIT_CAP if max_qubits is None else max_qubits
     if op.n > cap:
         raise ResourceLimitError(f"{op.n} qubits exceed the dense cap of {cap}")
+    dim = 2 ** op.n
+    idx = np.arange(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
     if isinstance(op, PauliString):
-        mat = np.ones((1, 1), dtype=complex)
-        for xb, zb in zip(op.x, op.z):
-            mat = np.kron(mat, _FACTORS[(xb, zb)])
-        return _PHASES[op.phase_exp] * mat
-    if isinstance(op, PauliSum):
-        total = np.zeros((2 ** op.n, 2 ** op.n), dtype=complex)
-        for coeff, string in op.terms:
-            total += coeff * dense_matrix(string, max_qubits=cap)
-        return total
-    raise TypeError(f"unsupported operand type {type(op).__name__}")
+        src, diag = op.action()
+        mat[idx, src] = diag
+        return mat
+    for coeff, (src, diag) in op.compiled():
+        mat[idx, src] += coeff * diag
+    return mat
 
 
 def pauli_sum_to_text(h: PauliSum) -> str:

@@ -3,14 +3,20 @@
 States live on n qubits as complex vectors of length 2**n, basis index
 ``i = sum_j q_j * 2**(n-1-j)`` (qubit 0 is the most significant bit, in
 line with the Kronecker convention of :mod:`ktr.paulis`).  A Pauli string
-acts as an amplitude permutation with +-1 / +-i phases; time evolution
-under exp(-i t H) runs either exactly, through a cached Hermitian
+acts as an amplitude permutation with +-1 / +-i phases, through the
+compiled ``(src, diag)`` pair of :meth:`ktr.paulis.PauliString.action`:
+built once per string on first use, read-only, 24 B * 2**n each.  Time
+evolution under exp(-i t H) runs either exactly, through a cached Hermitian
 eigenfactorization of the dense Hamiltonian, or with a symmetric
 second-order Trotter splitting built from closed-form single-string
-exponentials exp(-i theta P) = cos(theta) I - i sin(theta) P.
+exponentials exp(-i theta P) = cos(theta) I - i sin(theta) P, which reuses
+the Hamiltonian's compiled terms across all steps.  States above
+:data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
+:class:`ResourceLimitError` before anything is allocated.
 
 All values are immutable after construction and all operations are pure,
-so states and plans can be shared freely across threads.
+so states and plans can be shared freely across threads (a compiled
+action cached by two threads at once is the same read-only pair).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .paulis import PauliString, PauliSum, _PHASES, dense_matrix
+from .paulis import PauliString, PauliSum, apply_action, check_state_qubits, dense_matrix
 
 #: absolute imaginary residue tolerated in a Hermitian expectation
 EXPECTATION_IMAG_TOL = 1e-12
@@ -39,6 +45,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
+        check_state_qubits(self.n)
         arr = np.array(self.amps, dtype=complex, copy=True)
         if arr.shape != (2 ** self.n,):
             raise ValueError(f"expected {2 ** self.n} amplitudes, got {arr.shape}")
@@ -76,29 +83,31 @@ def basis_state(n: int, bits: int | str | Sequence[int]) -> StateVector:
             index = (index << 1) | b
     else:
         index = int(bits)
+    check_state_qubits(n)
     amps = np.zeros(2 ** n, dtype=complex)
     amps[index] = 1.0
     return StateVector(n, amps)
 
 
 def plus_state(n: int) -> StateVector:
+    check_state_qubits(n)
     return StateVector(n, np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex))
 
 
 def product_state(factors: Iterable[Sequence[complex]]) -> StateVector:
     """Tensor product of single-qubit amplitude pairs, qubit 0 first."""
+    vecs = [np.asarray(factor, dtype=complex) for factor in factors]
+    if any(vec.shape != (2,) for vec in vecs):
+        raise ValueError("each factor must be a length-2 amplitude pair")
+    check_state_qubits(len(vecs))
     amps = np.ones(1, dtype=complex)
-    count = 0
-    for factor in factors:
-        vec = np.asarray(factor, dtype=complex)
-        if vec.shape != (2,):
-            raise ValueError("each factor must be a length-2 amplitude pair")
+    for vec in vecs:
         amps = np.kron(amps, vec)
-        count += 1
-    return StateVector(count, amps)
+    return StateVector(len(vecs), amps)
 
 
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
+    check_state_qubits(a.n + b.n)
     return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
 
 
@@ -106,39 +115,16 @@ def random_state(n: int, rng: int | np.random.Generator) -> StateVector:
     """Haar-ish random unit vector (Gaussian amplitudes, normalized)."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    check_state_qubits(n)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def _mask(bits: tuple[int, ...]) -> int:
-    acc = 0
-    for b in bits:
-        acc = (acc << 1) | b
-    return acc
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    # folds up to 16 bits, enough for the dense cap
-    v = values.copy()
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
-
-
 def apply_pauli_to_array(amps: np.ndarray, p: PauliString) -> np.ndarray:
-    """Low-level Pauli action on a raw (possibly unnormalized) array."""
-    n = p.n
-    dim = amps.shape[0]
-    if dim != 2 ** n:
+    """Low-level Pauli action on the leading axis of a raw 1-D or 2-D array."""
+    if amps.shape[0] != 2 ** p.n:
         raise ValueError("amplitude length does not match the string")
-    x_mask = _mask(p.x)
-    z_mask = _mask(p.z)
-    idx = np.arange(dim)
-    src = idx ^ x_mask
-    signs = 1.0 - 2.0 * _parity(src & z_mask)
-    return _PHASES[p.phase_exp] * signs * amps[src]
+    return apply_action(p.action(), amps)
 
 
 def apply_pauli(s: StateVector, p: PauliString) -> StateVector:
@@ -159,8 +145,8 @@ def matrix_element(a: StateVector, o: PauliSum, b: StateVector) -> complex:
     if a.n != o.n or b.n != o.n:
         raise ValueError("qubit counts differ")
     acc = 0.0 + 0.0j
-    for coeff, string in o.terms:
-        acc += coeff * np.vdot(a.amps, apply_pauli_to_array(b.amps, string))
+    for coeff, action in o.compiled():
+        acc += coeff * np.vdot(a.amps, apply_action(action, b.amps))
     return complex(acc)
 
 
@@ -198,6 +184,7 @@ class EvolutionPlan:
         self.steps_per_unit = steps_per_unit
         self.max_qubits = max_qubits
         self._factorization: tuple[np.ndarray, np.ndarray] | None = None
+        self._adjoint: np.ndarray | None = None  # evecs.conj().T, kept for evolve
 
     @classmethod
     def exact(cls, h: PauliSum, max_qubits: int | None = None) -> "EvolutionPlan":
@@ -212,32 +199,33 @@ class EvolutionPlan:
         if self._factorization is None:
             hd = dense_matrix(self.h, max_qubits=self.max_qubits)
             evals, evecs = np.linalg.eigh(hd)
-            residual = np.linalg.norm((evecs * evals) @ evecs.conj().T - hd)
+            adjoint = evecs.conj().T
+            residual = np.linalg.norm((evecs * evals) @ adjoint - hd)
             scale = max(np.linalg.norm(hd), 1.0)
             if residual > FACTORIZATION_TOL * scale:
                 raise InternalInconsistencyError(
                     f"eigenfactorization residual {residual:.3e} exceeds tolerance")
-            evals.flags.writeable = False
-            evecs.flags.writeable = False
+            for arr in (evals, evecs, adjoint):
+                arr.flags.writeable = False
+            self._adjoint = adjoint
             self._factorization = (evals, evecs)
         return self._factorization
 
     def prepare(self) -> "EvolutionPlan":
-        """Force the cache to exist (useful before fanning out threads)."""
+        """Force the caches to exist (useful before fanning out threads):
+        the factorization in exact mode, the compiled terms in trotter2 mode."""
         if self.mode == "exact":
             self.factorization()
+        else:
+            self.h.compiled()
         return self
 
 
-def _trotter_step(amps: np.ndarray, masks: list[tuple[int, int, int, float]],
-                  dt: float, dim: int) -> np.ndarray:
-    idx = np.arange(dim)
-    for x_mask, z_mask, phase_exp, coeff in masks + masks[::-1]:
-        theta = 0.5 * dt * coeff
-        src = idx ^ x_mask
-        signs = 1.0 - 2.0 * _parity(src & z_mask)
-        rotated = _PHASES[phase_exp] * signs * amps[src]
-        amps = math.cos(theta) * amps - 1j * math.sin(theta) * rotated
+def _trotter_step(amps: np.ndarray, rotations: list) -> np.ndarray:
+    """One symmetric step; ``rotations`` holds (cos theta, i sin theta, action)
+    per half-step exponential, forward terms then backward."""
+    for cos_t, i_sin_t, (src, diag) in rotations:
+        amps = cos_t * amps - i_sin_t * (diag * amps[src])
     return amps
 
 
@@ -249,12 +237,16 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         return s
     if plan.mode == "exact":
         evals, evecs = plan.factorization()
-        amps = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ s.amps))
+        amps = evecs @ (np.exp(-1j * t * evals) * (plan._adjoint @ s.amps))
         return StateVector(s.n, amps)
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     dt = t / steps
-    masks = [(_mask(p.x), _mask(p.z), p.phase_exp, c) for c, p in plan.h.terms]
+    rotations = []
+    for coeff, action in plan.h.compiled():
+        theta = 0.5 * dt * coeff
+        rotations.append((math.cos(theta), 1j * math.sin(theta), action))
+    rotations += rotations[::-1]
     amps = s.amps.copy()
     for _ in range(steps):
-        amps = _trotter_step(amps, masks, dt, s.dim)
+        amps = _trotter_step(amps, rotations)
     return StateVector(s.n, amps)

@@ -2,14 +2,41 @@
 
 Everything here goes through dense matrices and scipy, staying off the
 library's own evolution/expectation code paths so that agreement between
-the two is meaningful.
+the two is meaningful.  Dense Pauli matrices come from :func:`kron_matrix`,
+a Kronecker-product loop that shares nothing with the library's compiled
+Pauli action.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
 from ktr.initial import ProjectorSpec
-from ktr.paulis import PauliString, PauliSum, dense_matrix
+from ktr.paulis import PauliString, PauliSum
+
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+# single-qubit X**x Z**z factors, keyed by (x, z)
+_FACTORS = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
+}
+
+
+def kron_matrix(op) -> np.ndarray:
+    """Exact 2**n x 2**n matrix of a string or sum via Kronecker products."""
+    if isinstance(op, PauliString):
+        mat = np.ones((1, 1), dtype=complex)
+        for xb, zb in zip(op.x, op.z):
+            mat = np.kron(mat, _FACTORS[(xb, zb)])
+        return _PHASES[op.phase_exp] * mat
+    if isinstance(op, PauliSum):
+        total = np.zeros((2 ** op.n, 2 ** op.n), dtype=complex)
+        for coeff, string in op.terms:
+            total += coeff * kron_matrix(string)
+        return total
+    raise TypeError(f"unsupported operand type {type(op).__name__}")
 
 
 def dense_evolution(hd: np.ndarray, t: float) -> np.ndarray:
@@ -40,7 +67,7 @@ def krylov_ritz_grounds(hd: np.ndarray, v0_amps: np.ndarray, dt: float, sizes) -
 
 def overlap_matrices_direct(h: PauliSum, v0_amps: np.ndarray, grid):
     """Double-loop (a, b) oracle for the overlap matrices."""
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     states = [dense_evolution(hd, float(t)) @ v0_amps for t in grid.times]
     m = grid.m
     a = np.zeros((m, m), dtype=complex)
@@ -55,9 +82,25 @@ def overlap_matrices_direct(h: PauliSum, v0_amps: np.ndarray, grid):
 def dense_projector(spec: ProjectorSpec) -> np.ndarray:
     mat = np.ones((1, 1), dtype=complex)
     for block, flip in zip(spec.t_blocks, spec.alpha):
-        factor = (np.eye(2 ** block.n) + (-1) ** flip * dense_matrix(block)) / 2.0
+        factor = (np.eye(2 ** block.n) + (-1) ** flip * kron_matrix(block)) / 2.0
         mat = np.kron(mat, factor)
     return mat
+
+
+def sector_ground_penalty(h: PauliSum, generators) -> float:
+    """Lowest eigenvalue of P H P + penalty (I - P), P = prod_k (I + G_k) / 2.
+
+    The penalty exceeds the coefficient 1-norm of H, a bound on every
+    eigenvalue, so the lowest eigenvalue is the ground energy of H on the
+    joint +1 sector of the generators (scipy eigh, Kronecker matrices).
+    """
+    hd = kron_matrix(h)
+    eye = np.eye(hd.shape[0])
+    proj = eye.astype(complex)
+    for g in generators:
+        proj = proj @ (eye + kron_matrix(g)) / 2.0
+    penalty = h.coeff_norm + 1.0
+    return float(sla.eigh(proj @ hd @ proj + penalty * (eye - proj), eigvals_only=True)[0])
 
 
 def all_pauli_strings(n: int):
@@ -75,12 +118,12 @@ def all_pauli_strings(n: int):
 def brute_force_reversals_dense(h: PauliSum) -> set:
     """Supports (x, z) of all Hermitian involutions with {P, H} = 0, by
     exhaustive dense anticommutator checks (n <= 4 only)."""
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     found = set()
     for p in all_pauli_strings(h.n):
         if p.weight == 0:
             continue
-        pd = dense_matrix(p)
+        pd = kron_matrix(p)
         if np.max(np.abs(pd @ hd + hd @ pd)) == 0.0:
             found.add((p.x, p.z))
     return found

@@ -13,6 +13,8 @@ from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum
 from ktr.states import EvolutionPlan, plus_state
 
+from oracles import all_pauli_strings, kron_matrix, sector_ground_penalty
+
 
 def _random_psd_toeplitz_pencil(m, rng):
     # autocovariance of a random sequence gives a PSD Hermitian-Toeplitz B
@@ -136,6 +138,62 @@ def test_sector_energy_rejects_noncommuting_generators():
     bad = PauliSum.from_terms([(1.0, PauliString.from_label("ZIII"))])
     with pytest.raises(ValueError):
         sector_ground_energy(h, [bad])
+
+
+def _single(label: str, coeff: float = 1.0) -> PauliSum:
+    return PauliSum.from_terms([(coeff, PauliString.from_label(label))])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sector_energy_matches_penalty_oracle_gauge(n):
+    spec = ModelSpec("z2higgs", n, {"mu": 0.8, "g": 1.1})
+    h = build(spec)
+    gens = gauss_generators(spec)
+    want = sector_ground_penalty(h, gens)
+    assert abs(sector_ground_energy(h, gens) - want) <= 1e-12 * abs(want)
+
+
+def test_sector_energy_matches_penalty_oracle_global_parity():
+    h = build(ModelSpec("tfim", 6, {"gamma": 0.7}))
+    gens = [_single("Z" * 6)]
+    want = sector_ground_penalty(h, gens)
+    assert abs(sector_ground_energy(h, gens) - want) <= 1e-12 * abs(want)
+
+
+def test_sector_energy_matches_penalty_oracle_generic_generator():
+    # G = U Z0 U+ and H = U D U+ for a random unitary U and real diagonal D,
+    # expanded over all 64 strings: the projector's columns overlap without
+    # being parallel, so the Gram-Schmidt projections matter
+    rng = np.random.default_rng(41)
+    u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    z0 = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+    def pauli_sum(mat):
+        return PauliSum(3, tuple((float(np.trace(kron_matrix(p) @ mat).real) / 8.0, p)
+                                 for p in all_pauli_strings(3)))
+    g = pauli_sum(u @ z0 @ u.conj().T)
+    h = pauli_sum(u @ np.diag(rng.normal(size=8)) @ u.conj().T)
+    want = sector_ground_penalty(h, [g])
+    assert abs(sector_ground_energy(h, [g]) - want) <= 1e-12 * abs(want)
+
+
+def test_sector_energy_rejects_noncommuting_generator_pair():
+    # XX and ZI each commute with ZZ but anticommute with each other
+    h = _single("ZZ")
+    with pytest.raises(ValueError, match="generators 1 and 0 do not commute"):
+        sector_ground_energy(h, [_single("XX"), _single("ZI")])
+
+
+def test_sector_energy_rejects_empty_sector():
+    h = build(ModelSpec("tfim", 4, {"gamma": 0.7}))
+    with pytest.raises(ValueError, match="empty"):
+        sector_ground_energy(h, [_single("ZZZZ"), _single("ZZZZ", -1.0)])
+
+
+def test_sector_energy_rejects_a_generator_that_is_no_involution():
+    h = build(ModelSpec("tfim", 4, {"gamma": 0.7}))
+    with pytest.raises(ValueError, match="projector"):
+        sector_ground_energy(h, [_single("ZZZZ", 2.0)])
 
 
 def test_b_eigenvalue_diagnostics():

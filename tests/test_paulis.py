@@ -8,7 +8,9 @@ from ktr.paulis import (PauliString, PauliSum, build_iht_observable, dense_matri
                         embed, multiply, pauli_sum_from_text, pauli_sum_to_text,
                         symplectic_product, tensor)
 
-from oracles import all_pauli_strings, random_hermitian_string, random_pauli_sum
+from ktr.models import ModelSpec, build
+
+from oracles import all_pauli_strings, kron_matrix, random_hermitian_string, random_pauli_sum
 
 
 def test_dense_single_qubit_definitions():
@@ -102,6 +104,24 @@ def test_dense_is_unitary():
         p = random_hermitian_string(4, rng)
         pd = dense_matrix(p)
         assert np.allclose(pd @ pd.conj().T, np.eye(16), atol=1e-14)
+
+
+def test_dense_matrix_equals_kronecker_build():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        x, z = rng.integers(0, 2, size=(2, n))
+        p = PauliString(tuple(x), tuple(z), int(rng.integers(0, 4)))  # any phase
+        assert np.array_equal(dense_matrix(p), kron_matrix(p))
+    for _ in range(10):
+        h = random_pauli_sum(int(rng.integers(1, 7)), 6, rng)
+        assert np.array_equal(dense_matrix(h), kron_matrix(h))
+    models = (("tfim", {"gamma": 0.7}), ("z2higgs", {"mu": 0.8, "g": 1.1}),
+              ("cluster", {"g_x": 0.9, "g_zz": 0.4, "g_zxz": 1.2}),
+              ("heisenberg", {"j_x": 1.0, "j_y": 0.7, "j_z": 0.3}))
+    for kind, params in models:
+        h = build(ModelSpec(kind, 6, params))
+        assert np.array_equal(dense_matrix(h), kron_matrix(h))
 
 
 def test_dense_cap():

@@ -4,16 +4,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ktr.errors import InternalInconsistencyError
+from ktr.errors import InternalInconsistencyError, ResourceLimitError
 from ktr.models import ModelSpec, build
-from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.states import (EvolutionPlan, StateVector, apply_pauli, basis_state, evolve,
-                        expectation, inner, matrix_element, plus_state, random_state)
+from ktr.paulis import PauliString, PauliSum, apply_sum, dense_matrix
+from ktr.states import (EvolutionPlan, StateVector, apply_pauli, apply_pauli_to_array,
+                        basis_state, evolve, expectation, inner, matrix_element, plus_state,
+                        product_state, random_state, tensor_states)
 from ktr.symmetry import Infeasible, solve_time_reversal
 from ktr.initial import ProjectorSpec, project
 
-from oracles import random_hermitian_string
+from oracles import kron_matrix, random_hermitian_string
 
 
 def test_apply_pauli_trivial():
@@ -29,8 +32,72 @@ def test_apply_pauli_matches_dense():
         p = random_hermitian_string(5, rng)
         s = random_state(5, rng)
         got = apply_pauli(s, p).amps
-        want = dense_matrix(p) @ s.amps
+        want = kron_matrix(p) @ s.amps
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_sign_folds_all_index_bits():
+    # qubit 0 is bit 17 of the index at n = 18, above a 16-bit parity fold
+    z0 = PauliSum.from_terms([(1.0, PauliString.from_label("Z" + "I" * 17))])
+    assert expectation(basis_state(18, 1 << 17), z0) == -1.0
+    assert expectation(basis_state(18, 1), z0) == 1.0
+
+
+def test_pauli_action_runs_on_the_leading_axis():
+    p = PauliString.from_label("ZX")
+    rng = np.random.default_rng(3)
+    for shape in ((4, 4), (4, 3)):
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(apply_pauli_to_array(arr, p), kron_matrix(p) @ arr)
+
+
+def test_compiled_action_is_cached_and_read_only():
+    p = PauliString.from_label("XYZ")
+    src, diag = p.action()
+    assert p.action() is p.action()
+    assert not src.flags.writeable and not diag.flags.writeable
+    h = build(ModelSpec("tfim", 4, {"gamma": 0.5}))
+    assert h.compiled() is h.compiled()
+    assert [c for c, _ in h.compiled()] == [c for c, _ in h.terms]
+
+
+def test_statevector_cap_refuses_before_allocating():
+    calls = (lambda: basis_state(40, 0), lambda: plus_state(40),
+             lambda: random_state(40, 0), lambda: product_state([(1.0, 0.0)] * 40),
+             lambda: tensor_states(basis_state(20, 0), basis_state(20, 0)),
+             lambda: StateVector(40, np.zeros(1)),
+             lambda: PauliString.from_label("Z" * 40).action())
+    for call in calls:
+        with pytest.raises(ResourceLimitError):
+            call()
+
+
+@st.composite
+def _kernel_case(draw):
+    n = draw(st.integers(1, 6))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        op = PauliString(tuple(draw(bits)), tuple(draw(bits)), draw(st.integers(0, 3)))
+    else:
+        terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), bits, bits),
+                              min_size=1, max_size=5))
+        op = PauliSum(n, tuple((c, PauliString.from_xz(x, z)) for c, x, z in terms))
+    dim = 2 ** n
+    shape = draw(st.sampled_from([(dim,), (dim, draw(st.integers(1, 4))), (dim, dim)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return op, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_case())
+def test_kernel_matches_kronecker_product(case):
+    op, arr = case
+    want = kron_matrix(op) @ arr
+    if isinstance(op, PauliString):
+        assert np.array_equal(apply_pauli_to_array(arr, op), want)
+    else:
+        scale = max(1.0, op.coeff_norm) * np.max(np.abs(arr))
+        assert np.max(np.abs(apply_sum(op, arr) - want)) <= 1e-14 * scale
 
 
 def test_inner_products():
@@ -148,7 +215,7 @@ def test_matrix_element_matches_dense():
     h = build(ModelSpec("tfim", 4, {"gamma": 0.7}))
     rng = np.random.default_rng(44)
     a, b = random_state(4, rng), random_state(4, rng)
-    want = a.amps.conj() @ dense_matrix(h) @ b.amps
+    want = a.amps.conj() @ kron_matrix(h) @ b.amps
     assert abs(matrix_element(a, h, b) - want) <= 1e-12
 
 

@@ -194,3 +194,11 @@ def test_solution_count_and_vector_enumeration():
     parity = build_parity_matrix(build(spec))
     for vec in vectors:
         assert np.all((parity.data @ vec) % 2 == 1)
+
+
+def test_symmetry_search_never_compiles_pauli_actions():
+    # a compiled action at n = 256 would exceed the statevector cap and raise
+    h = build(ModelSpec("tfim", 256, {"gamma": 0.4}))
+    sol = solve_time_reversal(h)
+    assert not isinstance(sol, Infeasible)
+    assert verify_time_reversal(next(sol.solutions()), h)

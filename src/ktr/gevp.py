@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePencilError
-from .paulis import PauliSum, apply_sum, dense_matrix
+from .paulis import PauliSum, apply_sum, commutes, dense_matrix
 from .krylov import ToeplitzPencil
 
 DEFAULT_EPSILON = 1e-8
 
 _HERMITICITY_TOL = 1e-10
-
-#: max-entry tolerance of the commutator checks in the sector reference
-_COMMUTATOR_TOL = 1e-12
 
 #: largest residual projector diagonal allowed once the sector basis is
 #: complete.  For an exact projector the residual is rounding, O(r * eps)
@@ -90,22 +87,19 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
 
 
 def exact_reference(h: PauliSum, max_qubits: int | None = None) -> np.ndarray:
-    """Full sorted spectrum of the dense Hamiltonian (desk-scale oracle)."""
+    """Full sorted spectrum of the dense Hamiltonian (desk-scale oracle);
+    a real symmetric eigenproblem when every term has an even Y count."""
     return np.linalg.eigvalsh(dense_matrix(h, max_qubits=max_qubits))
-
-
-def _commutes(gx: np.ndarray) -> bool:
-    """[G, X] = 0 from GX alone: for Hermitian G and X, XG = (GX)^dagger."""
-    return bool(np.max(np.abs(gx - gx.conj().T)) <= _COMMUTATOR_TOL)
 
 
 def _sector_basis(projector: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of a projector, by pivoted Gram-Schmidt
-    on its columns (largest remaining diagonal first), r = round(tr P) steps."""
+    on its columns (largest remaining diagonal first), r = round(tr P) steps;
+    the basis has the projector's dtype."""
     rank = int(round(np.trace(projector).real))
     if rank == 0:
         raise ValueError("the joint +1 sector is empty")
-    rows = np.empty((rank, projector.shape[0]), dtype=complex)
+    rows = np.empty((rank, projector.shape[0]), dtype=projector.dtype)
     # residual[i] = |column i minus its part in the basis so far|^2, which
     # is P[i, i] - sum_k |basis[i, k]|^2 for a Hermitian idempotent P
     residual = projector.diagonal().real.copy()
@@ -125,27 +119,26 @@ def sector_ground_energy(h: PauliSum, generators: list[PauliSum],
                          max_qubits: int | None = None) -> float:
     """Ground energy restricted to the joint +1 eigenspace of the generators.
 
-    Generators act through their compiled Pauli actions (see
-    :mod:`ktr.paulis`), so each check is one kernel application to a dense
-    matrix: G commutes with H exactly when GH is Hermitian, and with an
-    earlier generator G' exactly when G'G is, both to a max-entry tolerance
-    of 1e-12.  One dense generator matrix is held at a time.  The projector
-    P = prod_k (I + G_k) / 2 is built as P <- (P + G P) / 2, and the sector
-    basis comes from round(tr P) steps of pivoted Gram-Schmidt on the
-    columns of P; a sector with no states raises ValueError.
+    Commutation is checked in the Pauli algebra (:func:`ktr.paulis.commutes`):
+    each generator with H, then with every earlier generator, before any
+    matrix is built; no dense generator matrix is formed.  The projector
+    P = prod_k (I + G_k) / 2 is built as P <- (P + G P) / 2 through the
+    compiled Pauli actions, starting from a real identity, so it stays
+    real for real generators.  The sector basis comes from round(tr P)
+    steps of pivoted Gram-Schmidt on the columns of P; a sector with no
+    states raises ValueError.
     """
+    for i, g in enumerate(generators):
+        if not commutes(g, h):
+            raise ValueError(f"generator {i} does not commute with the Hamiltonian")
+        for j in range(i):
+            if not commutes(generators[j], g):
+                raise ValueError(f"generators {i} and {j} do not commute")
     hd = dense_matrix(h, max_qubits=max_qubits)
     if not generators:
         return float(np.linalg.eigvalsh(hd)[0])
-    projector = np.eye(hd.shape[0], dtype=complex)
-    for i, g in enumerate(generators):
-        if not _commutes(apply_sum(g, hd)):
-            raise ValueError(f"generator {i} does not commute with the Hamiltonian")
-        if i:
-            gd = dense_matrix(g, max_qubits=max_qubits)
-            for j in range(i):
-                if not _commutes(apply_sum(generators[j], gd)):
-                    raise ValueError(f"generators {i} and {j} do not commute")
+    projector = np.eye(hd.shape[0])
+    for g in generators:
         projector = 0.5 * (projector + apply_sum(g, projector))
     basis = _sector_basis(projector)
     restricted = basis.conj().T @ (hd @ basis)

@@ -21,18 +21,25 @@ compiles, on first use, into a read-only pair ``(src, diag)`` with
     (P v)[i] = diag[i] * v[src[i]],
 
 where ``src = i ^ mask(x)`` and ``diag`` holds the phase times the sign
-``(-1)**popcount(src & mask(z))``.  The pair takes 24 B * 2**n (an int64
-index and a complex128 entry per basis state) and is cached on the string;
-a :class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
+``(-1)**popcount(src & mask(z))``.  ``diag`` is float64 when the phase is
++-1 (``phase_exp`` 0 or 2, which covers every canonical string with an even
+number of Y factors) and complex128 only for an odd phase.  The pair takes
+16 B * 2**n for a real string (an int64 index and a float64 entry per basis
+state), 24 B * 2**n for a complex one, and is cached on the string; a
+:class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
 Nothing compiles until a statevector operation, a dense matrix or
 :func:`apply_sum` asks for it, so sums on hundreds of qubits stay cheap
 for the GF(2) code.
 :func:`apply_action` acts on the leading axis of 1-D and 2-D arrays, and
-:func:`dense_matrix` scatters the same pairs into a matrix.
+:func:`dense_matrix` scatters the same pairs into a matrix.  Both take
+their dtype from their inputs, so a sum of real strings assembles a
+float64 matrix and stays real through everything built on it.
+:func:`commutes` decides [A, B] = 0 in the algebra, without any matrix.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -45,15 +52,29 @@ DENSE_QUBIT_CAP = 14
 
 #: Statevectors and compiled string actions above this many qubits are
 #: refused before anything is allocated.  At the cap one complex128 state
-#: takes 16 B * 2**20 = 16 MiB and one compiled string 24 B * 2**20 = 24 MiB,
-#: so a compiled 40-term Hamiltonian (the tfim chain at n = 20 has 39 terms)
-#: stays under 1 GiB.
+#: takes 16 B * 2**20 = 16 MiB and one compiled real string 16 B * 2**20 =
+#: 16 MiB (24 MiB for an odd phase), so a compiled 40-term Hamiltonian (the
+#: tfim chain at n = 20 has 39 terms) stays under 1 GiB.
 STATE_QUBIT_CAP = 20
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+#: relative tolerance of :func:`commutes`, against ||a||_1 * ||b||_1.  Each
+#: coefficient c_k of [A, B] / 2 sums at most len(a) * len(b) products
+#: a_i * b_j * i**m, each rounded once, so for sums that commute exactly
+#: rounding leaves |c_k| <= len(a) * len(b) * 1.1e-16 * ||a||_1 * ||b||_1:
+#: 4.5e-13 relative for two 64-term sums, the largest pair in the tests.
+#: Every entry of [A, B] is at most 2 * sum_k |c_k|, so a pass also bounds
+#: the commutator entrywise.
+COMMUTATOR_TOL = 1e-12
 
-_LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_LETTER = {xz: letter for letter, xz in _LETTER_TO_XZ.items()}
+# i**k with the real powers real, so that even-phase actions stay float64
+_PHASES = (1.0, 1.0j, -1.0, -1.0j)
+
+_LETTERS = frozenset("IXYZ")
+_BITS = frozenset((0, 1))
+_X_BITS = bytes.maketrans(b"IXYZ", bytes((0, 1, 1, 0)))
+_Z_BITS = bytes.maketrans(b"IXYZ", bytes((0, 0, 1, 1)))
+
+_XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
 def check_state_qubits(n: int) -> None:
@@ -79,8 +100,16 @@ def _parity(values: np.ndarray) -> np.ndarray:
 
 
 def _as_bits(values: Iterable[int]) -> tuple[int, ...]:
-    bits = tuple(int(v) for v in values)
-    if any(b not in (0, 1) for b in bits):
+    values = tuple(values)
+    try:
+        packed = bytes(values)  # one C pass for Python and numpy integers
+    except (TypeError, ValueError):  # other number types, or ints outside a byte
+        bits = tuple(int(v) for v in values)
+        valid = _BITS.issuperset(bits)
+    else:
+        bits = tuple(packed)
+        valid = not packed.translate(None, b"\0\1")
+    if not valid:
         raise ValueError("supports must be 0/1 bit vectors")
     return bits
 
@@ -108,22 +137,21 @@ class PauliString:
                 phase_exp: int | None = None) -> "PauliString":
         """Build a string; with ``phase_exp=None`` picks the canonical
         Hermitian phase ``popcount(x & z) % 4``."""
-        x = _as_bits(x)
-        z = _as_bits(z)
+        string = cls(x, z, 0 if phase_exp is None else phase_exp % 4)
         if phase_exp is None:
-            phase_exp = sum(a & b for a, b in zip(x, z)) % 4
-        return cls(x, z, phase_exp % 4)
+            # set after construction: the canonical phase needs validated bits
+            object.__setattr__(string, "phase_exp", string.canonical_phase())
+        return string
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse a literal label over {I, X, Y, Z}, qubit 0 leftmost."""
-        try:
-            pairs = [_LETTER_TO_XZ[ch] for ch in label]
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli letter {exc.args[0]!r}") from None
-        x = tuple(p[0] for p in pairs)
-        z = tuple(p[1] for p in pairs)
-        return cls.from_xz(x, z)
+        if not _LETTERS.issuperset(label):
+            bad = next(ch for ch in label if ch not in _LETTERS)
+            raise ValueError(f"invalid Pauli letter {bad!r}")
+        raw = label.encode("ascii")
+        return cls(tuple(raw.translate(_X_BITS)), tuple(raw.translate(_Z_BITS)),
+                   label.count("Y") % 4)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -136,16 +164,16 @@ class PauliString:
     @property
     def weight(self) -> int:
         """Number of non-identity tensor factors."""
-        return sum(a | b for a, b in zip(self.x, self.z))
+        return sum(map(operator.or_, self.x, self.z))
 
     def is_identity_support(self) -> bool:
         return self.weight == 0
 
     def hermitian(self) -> bool:
-        return (self.phase_exp - sum(a & b for a, b in zip(self.x, self.z))) % 2 == 0
+        return (self.phase_exp - self.canonical_phase()) % 2 == 0
 
     def canonical_phase(self) -> int:
-        return sum(a & b for a, b in zip(self.x, self.z)) % 4
+        return sum(map(operator.and_, self.x, self.z)) % 4
 
     def label(self) -> str:
         """Literal {I,X,Y,Z} label; defined only for the canonical phase."""
@@ -161,6 +189,7 @@ class PauliString:
         if self._action is None:
             check_state_qubits(self.n)
             src = np.arange(2 ** self.n) ^ _mask(self.x)
+            # float64 for phase +-1, complex128 for +-i
             diag = _PHASES[self.phase_exp] * (1.0 - 2.0 * _parity(src & _mask(self.z)))
             src.flags.writeable = False
             diag.flags.writeable = False
@@ -292,7 +321,8 @@ class PauliSum:
 
 
 def apply_action(action: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.ndarray:
-    """One compiled string on the leading axis of a 1-D or 2-D array."""
+    """One compiled string on the leading axis of a 1-D or 2-D array; the
+    result has the dtype ``np.result_type(diag, arr)``."""
     src, diag = action
     if arr.ndim == 2:
         diag = diag[:, None]
@@ -300,11 +330,42 @@ def apply_action(action: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.n
 
 
 def apply_sum(op: PauliSum, arr: np.ndarray) -> np.ndarray:
-    """O @ arr for a Pauli sum, on the leading axis of a 1-D or 2-D array."""
-    out = np.zeros(arr.shape, dtype=complex)
-    for coeff, action in op.compiled():
+    """O @ arr for a Pauli sum, on the leading axis of a 1-D or 2-D array.
+
+    The result is real when ``arr`` and every term's ``diag`` are real.
+    """
+    terms = op.compiled()
+    dtype = np.result_type(arr, *(diag for _, (_, diag) in terms))
+    if not terms:
+        return np.zeros(arr.shape, dtype)
+    (coeff, action), *rest = terms
+    out = apply_action(action, arr).astype(dtype, copy=False)
+    out *= coeff
+    for coeff, action in rest:
         out += coeff * apply_action(action, arr)
     return out
+
+
+def commutes(a: PauliSum, b: PauliSum) -> bool:
+    """[A, B] = 0, decided in the Pauli algebra.
+
+    Only anticommuting term pairs contribute, [P, Q] = 2 P Q; their
+    products are merged by support ``(x, z)`` with their phases, so
+    contributions that cancel do cancel.  Distinct supports are linearly
+    independent, hence [A, B] vanishes exactly when every merged
+    coefficient does, here within :data:`COMMUTATOR_TOL`.
+    """
+    if a.n != b.n:
+        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
+    merged: dict[tuple, complex] = {}
+    for ca, p in a.terms:
+        for cb, q in b.terms:
+            if symplectic_product(p, q):
+                prod = multiply(p, q)
+                key = (prod.x, prod.z)
+                merged[key] = merged.get(key, 0.0) + ca * cb * _PHASES[prod.phase_exp]
+    bound = COMMUTATOR_TOL * a.coeff_norm * b.coeff_norm
+    return all(abs(c) <= bound for c in merged.values())
 
 
 def build_iht_observable(h: PauliSum, t: PauliString) -> PauliSum:
@@ -336,21 +397,19 @@ def dense_matrix(op: PauliString | PauliSum, max_qubits: int | None = None) -> n
     """Exact 2**n x 2**n matrix, scattered from the compiled actions.
 
     Row i of a string holds ``diag[i]`` in column ``src[i]``; a sum adds
-    ``coeff * diag`` term by term in stored order.
+    ``coeff * diag`` term by term in stored order.  The matrix is float64
+    unless some term has an odd phase.
     """
     if not isinstance(op, (PauliString, PauliSum)):
         raise TypeError(f"unsupported operand type {type(op).__name__}")
     cap = DENSE_QUBIT_CAP if max_qubits is None else max_qubits
     if op.n > cap:
         raise ResourceLimitError(f"{op.n} qubits exceed the dense cap of {cap}")
+    terms = op.compiled() if isinstance(op, PauliSum) else ((1.0, op.action()),)
     dim = 2 ** op.n
     idx = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    if isinstance(op, PauliString):
-        src, diag = op.action()
-        mat[idx, src] = diag
-        return mat
-    for coeff, (src, diag) in op.compiled():
+    mat = np.zeros((dim, dim), np.result_type(float, *(diag for _, (_, diag) in terms)))
+    for coeff, (src, diag) in terms:
         mat[idx, src] += coeff * diag
     return mat
 

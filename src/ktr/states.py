@@ -5,13 +5,17 @@ States live on n qubits as complex vectors of length 2**n, basis index
 line with the Kronecker convention of :mod:`ktr.paulis`).  A Pauli string
 acts as an amplitude permutation with +-1 / +-i phases, through the
 compiled ``(src, diag)`` pair of :meth:`ktr.paulis.PauliString.action`:
-built once per string on first use, read-only, 24 B * 2**n each.  Time
-evolution under exp(-i t H) runs either exactly, through a cached Hermitian
-eigenfactorization of the dense Hamiltonian, or with a symmetric
-second-order Trotter splitting built from closed-form single-string
-exponentials exp(-i theta P) = cos(theta) I - i sin(theta) P, which reuses
-the Hamiltonian's compiled terms across all steps.  States above
-:data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
+built once per string on first use, read-only, 16 B * 2**n each (24 B for
+an odd phase).  Time evolution under exp(-i t H) runs either exactly,
+through a cached Hermitian eigenfactorization of the dense Hamiltonian, or
+with a symmetric second-order Trotter splitting built from closed-form
+single-string exponentials exp(-i theta P) = cos(theta) I - i sin(theta) P,
+which reuses the Hamiltonian's compiled terms across all steps.  Exact mode
+uses a real ``eigh`` for real H: when every string has an even number of Y
+factors (every model chain), the dense matrix is float64 and the real
+eigenvectors Q act on the real and the imaginary part of the amplitudes; a
+term with an odd number of Y factors runs the same code in complex128.
+States above :data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
 :class:`ResourceLimitError` before anything is allocated.
 
 All values are immutable after construction and all operations are pure,
@@ -184,7 +188,8 @@ class EvolutionPlan:
         self.steps_per_unit = steps_per_unit
         self.max_qubits = max_qubits
         self._factorization: tuple[np.ndarray, np.ndarray] | None = None
-        self._adjoint: np.ndarray | None = None  # evecs.conj().T, kept for evolve
+        # evecs.conj().T, kept for evolve: a view of evecs when H is real
+        self._adjoint: np.ndarray | None = None
 
     @classmethod
     def exact(cls, h: PauliSum, max_qubits: int | None = None) -> "EvolutionPlan":
@@ -221,6 +226,18 @@ class EvolutionPlan:
         return self
 
 
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec without upcasting a real matrix: numpy would copy a real
+    ``mat`` to complex128 on every call, so it acts on the real and the
+    imaginary part of a complex ``vec`` separately."""
+    if np.isrealobj(mat) and np.iscomplexobj(vec):
+        out = np.empty(vec.shape, dtype=np.result_type(mat, vec))
+        out.real = mat @ vec.real
+        out.imag = mat @ vec.imag
+        return out
+    return mat @ vec
+
+
 def _trotter_step(amps: np.ndarray, rotations: list) -> np.ndarray:
     """One symmetric step; ``rotations`` holds (cos theta, i sin theta, action)
     per half-step exponential, forward terms then backward."""
@@ -237,7 +254,7 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         return s
     if plan.mode == "exact":
         evals, evecs = plan.factorization()
-        amps = evecs @ (np.exp(-1j * t * evals) * (plan._adjoint @ s.amps))
+        amps = _matvec(evecs, np.exp(-1j * t * evals) * _matvec(plan._adjoint, s.amps))
         return StateVector(s.n, amps)
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     dt = t / steps

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktr.errors import NotTimeReversalError, ResourceLimitError
-from ktr.paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
-                        embed, multiply, pauli_sum_from_text, pauli_sum_to_text,
+from ktr.paulis import (PauliString, PauliSum, apply_action, build_iht_observable, commutes,
+                        dense_matrix, embed, multiply, pauli_sum_from_text, pauli_sum_to_text,
                         symplectic_product, tensor)
 
 from ktr.models import ModelSpec, build
@@ -121,7 +123,98 @@ def test_dense_matrix_equals_kronecker_build():
               ("heisenberg", {"j_x": 1.0, "j_y": 0.7, "j_z": 0.3}))
     for kind, params in models:
         h = build(ModelSpec(kind, 6, params))
-        assert np.array_equal(dense_matrix(h), kron_matrix(h))
+        hd = dense_matrix(h)
+        assert hd.dtype == np.float64  # even Y count per term: real symmetric
+        assert np.array_equal(hd, kron_matrix(h))
+
+
+def test_action_diag_is_real_exactly_for_phase_plus_minus_one():
+    for label in ("I", "XZIX", "ZZZ", "YY", "XYZY", "YYYY"):  # even Y count
+        assert PauliString.from_label(label).action()[1].dtype == np.float64
+    for phase in (0, 2):
+        assert PauliString((1, 1, 0), (0, 1, 1), phase).action()[1].dtype == np.float64
+    for label in ("Y", "XYZ", "YYY"):  # odd Y count
+        assert PauliString.from_label(label).action()[1].dtype == np.complex128
+    for phase in (1, 3):
+        assert PauliString((1, 0), (0, 1), phase).action()[1].dtype == np.complex128
+
+
+def test_real_diag_acts_like_its_complex_copy_bit_for_bit():
+    # a float64 diag is upcast to (d + 0j) inside the product, so Trotter
+    # steps on complex amplitudes give the same bits as a complex diag did
+    rng = np.random.default_rng(17)
+    for label in ("XZYY", "ZIZI", "YXXY"):
+        src, diag = PauliString.from_label(label).action()
+        assert diag.dtype == np.float64
+        as_complex = (src, diag.astype(complex))
+        for shape in ((16,), (16, 3), (16, 16)):
+            arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            arr[0] = -0.0  # signed zeros must match too
+            got, want = apply_action((src, diag), arr), apply_action(as_complex, arr)
+            assert got.dtype == want.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+
+
+def test_parsing_keeps_every_validation_error():
+    with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
+        PauliString.from_label("XQZ")
+    with pytest.raises(ValueError, match="invalid Pauli letter"):
+        PauliString.from_label("X\u00e9")
+    with pytest.raises(ValueError, match="invalid Pauli letter 'x'"):
+        pauli_sum_from_text("1.0 XX\n0.5 xZ\n")
+    for bits in ((0, 2), (0, -1), (1, 256), (0.5, 3)):
+        with pytest.raises(ValueError, match="0/1"):
+            PauliString(bits, (0, 0), 0)
+        with pytest.raises(ValueError, match="0/1"):
+            PauliString.from_xz((0, 0), bits)
+    with pytest.raises(ValueError, match="length"):
+        PauliString.from_xz((0, 1), (1,))
+    with pytest.raises(ValueError, match="mod 4"):
+        PauliString((0,), (1,), 4)
+    with pytest.raises(ValueError, match="qubit count changed"):
+        pauli_sum_from_text("1.0 XX\n0.5 XZZ\n")
+    # every accepted spelling gives the same string with plain int bits
+    want = PauliString((1, 1, 0), (0, 1, 1), 1)
+    for got in (PauliString.from_label("XYZ"), PauliString.from_xz([1, 1, 0], [0, 1, 1]),
+                PauliString.from_xz(np.array([1, 1, 0]), (b for b in (0, 1, 1))),
+                PauliString((True, True, False), (0.0, 1.0, 1.0), 1)):
+        assert got == want and got.label() == "XYZ"
+        assert all(type(b) is int for b in got.x + got.z)
+
+
+def test_commutes_on_known_pairs():
+    def s(*terms):
+        return PauliSum.from_terms([(c, PauliString.from_label(lab)) for c, lab in terms])
+    # every term of X1 + X2 anticommutes with YY and with ZZ, and the
+    # products cancel in pairs: total X spin commutes with the XX-free part
+    assert commutes(s((1.0, "XI"), (1.0, "IX")), s((0.7, "YY"), (0.7, "ZZ")))
+    assert not commutes(s((1.0, "XI"), (1.0, "IX")), s((0.7, "YY"), (0.6, "ZZ")))
+    assert commutes(s((1.0, "ZZ")), PauliSum(2, ()))
+    assert not commutes(s((1.0, "XX")), s((1.0, "ZI")))
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        commutes(s((1.0, "X")), s((1.0, "XX")))
+
+
+def _square(a: PauliSum) -> PauliSum:
+    """A @ A as a Pauli sum: anticommuting pairs cancel, commuting ones stay."""
+    return PauliSum(a.n, tuple((ci * cj, multiply(p, q)) for ci, p in a.terms
+                               for cj, q in a.terms if not symplectic_product(p, q)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["random", "self", "square"]), st.integers(0, 2 ** 32 - 1))
+def test_commutes_agrees_with_the_dense_commutator(n, k_a, k_b, pairing, seed):
+    rng = np.random.default_rng(seed)
+    a = random_pauli_sum(n, k_a, rng)
+    b = {"random": lambda: random_pauli_sum(n, k_b, rng), "self": lambda: a,
+         "square": lambda: _square(a)}[pairing]()
+    ka, kb = kron_matrix(a), kron_matrix(b)
+    dense_norm = np.max(np.abs(ka @ kb - kb @ ka))
+    # commuting pairs leave only rounding; the others leave O(a_i * b_j)
+    assert commutes(a, b) == (dense_norm <= 1e-10)
+    if pairing != "random":
+        assert commutes(a, b)
 
 
 def test_dense_cap():

@@ -4,10 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.errors import InternalInconsistencyError, ResourceLimitError
+from ktr.gevp import exact_reference
 from ktr.models import ModelSpec, build
 from ktr.paulis import PauliString, PauliSum, apply_sum, dense_matrix
 from ktr.states import (EvolutionPlan, StateVector, apply_pauli, apply_pauli_to_array,
@@ -16,7 +18,7 @@ from ktr.states import (EvolutionPlan, StateVector, apply_pauli, apply_pauli_to_
 from ktr.symmetry import Infeasible, solve_time_reversal
 from ktr.initial import ProjectorSpec, project
 
-from oracles import kron_matrix, random_hermitian_string
+from oracles import dense_evolution, kron_matrix, random_hermitian_string
 
 
 def test_apply_pauli_trivial():
@@ -209,6 +211,30 @@ def test_factorization_reconstructs_hamiltonian():
     evals, evecs = plan.factorization()
     hd = dense_matrix(h)
     assert np.linalg.norm((evecs * evals) @ evecs.conj().T - hd) <= 1e-10 * np.linalg.norm(hd)
+
+
+_ODD_Y = PauliSum.from_terms([(0.8, PauliString.from_label("XY")),
+                              (0.5, PauliString.from_label("ZI")),
+                              (0.3, PauliString.from_label("IX"))])
+
+
+@pytest.mark.parametrize("h, dtype", [
+    (build(ModelSpec("tfim", 6, {"gamma": 0.7})), np.float64),
+    (build(ModelSpec("z2higgs", 6, {"mu": 0.8, "g": 1.1})), np.float64),
+    (_ODD_Y, np.complex128),
+], ids=["tfim", "z2higgs", "odd-y"])
+def test_exact_path_follows_the_hamiltonian_dtype(h, dtype):
+    hd = kron_matrix(h)
+    plan = EvolutionPlan.exact(h)
+    evals, evecs = plan.factorization()
+    assert evecs.dtype == dtype
+    assert np.max(np.abs(exact_reference(h) - sla.eigh(hd, eigvals_only=True))) <= 1e-12
+    rng = np.random.default_rng(71)
+    for t in (0.37, -1.9):
+        s = random_state(h.n, rng)
+        got = evolve(plan, t, s).amps
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - dense_evolution(hd, t) @ s.amps)) <= 1e-12
 
 
 def test_matrix_element_matches_dense():

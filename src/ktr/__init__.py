@@ -29,9 +29,8 @@ from .initial import (PreparedState, ProjectorSpec, build_block_product,
                       build_block_state_w0, build_lgt_initial,
                       enumerate_local_projectors, project)
 from .krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
-                     extended_local_pencil, extended_local_rows,
-                     implicit_hadamard_rows, magnitude_overlap, pencil_from_text,
-                     pencil_to_text, reconstruct_a_from_b, reconstruct_b_from_a,
+                     extended_local_pencil, implicit_hadamard_rows,
+                     reconstruct_a_from_b, reconstruct_b_from_a,
                      sample_expectation_curves)
 from .gevp import SpectrumResult, exact_reference, sector_ground_energy, solve_dense
 from .models import ModelSpec, gauss_generators, known_time_reversal

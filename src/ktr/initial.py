@@ -118,11 +118,6 @@ def project(phi: StateVector, spec: ProjectorSpec) -> PreparedState:
     )
 
 
-def projection_probability(phi: StateVector, spec: ProjectorSpec) -> float:
-    work = project_array(phi.amps, spec)
-    return float(np.vdot(work, work).real)
-
-
 def enumerate_local_projectors(t_blocks: Sequence[PauliString], s: int) -> list[ProjectorSpec]:
     """All 2**s sign patterns over the given blocks, in binary order."""
     if s < 1:

@@ -6,20 +6,27 @@ both overlap matrices
     A[a, b] = <v(t_a)| H |v(t_b)>,      B[a, b] = <v(t_a)|v(t_b)>
 
 are Hermitian-Toeplitz, so a pencil is stored as the pair of first rows.
-Routes implemented here:
+``build_kqd`` is the canonical route; its entries are complex full-time
+overlaps.  Every other route evaluates one quantity in one kernel,
+``_signed_curves``, over a list of (weight, state) branches:
 
-* ``build_kqd``      -- the canonical route, complex entries allowed;
-* ``build_ktr``      -- for a stabilized start state T|v0> = c|v0>, both
-  rows come from plain expectations at half times: B row real from the
-  involution T, A row purely imaginary from the observable i H T;
-* ``implicit_hadamard_rows`` -- for an arbitrary start state, re / im
-  parts of the overlaps as weighted differences of expectations over the
-  two complementary projections (no controlled evolution anywhere);
-* ``extended_local_rows``    -- the blockwise-projector generalization,
-  optionally truncated to the most probable projections;
-* ``reconstruct_b_from_a`` / ``reconstruct_a_from_b`` -- quadrature and
-  finite-difference reconstructions of one row from fine samples of the
-  other.
+    a(tau) = sum_b w_b <v_b(tau)| iHT |v_b(tau)>,
+    b(tau) = sum_b w_b <v_b(tau)| T |v_b(tau)>,    v_b(tau) = exp(-i tau H)|v_b>,
+
+and differs only in its branch list and its times:
+
+* ``build_ktr`` -- [(c, v0)] for a stabilized start state T|v0> = c|v0>,
+  at half times t_j / 2: B row b (real), A row i a (purely imaginary);
+* ``implicit_hadamard_rows`` -- an arbitrary start state phi split by the
+  complementary projectors (I +- T) / 2 into [(+p, v+), (-p', v-)] with
+  p, p' the projection probabilities: B row Re <phi|U(t_j)|phi> and A row
+  i Im <phi|U(t_j) H|phi>, with no controlled evolution anywhere;
+* ``extended_local_pencil`` -- the blockwise-projector generalization,
+  [(parity_i p_i, v_i)] over the most probable projections;
+* ``sample_expectation_curves`` -- [(1, v0)] on a fine grid, the raw
+  curves from which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b``
+  rebuild one row of the ``ktr`` pencil (quadrature and finite
+  differences) from fine samples of the other.
 """
 
 from __future__ import annotations
@@ -30,14 +37,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTimeReversalError
-from .initial import (PreparedState, ProjectorSpec, enumerate_local_projectors,
-                      project, project_array)
+# ``project`` has no caller here but stays importable: the benchmark tracer wraps ktr.krylov.project
+from .initial import (PROJECTION_PROB_FLOOR, PreparedState, ProjectorSpec, project,  # noqa: F401
+                      project_array)
 from .paulis import PauliString, PauliSum, build_iht_observable
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve,
                      expectation, inner, matrix_element)
 
 #: max-norm tolerance for the stabilizer precondition T|v0> = c|v0>
 STABILIZER_TOL = 1e-12
+
+#: allowed |norm - 1| of a start state.  A state normalized in float64 is
+#: unit to ~1e-15, so any normalized input passes, while a scaled state
+#: (2 phi is off by 1) fails.  The implicit and local routes read projection
+#: probabilities as branch weights, so without the check a non-unit phi
+#: would scale their rows silently.
+UNIT_NORM_TOL = 1e-9
 
 #: default fine-grid density for the reconstruction routes
 SAMPLES_PER_STEP = 20
@@ -113,50 +128,20 @@ class ToeplitzPencil:
                               self.method, TimeGrid(self.grid.dt, m))
 
 
-def pencil_to_text(pencil: ToeplitzPencil) -> str:
-    """Line-oriented dump with a stable column order for golden tests."""
-    lines = [
-        f"method={pencil.method}",
-        f"m={pencil.grid.m}",
-        f"dt={pencil.grid.dt!r}",
-        f"c={pencil.c}",
-        "j rowA_re rowA_im rowB_re rowB_im",
-    ]
-    for j in range(pencil.grid.m):
-        a = complex(pencil.row_a[j])
-        b = complex(pencil.row_b[j])
-        lines.append(f"{j + 1} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def pencil_from_text(text: str) -> ToeplitzPencil:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = {}
-    for ln in lines[:4]:
-        key, _, value = ln.partition("=")
-        header[key.strip()] = value.strip()
-    m = int(header["m"])
-    grid = TimeGrid(float(header["dt"]), m)
-    row_a = np.zeros(m, dtype=complex)
-    row_b = np.zeros(m, dtype=complex)
-    for ln in lines[5:]:
-        parts = ln.split()
-        j = int(parts[0]) - 1
-        row_a[j] = float(parts[1]) + 1j * float(parts[2])
-        row_b[j] = float(parts[3]) + 1j * float(parts[4])
-    return ToeplitzPencil(row_a, row_b, int(header["c"]), header["method"], grid)
-
-
 def default_dt(h: PauliSum) -> float:
     """Grid spacing pi / (2 sum|h_i|), from the coefficient-norm bound."""
     return math.pi / (2.0 * h.coeff_norm)
 
 
+def _check_unit_norm(phi: StateVector) -> None:
+    if abs(phi.norm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError("initial state must be unit norm")
+
+
 def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
               plan: EvolutionPlan) -> ToeplitzPencil:
     """Canonical first-row construction; entries are complex in general."""
-    if abs(v0.norm - 1.0) > 1e-9:
-        raise ValueError("initial state must be unit norm")
+    _check_unit_norm(v0)
     plan.prepare()
     row_a = np.zeros(grid.m, dtype=complex)
     row_b = np.zeros(grid.m, dtype=complex)
@@ -167,12 +152,57 @@ def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
     return ToeplitzPencil(row_a, row_b, 1, "kqd", grid)
 
 
-def _check_stabilized(t: PauliString, prepared: PreparedState) -> None:
+_Branches = list[tuple[float, StateVector]]
+
+
+def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches,
+                   taus: np.ndarray, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The one pencil kernel: curves (a, b) of iHT and T, one entry per tau.
+
+    a[k] = sum_b w_b <v_b(tau_k)| iHT |v_b(tau_k)>, and b[k] likewise with
+    T, over the (w_b, v_b) ``branches``, where v_b(tau) = exp(-i tau H)|v_b>.
+    """
+    # looked up in ktr.symmetry per call, where the benchmark tracer wraps it
+    from .symmetry import verify_time_reversal
+
+    if not verify_time_reversal(t, h):
+        raise NotTimeReversalError(
+            "operator is not an anticommuting Hermitian involution for this Hamiltonian")
+    t_obs = PauliSum(h.n, ((1.0, t),))
+    iht = build_iht_observable(h, t)
+    plan.prepare()
+    a = np.zeros(len(taus))
+    b = np.zeros(len(taus))
+    for k, tau in enumerate(taus):
+        for weight, state in branches:
+            w = evolve(plan, float(tau), state)
+            b[k] += weight * expectation(w, t_obs)
+            a[k] += weight * expectation(w, iht)
+    return a, b
+
+
+def _stabilized(t: PauliString, prepared: PreparedState) -> StateVector:
+    """The start state v0, once T|v0> = c|v0> is checked."""
     reflected = apply_pauli(prepared.state, t)
     deviation = np.max(np.abs(reflected.amps - prepared.c * prepared.state.amps))
     if deviation > STABILIZER_TOL:
         raise ValueError(
             f"initial state is not stabilized by the involution (deviation {deviation:.3e})")
+    return prepared.state
+
+
+def _ranked_branches(phi: StateVector, projector_set: list[ProjectorSpec],
+                     subset_size: int) -> _Branches:
+    """(parity * p, P|phi> / sqrt(p)) for the ``subset_size`` projections of
+    largest probability p (stable ties); a vanishing projection counts
+    toward the subset but carries no branch."""
+    ranked = []
+    for idx, spec in enumerate(projector_set):
+        work = project_array(phi.amps, spec)
+        ranked.append((float(np.vdot(work, work).real), idx, spec, work))
+    ranked.sort(key=lambda item: (-item[0], item[1]))
+    return [(spec.parity * prob, StateVector(phi.n, work / math.sqrt(prob)))
+            for prob, _, spec, work in ranked[:subset_size] if prob > PROJECTION_PROB_FLOOR]
 
 
 def build_ktr(h: PauliSum, t: PauliString, prepared: PreparedState,
@@ -182,30 +212,9 @@ def build_ktr(h: PauliSum, t: PauliString, prepared: PreparedState,
     B row:  c <v(t_j/2)| T |v(t_j/2)>            (real)
     A row:  i c <v(t_j/2)| iHT |v(t_j/2)>        (purely imaginary)
     """
-    from .symmetry import verify_time_reversal
-
-    if not verify_time_reversal(t, h):
-        raise NotTimeReversalError(
-            "operator is not an anticommuting Hermitian involution for this Hamiltonian")
-    _check_stabilized(t, prepared)
     c = prepared.c
-    t_obs = PauliSum(h.n, ((1.0, t),))
-    iht = build_iht_observable(h, t)
-    plan.prepare()
-    row_a = np.zeros(grid.m, dtype=complex)
-    row_b = np.zeros(grid.m, dtype=complex)
-    for j, half in enumerate(grid.half_times):
-        w = evolve(plan, float(half), prepared.state)
-        row_b[j] = c * expectation(w, t_obs)
-        row_a[j] = 1j * c * expectation(w, iht)
-    return ToeplitzPencil(row_a, row_b, c, "ktr", grid)
-
-
-def _projection_weights(phi: StateVector, t: PauliString) -> tuple[float, float]:
-    spec_plus = ProjectorSpec.single_block(t, flip=0)
-    work = project_array(phi.amps, spec_plus)
-    w_plus = float(np.vdot(work, work).real)
-    return w_plus, 1.0 - w_plus
+    a, b = _signed_curves(h, t, [(c, _stabilized(t, prepared))], grid.half_times, plan)
+    return ToeplitzPencil(1j * a, b, c, "ktr", grid)
 
 
 def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
@@ -219,87 +228,10 @@ def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
     vanishes drops out of the combination and is skipped, which covers
     symmetric start states where the route degenerates to ``build_ktr``.
     """
-    from .initial import PROJECTION_PROB_FLOOR
-    from .symmetry import verify_time_reversal
-
-    if not verify_time_reversal(t, h):
-        raise NotTimeReversalError(
-            "operator is not an anticommuting Hermitian involution for this Hamiltonian")
-    w_plus, w_minus = _projection_weights(phi, t)
-    branches = []
-    if w_plus > PROJECTION_PROB_FLOOR:
-        branches.append((w_plus, project(phi, ProjectorSpec.single_block(t, 0))))
-    if w_minus > PROJECTION_PROB_FLOOR:
-        branches.append((-w_minus, project(phi, ProjectorSpec.single_block(t, 1))))
-    t_obs = PauliSum(h.n, ((1.0, t),))
-    iht = build_iht_observable(h, t)
-    plan.prepare()
-    row_a = np.zeros(grid.m, dtype=complex)
-    row_b = np.zeros(grid.m, dtype=complex)
-    for j, half in enumerate(grid.half_times):
-        b_val = 0.0
-        a_val = 0.0
-        for weight, prep in branches:
-            w = evolve(plan, float(half), prep.state)
-            b_val += weight * expectation(w, t_obs)
-            a_val += weight * expectation(w, iht)
-        row_b[j] = b_val
-        row_a[j] = 1j * a_val
-    return ToeplitzPencil(row_a, row_b, 1, "implicit", grid)
-
-
-def magnitude_overlap(phi: StateVector, h: PauliSum, tdiff: float,
-                      plan: EvolutionPlan) -> float:
-    """|<phi| U(tdiff) |phi>|**2, the compute-uncompute quantity.
-
-    Together with the real part from the implicit route this pins the
-    imaginary part up to a sign only; the signed imaginary data comes
-    from :func:`implicit_hadamard_rows`.
-    """
-    return float(abs(inner(phi, evolve(plan, tdiff, phi))) ** 2)
-
-
-def _ranked_projections(phi: StateVector, projector_set: list[ProjectorSpec]):
-    """Projected states ranked by descending probability (stable ties)."""
-    from .initial import PROJECTION_PROB_FLOOR
-
-    ranked = []
-    for idx, spec in enumerate(projector_set):
-        work = project_array(phi.amps, spec)
-        prob = float(np.vdot(work, work).real)
-        if prob <= PROJECTION_PROB_FLOOR:
-            ranked.append((prob, idx, spec, None))
-        else:
-            state = StateVector(phi.n, work / math.sqrt(prob))
-            ranked.append((prob, idx, spec, state))
-    ranked.sort(key=lambda item: (-item[0], item[1]))
-    return ranked
-
-
-def extended_local_rows(phi: StateVector, projector_set: list[ProjectorSpec],
-                        h: PauliSum, t: PauliString, grid: TimeGrid,
-                        plan: EvolutionPlan, subset_size: int) -> np.ndarray:
-    """Blockwise-projector estimate of the B row.
-
-    Accumulates sum_i p(alpha_i) <phi| P_i (sqrtU+ T sqrtU) P_i |phi> over
-    the ``subset_size`` projections of largest probability; with the full
-    set this equals Re <phi| sum_i P_i U(t_j) P_i |phi>.
-    """
-    if not 1 <= subset_size <= len(projector_set):
-        raise ValueError("subset size out of range")
-    t_obs = PauliSum(h.n, ((1.0, t),))
-    plan.prepare()
-    ranked = _ranked_projections(phi, projector_set)[:subset_size]
-    row_b = np.zeros(grid.m, dtype=float)
-    for j, half in enumerate(grid.half_times):
-        acc = 0.0
-        for prob, _, spec, state in ranked:
-            if state is None:
-                continue
-            w = evolve(plan, float(half), state)
-            acc += spec.parity * prob * expectation(w, t_obs)
-        row_b[j] = acc
-    return row_b
+    _check_unit_norm(phi)
+    pair = [ProjectorSpec.single_block(t, 0), ProjectorSpec.single_block(t, 1)]
+    a, b = _signed_curves(h, t, _ranked_branches(phi, pair, 2), grid.half_times, plan)
+    return ToeplitzPencil(1j * a, b, 1, "implicit", grid)
 
 
 def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
@@ -307,31 +239,19 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
                           plan: EvolutionPlan, subset_size: int) -> ToeplitzPencil:
     """Full pencil from the blockwise-projector route.
 
-    The A row applies the same signed combination to the observable iHT,
-    mirroring the imaginary-part estimator of the implicit route; with a
-    single block and the full set this reproduces
-    :func:`implicit_hadamard_rows` exactly.
+    The B row accumulates sum_i p(alpha_i) <phi| P_i (sqrtU+ T sqrtU) P_i |phi>
+    over the ``subset_size`` projections of largest probability; with the
+    full set this equals Re <phi| sum_i P_i U(t_j) P_i |phi>.  The A row
+    applies the same signed combination to the observable iHT, mirroring
+    the imaginary-part estimator of the implicit route; with a single block
+    and the full set this reproduces :func:`implicit_hadamard_rows` exactly.
     """
     if not 1 <= subset_size <= len(projector_set):
         raise ValueError("subset size out of range")
-    t_obs = PauliSum(h.n, ((1.0, t),))
-    iht = build_iht_observable(h, t)
-    plan.prepare()
-    ranked = _ranked_projections(phi, projector_set)[:subset_size]
-    row_a = np.zeros(grid.m, dtype=complex)
-    row_b = np.zeros(grid.m, dtype=complex)
-    for j, half in enumerate(grid.half_times):
-        b_acc = 0.0
-        a_acc = 0.0
-        for prob, _, spec, state in ranked:
-            if state is None:
-                continue
-            w = evolve(plan, float(half), state)
-            b_acc += spec.parity * prob * expectation(w, t_obs)
-            a_acc += spec.parity * prob * expectation(w, iht)
-        row_b[j] = b_acc
-        row_a[j] = 1j * a_acc
-    return ToeplitzPencil(row_a, row_b, 1, f"local:{subset_size}", grid)
+    _check_unit_norm(phi)
+    a, b = _signed_curves(h, t, _ranked_branches(phi, projector_set, subset_size),
+                          grid.half_times, plan)
+    return ToeplitzPencil(1j * a, b, 1, f"local:{subset_size}", grid)
 
 
 def sample_expectation_curves(h: PauliSum, t: PauliString, prepared: PreparedState,
@@ -343,21 +263,9 @@ def sample_expectation_curves(h: PauliSum, t: PauliString, prepared: PreparedSta
     The grid covers [0, (m-1) dt / 2] with ``samples_per_step`` points per
     Krylov step, matching the spacing the reconstruction routes expect.
     """
-    if samples_per_step < 2 or samples_per_step % 2 != 0:
-        raise ValueError("samples_per_step must be a positive even number")
-    _check_stabilized(t, prepared)
-    t_obs = PauliSum(h.n, ((1.0, t),))
-    iht = build_iht_observable(h, t)
-    plan.prepare()
-    total = (grid.m - 1) * samples_per_step + 1
-    delta = (0.5 * grid.dt) / samples_per_step
-    a_fine = np.zeros(total, dtype=float)
-    b_fine = np.zeros(total, dtype=float)
-    for k in range(total):
-        w = evolve(plan, k * delta, prepared.state)
-        a_fine[k] = expectation(w, iht)
-        b_fine[k] = expectation(w, t_obs)
-    return a_fine, b_fine
+    total, delta = _fine_grid(grid, samples_per_step)
+    return _signed_curves(h, t, [(1.0, _stabilized(t, prepared))],
+                          np.arange(total) * delta, plan)
 
 
 def _simpson_prefix(y: np.ndarray, k: int, step: float) -> float:
@@ -386,6 +294,24 @@ def _derivative4(y: np.ndarray, k: int, step: float) -> float:
     return float(np.dot(weights, window) / (12.0 * step))
 
 
+def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None,
+               c: int = 1, five_point: bool = False) -> tuple[int, float]:
+    """Size and spacing (total, delta) of the fine tau grid over
+    [0, (m-1) dt / 2], after validating the inputs of a fine-grid route:
+    ``samples`` given samples, stabilizer sign ``c`` and, for the
+    derivative stencil, at least five samples."""
+    if samples_per_step < 2 or samples_per_step % 2 != 0:
+        raise ValueError("samples_per_step must be a positive even number")
+    total = (grid.m - 1) * samples_per_step + 1
+    if samples is not None and samples < total:
+        raise ValueError(f"need at least {total} samples, got {samples}")
+    if five_point and samples < 5:
+        raise ValueError("grid too coarse for a five-point stencil")
+    if c not in (-1, 1):
+        raise ValueError("stabilizer sign must be +-1")
+    return total, (0.5 * grid.dt) / samples_per_step
+
+
 def reconstruct_b_from_a(a_fine: np.ndarray, c: int, grid: TimeGrid,
                          samples_per_step: int = SAMPLES_PER_STEP) -> np.ndarray:
     """B row from fine samples of a(tau) = <v(tau)|iHT|v(tau)>.
@@ -394,14 +320,7 @@ def reconstruct_b_from_a(a_fine: np.ndarray, c: int, grid: TimeGrid,
     the composite Simpson rule; h_j = (j - 1) dt / 2.
     """
     a_fine = np.asarray(a_fine, dtype=float)
-    if samples_per_step < 2 or samples_per_step % 2 != 0:
-        raise ValueError("samples_per_step must be a positive even number")
-    needed = (grid.m - 1) * samples_per_step + 1
-    if a_fine.shape[0] < needed:
-        raise ValueError(f"need at least {needed} samples, got {a_fine.shape[0]}")
-    if c not in (-1, 1):
-        raise ValueError("stabilizer sign must be +-1")
-    delta = (0.5 * grid.dt) / samples_per_step
+    _, delta = _fine_grid(grid, samples_per_step, a_fine.shape[0], c)
     row_b = np.zeros(grid.m, dtype=float)
     for j in range(grid.m):
         row_b[j] = 2.0 * c * _simpson_prefix(a_fine, j * samples_per_step, delta) + 1.0
@@ -416,16 +335,7 @@ def reconstruct_a_from_b(b_fine: np.ndarray, c: int, grid: TimeGrid,
     five-point finite differences (one-sided at the interval ends).
     """
     b_fine = np.asarray(b_fine, dtype=float)
-    if samples_per_step < 2 or samples_per_step % 2 != 0:
-        raise ValueError("samples_per_step must be a positive even number")
-    needed = (grid.m - 1) * samples_per_step + 1
-    if b_fine.shape[0] < needed:
-        raise ValueError(f"need at least {needed} samples, got {b_fine.shape[0]}")
-    if b_fine.shape[0] < 5:
-        raise ValueError("grid too coarse for a five-point stencil")
-    if c not in (-1, 1):
-        raise ValueError("stabilizer sign must be +-1")
-    delta = (0.5 * grid.dt) / samples_per_step
+    _, delta = _fine_grid(grid, samples_per_step, b_fine.shape[0], c, five_point=True)
     row_a = np.zeros(grid.m, dtype=complex)
     for j in range(grid.m):
         row_a[j] = 0.5j * c * _derivative4(b_fine, j * samples_per_step, delta)

@@ -308,9 +308,6 @@ class PauliSum:
         merged = tuple((acc[s], s) for s in order if acc[s] != 0.0)
         return PauliSum(self.n, merged)
 
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum(self.n, tuple((factor * c, s) for c, s in self.terms))
-
     def compiled(self) -> tuple[tuple[float, tuple[np.ndarray, np.ndarray]], ...]:
         """``(coeff, (src, diag))`` per term in stored order, built on first use
         and cached; see :meth:`PauliString.action`."""

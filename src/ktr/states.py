@@ -65,17 +65,6 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def from_amplitudes(n: int, amps: Sequence[complex] | np.ndarray,
-                    normalize: bool = False) -> StateVector:
-    arr = np.asarray(amps, dtype=complex)
-    if normalize:
-        nrm = np.linalg.norm(arr)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        arr = arr / nrm
-    return StateVector(n, arr)
-
-
 def basis_state(n: int, bits: int | str | Sequence[int]) -> StateVector:
     """Computational basis state; ``bits`` is an index or a q0-first pattern."""
     if isinstance(bits, (str, list, tuple)):

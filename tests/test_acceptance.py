@@ -27,9 +27,8 @@ from ktr.gevp import exact_reference, sector_ground_energy, solve
 from ktr.initial import (PreparedState, ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project)
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
-                        implicit_hadamard_rows, reconstruct_a_from_b,
-                        reconstruct_b_from_a, sample_expectation_curves,
-                        extended_local_rows)
+                        extended_local_pencil, implicit_hadamard_rows, reconstruct_a_from_b,
+                        reconstruct_b_from_a, sample_expectation_curves)
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, build_iht_observable, dense_matrix
 from ktr.states import (EvolutionPlan, apply_pauli, basis_state, evolve, expectation,
@@ -292,11 +291,11 @@ def test_criterion_08_blockwise_projector_identity():
         return out
 
     reference_row = rhs_row()
-    full = extended_local_rows(phi, specs, h, t, grid, plan, 4)
+    full = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
     full_dev = float(np.max(np.abs(full - reference_row)))
     truncated_devs = []
     for subset in (1, 2, 3):
-        row = extended_local_rows(phi, specs, h, t, grid, plan, subset)
+        row = extended_local_pencil(phi, specs, h, t, grid, plan, subset).row_b.real
         truncated_devs.append(float(np.max(np.abs(row - reference_row))))
     ok = full_dev <= 1e-10 and all(d > full_dev for d in truncated_devs)
     _verdict(8, "blockwise projector sum rule and truncation", ok,

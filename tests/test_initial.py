@@ -8,7 +8,7 @@ import pytest
 from ktr.errors import DegenerateProjectionError
 from ktr.initial import (PreparedState, ProjectorSpec, build_block_product,
                          build_block_state_w0, build_lgt_initial,
-                         enumerate_local_projectors, project, projection_probability)
+                         enumerate_local_projectors, project, project_array)
 from ktr.models import ModelSpec, build, gauss_generators
 from ktr.paulis import PauliString, PauliSum, dense_matrix
 from ktr.states import (StateVector, apply_pauli, basis_state, expectation, inner,
@@ -109,7 +109,7 @@ def test_probabilities_sum_to_one():
     blocks = ProjectorSpec.blocks_of(PauliString.from_label("YXYX"), (0, 0)).t_blocks
     rng = np.random.default_rng(9)
     phi = random_state(4, rng)
-    total = sum(projection_probability(phi, spec)
+    total = sum(np.linalg.norm(project_array(phi.amps, spec)) ** 2
                 for spec in enumerate_local_projectors(blocks, 2))
     assert np.isclose(total, 1.0, atol=1e-12)
 

@@ -8,13 +8,13 @@ import pytest
 from ktr.errors import NotTimeReversalError
 from ktr.initial import PreparedState, ProjectorSpec, enumerate_local_projectors, project
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
-                        extended_local_pencil, extended_local_rows,
-                        implicit_hadamard_rows, magnitude_overlap, pencil_from_text,
-                        pencil_to_text, reconstruct_a_from_b, reconstruct_b_from_a,
+                        extended_local_pencil, implicit_hadamard_rows,
+                        reconstruct_a_from_b, reconstruct_b_from_a,
                         sample_expectation_curves)
 from ktr.models import ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.states import EvolutionPlan, evolve, expectation, plus_state, random_state
+from ktr.states import (EvolutionPlan, StateVector, evolve, expectation, inner, plus_state,
+                        random_state)
 
 from oracles import dense_evolution, dense_projector, overlap_matrices_direct
 
@@ -130,9 +130,10 @@ def test_magnitude_overlap():
     h = PauliSum.from_terms([(1.0, PauliString.from_label("Z"))])
     plan = EvolutionPlan.exact(h)
     phi = plus_state(1)
-    assert np.isclose(magnitude_overlap(phi, h, 0.0, plan), 1.0)
+    # |<phi| U(t) |phi>|**2, the compute-uncompute quantity
+    assert np.isclose(abs(inner(phi, evolve(plan, 0.0, phi))) ** 2, 1.0)
     for t in (0.3, 1.1):
-        assert np.isclose(magnitude_overlap(phi, h, t, plan), np.cos(t) ** 2, atol=1e-12)
+        assert np.isclose(abs(inner(phi, evolve(plan, t, phi))) ** 2, np.cos(t) ** 2, atol=1e-12)
 
 
 def test_magnitude_closes_the_re_im_identity():
@@ -141,7 +142,7 @@ def test_magnitude_closes_the_re_im_identity():
     phi = random_state(4, rng)
     pen = implicit_hadamard_rows(phi, h, t, grid, plan)
     for j, tj in enumerate(grid.times):
-        mag = magnitude_overlap(phi, h, float(tj), plan)
+        mag = abs(inner(phi, evolve(plan, float(tj), phi))) ** 2
         re = pen.row_b[j].real
         hd = dense_matrix(h)
         u = dense_evolution(hd, float(tj))
@@ -154,7 +155,7 @@ def test_extended_local_single_block_reduces_to_implicit():
     rng = np.random.default_rng(37)
     phi = random_state(4, rng)
     specs = enumerate_local_projectors([t], 1)
-    row_b = extended_local_rows(phi, specs, h, t, grid, plan, 2)
+    row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 2).row_b.real
     imp = implicit_hadamard_rows(phi, h, t, grid, plan)
     assert np.max(np.abs(row_b - imp.row_b.real)) <= 1e-12
 
@@ -165,7 +166,7 @@ def test_extended_local_full_set_matches_dense():
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
     specs = enumerate_local_projectors(blocks, 2)
-    row_b = extended_local_rows(phi, specs, h, t, grid, plan, 4)
+    row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
     dense = [dense_projector(s) for s in specs]
     hd = dense_matrix(h)
     for j, tj in enumerate(grid.times):
@@ -180,8 +181,8 @@ def test_extended_local_truncation_deviates():
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
     specs = enumerate_local_projectors(blocks, 2)
-    full = extended_local_rows(phi, specs, h, t, grid, plan, 4)
-    partial = extended_local_rows(phi, specs, h, t, grid, plan, 1)
+    full = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
+    partial = extended_local_pencil(phi, specs, h, t, grid, plan, 1).row_b.real
     assert np.max(np.abs(partial - full)) > 1e-3
 
 
@@ -254,12 +255,35 @@ def test_reconstruction_refinement_orders():
 
 def test_reconstruction_input_validation():
     grid = TimeGrid(0.2, 5)
-    with pytest.raises(ValueError):
-        reconstruct_b_from_a(np.zeros(10), 1, grid, 20)  # too few samples
-    with pytest.raises(ValueError):
-        reconstruct_b_from_a(np.zeros(200), 1, grid, 15)  # odd panel count
-    with pytest.raises(ValueError):
-        reconstruct_a_from_b(np.zeros(200), 2, grid, 20)  # bad sign
+    for reconstruct in (reconstruct_b_from_a, reconstruct_a_from_b):
+        with pytest.raises(ValueError, match="at least 81 samples, got 10"):
+            reconstruct(np.zeros(10), 1, grid, 20)  # too few samples
+        with pytest.raises(ValueError, match="positive even"):
+            reconstruct(np.zeros(200), 1, grid, 15)  # odd panel count
+        with pytest.raises(ValueError, match="stabilizer sign"):
+            reconstruct(np.zeros(200), 2, grid, 20)  # bad sign
+    # m = 2 at 2 samples per step needs only 3 samples; the stencil needs 5
+    short = TimeGrid(0.2, 2)
+    with pytest.raises(ValueError, match="five-point"):
+        reconstruct_a_from_b(np.zeros(4), 1, short, 2)
+    assert np.allclose(reconstruct_b_from_a(np.zeros(3), 1, short, 2), 1.0)
+    h, t, plan, grid, prep = _tfim_setup(4, m=4)
+    for sps in (0, 7):
+        with pytest.raises(ValueError, match="positive even"):
+            sample_expectation_curves(h, t, prep, grid, plan, sps)
+
+
+def test_phi_routes_require_unit_norm():
+    h, t, plan, grid, _ = _tfim_setup(4, m=4)
+    phi = random_state(4, np.random.default_rng(53))
+    doubled = StateVector(4, 2.0 * phi.amps)
+    specs = enumerate_local_projectors([t], 1)
+    with pytest.raises(ValueError, match="unit norm"):
+        build_kqd(h, doubled, grid, plan)
+    with pytest.raises(ValueError, match="unit norm"):
+        implicit_hadamard_rows(doubled, h, t, grid, plan)
+    with pytest.raises(ValueError, match="unit norm"):
+        extended_local_pencil(doubled, specs, h, t, grid, plan, 2)
 
 
 def test_pencil_prefix():
@@ -268,18 +292,6 @@ def test_pencil_prefix():
     sub = pen.prefix(4)
     assert sub.grid.m == 4
     assert np.array_equal(sub.row_b, pen.row_b[:4])
-
-
-def test_pencil_text_round_trip():
-    h, t, plan, grid, prep = _tfim_setup(4, m=5)
-    pen = build_ktr(h, t, prep, grid, plan)
-    text = pencil_to_text(pen)
-    again = pencil_from_text(text)
-    assert again.method == pen.method and again.c == pen.c
-    assert again.grid.dt == pen.grid.dt and again.grid.m == pen.grid.m
-    assert np.array_equal(again.row_a, pen.row_a)
-    assert np.array_equal(again.row_b, pen.row_b)
-    assert pencil_to_text(again) == text
 
 
 def test_row_entries_independent_across_threads():

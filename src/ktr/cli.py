@@ -46,7 +46,7 @@ _METHODS = ("kqd", "ktr", "implicit", "local", "derivative", "integral")
 _STABILIZED_METHODS = ("ktr", "derivative", "integral")
 
 _BASE_KEYS = {"model.kind", "model.n", "method", "init", "grid.dt", "grid.m",
-              "samples_per_step", "evolution", "epsilon", "seed", "output"}
+              "samples_per_step", "evolution", "epsilon", "output"}
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class ExperimentConfig:
     evolution: str
     steps_per_unit: int | None
     epsilon: float
-    seed: int
     samples_per_step: int
     output: str | None
     raw: tuple[tuple[str, str], ...] = field(default=())
@@ -217,7 +216,6 @@ def parse_config(text: str) -> ExperimentConfig:
     epsilon = _parse_float("epsilon", table.get("epsilon", repr(DEFAULT_EPSILON)))
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError("epsilon must lie in [0, 1)")
-    seed = _parse_int("seed", table.get("seed", "0"))
     samples_per_step = _parse_int("samples_per_step",
                                   table.get("samples_per_step", str(SAMPLES_PER_STEP)))
     if samples_per_step < 2 or samples_per_step % 2 != 0:
@@ -226,7 +224,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         model=model, methods=methods, init=init, dt=dt, m=m,
         evolution=ev_name, steps_per_unit=steps_per_unit, epsilon=epsilon,
-        seed=seed, samples_per_step=samples_per_step,
+        samples_per_step=samples_per_step,
         output=table.get("output"), raw=tuple(pairs),
     )
 
@@ -251,7 +249,7 @@ def _resolve_init(config: ExperimentConfig, h: PauliSum, t):
         if n % s != 0:
             raise ConfigError(f"cannot split {n} qubits into {s} blocks")
         state = build_block_product(n // s, s)
-        return state, PreparedState(state=state, c=1, xi=1.0), s
+        return state, PreparedState(state=state, c=1), s
     # project:<alpha-bits>
     if t is None:
         raise ConfigError("init project requires a model with a known involution")
@@ -282,8 +280,8 @@ def _build_pencil(method: str, config: ExperimentConfig, h: PauliSum, t,
         return implicit_hadamard_rows(phi, h, t, grid, plan)
     if name == "local":
         subset = int(arg)
-        blocks = ProjectorSpec.blocks_of(t, (0,) * n_blocks).t_blocks
-        projector_set = enumerate_local_projectors(blocks, n_blocks)
+        projector_set = enumerate_local_projectors(
+            ProjectorSpec.blocks_of(t, (0,) * n_blocks).t_blocks)
         if subset > len(projector_set):
             raise ConfigError(
                 f"subset {subset} exceeds the {len(projector_set)} available projectors")
@@ -296,10 +294,10 @@ def _build_pencil(method: str, config: ExperimentConfig, h: PauliSum, t,
     if name == "derivative":
         row_b = c * b_fine[targets]
         row_a = reconstruct_a_from_b(b_fine, c, grid, config.samples_per_step)
-        return ToeplitzPencil(row_a, row_b, c, "derivative", grid)
+        return ToeplitzPencil(row_a, row_b, grid)
     row_a = 1j * c * a_fine[targets]
     row_b = reconstruct_b_from_a(a_fine, c, grid, config.samples_per_step)
-    return ToeplitzPencil(row_a, row_b, c, "integral", grid)
+    return ToeplitzPencil(row_a, row_b, grid)
 
 
 def _prefix_sizes(m: int) -> list[int]:

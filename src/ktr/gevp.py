@@ -86,10 +86,10 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
     return solve_dense(pencil.matrix_a(), pencil.matrix_b(), epsilon)
 
 
-def exact_reference(h: PauliSum, max_qubits: int | None = None) -> np.ndarray:
+def exact_reference(h: PauliSum) -> np.ndarray:
     """Full sorted spectrum of the dense Hamiltonian (desk-scale oracle);
     a real symmetric eigenproblem when every term has an even Y count."""
-    return np.linalg.eigvalsh(dense_matrix(h, max_qubits=max_qubits))
+    return np.linalg.eigvalsh(dense_matrix(h))
 
 
 def _sector_basis(projector: np.ndarray) -> np.ndarray:
@@ -115,8 +115,7 @@ def _sector_basis(projector: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def sector_ground_energy(h: PauliSum, generators: list[PauliSum],
-                         max_qubits: int | None = None) -> float:
+def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
     """Ground energy restricted to the joint +1 eigenspace of the generators.
 
     Commutation is checked in the Pauli algebra (:func:`ktr.paulis.commutes`):
@@ -134,7 +133,7 @@ def sector_ground_energy(h: PauliSum, generators: list[PauliSum],
         for j in range(i):
             if not commutes(generators[j], g):
                 raise ValueError(f"generators {i} and {j} do not commute")
-    hd = dense_matrix(h, max_qubits=max_qubits)
+    hd = dense_matrix(h)
     if not generators:
         return float(np.linalg.eigvalsh(hd)[0])
     projector = np.eye(hd.shape[0])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateProjectionError
 from .paulis import PauliString, embed, split_blocks
-from .states import StateVector, apply_pauli, apply_pauli_to_array, plus_state, tensor_states
+from .states import StateVector, apply_pauli_to_array, plus_state, tensor_states
 
 #: projection probabilities below this are treated as a vanishing projection
 PROJECTION_PROB_FLOOR = 1e-12
@@ -81,15 +81,14 @@ class ProjectorSpec:
 
 @dataclass(frozen=True)
 class PreparedState:
-    """Normalized projected state with its stabilizer sign and weight.
+    """Unit-norm start state and the sign c of T|state> = c|state>.
 
-    ``1 / xi**2`` is the projection probability <phi|P|phi> of the state
-    the projector was applied to.
+    Built by :func:`project` or directly from a stabilized state; the
+    routes that read it check the relation against their T before use.
     """
 
     state: StateVector
     c: int
-    xi: float
 
 
 def project_array(amps: np.ndarray, spec: ProjectorSpec) -> np.ndarray:
@@ -114,17 +113,15 @@ def project(phi: StateVector, spec: ProjectorSpec) -> PreparedState:
     return PreparedState(
         state=StateVector(phi.n, work / math.sqrt(prob)),
         c=spec.parity,
-        xi=1.0 / math.sqrt(prob),
     )
 
 
-def enumerate_local_projectors(t_blocks: Sequence[PauliString], s: int) -> list[ProjectorSpec]:
-    """All 2**s sign patterns over the given blocks, in binary order."""
+def enumerate_local_projectors(t_blocks: Sequence[PauliString]) -> list[ProjectorSpec]:
+    """All 2**s sign patterns over the s given blocks, in binary order."""
+    blocks = tuple(t_blocks)
+    s = len(blocks)
     if s < 1:
         raise ValueError("need at least one block")
-    blocks = tuple(t_blocks)
-    if len(blocks) != s:
-        raise ValueError(f"expected {s} blocks, got {len(blocks)}")
     n = sum(b.n for b in blocks)
     specs = []
     for i in range(2 ** s):
@@ -159,19 +156,3 @@ def build_block_product(r: int, s: int) -> StateVector:
     for _ in range(s - 1):
         out = tensor_states(out, w0)
     return out
-
-
-def build_lgt_initial(n: int, s: int = 1) -> PreparedState:
-    """Gauge-model start state: |+>^n projected onto the all-Y involution.
-
-    For s > 1 the projection is applied blockwise with all-plus signs, so
-    the result is stabilized by every block individually (and hence by the
-    full operator) with sign c = +1.
-    """
-    if n % 2 != 0:
-        raise ValueError("the gauge-model layout needs an even qubit count")
-    if s < 1 or n % s != 0:
-        raise ValueError(f"cannot split {n} qubits into {s} equal blocks")
-    t = PauliString.from_label("Y" * n)
-    spec = ProjectorSpec.blocks_of(t, (0,) * s)
-    return project(plus_state(n), spec)

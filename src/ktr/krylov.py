@@ -94,12 +94,10 @@ def _toeplitz_from_row(row: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToeplitzPencil:
-    """First rows of the Hermitian-Toeplitz pair (A, B) plus metadata."""
+    """First rows of the Hermitian-Toeplitz pair (A, B) on a time grid."""
 
     row_a: np.ndarray
     row_b: np.ndarray
-    c: int
-    method: str
     grid: TimeGrid
 
     def __post_init__(self):
@@ -107,8 +105,6 @@ class ToeplitzPencil:
         row_b = np.array(self.row_b, dtype=complex, copy=True)
         if row_a.shape != (self.grid.m,) or row_b.shape != (self.grid.m,):
             raise ValueError("rows must have one entry per Krylov vector")
-        if self.c not in (-1, 1):
-            raise ValueError("stabilizer sign must be +-1")
         row_a.flags.writeable = False
         row_b.flags.writeable = False
         object.__setattr__(self, "row_a", row_a)
@@ -124,8 +120,7 @@ class ToeplitzPencil:
         """Leading m x m sub-pencil on the same grid spacing."""
         if not 2 <= m <= self.grid.m:
             raise ValueError(f"prefix size must be in [2, {self.grid.m}]")
-        return ToeplitzPencil(self.row_a[:m], self.row_b[:m], self.c,
-                              self.method, TimeGrid(self.grid.dt, m))
+        return ToeplitzPencil(self.row_a[:m], self.row_b[:m], TimeGrid(self.grid.dt, m))
 
 
 def default_dt(h: PauliSum) -> float:
@@ -149,7 +144,7 @@ def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
         vt = evolve(plan, float(t), v0)
         row_b[j] = inner(v0, vt)
         row_a[j] = matrix_element(v0, h, vt)
-    return ToeplitzPencil(row_a, row_b, 1, "kqd", grid)
+    return ToeplitzPencil(row_a, row_b, grid)
 
 
 _Branches = list[tuple[float, StateVector]]
@@ -212,9 +207,9 @@ def build_ktr(h: PauliSum, t: PauliString, prepared: PreparedState,
     B row:  c <v(t_j/2)| T |v(t_j/2)>            (real)
     A row:  i c <v(t_j/2)| iHT |v(t_j/2)>        (purely imaginary)
     """
-    c = prepared.c
-    a, b = _signed_curves(h, t, [(c, _stabilized(t, prepared))], grid.half_times, plan)
-    return ToeplitzPencil(1j * a, b, c, "ktr", grid)
+    a, b = _signed_curves(h, t, [(prepared.c, _stabilized(t, prepared))],
+                          grid.half_times, plan)
+    return ToeplitzPencil(1j * a, b, grid)
 
 
 def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
@@ -231,7 +226,7 @@ def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
     _check_unit_norm(phi)
     pair = [ProjectorSpec.single_block(t, 0), ProjectorSpec.single_block(t, 1)]
     a, b = _signed_curves(h, t, _ranked_branches(phi, pair, 2), grid.half_times, plan)
-    return ToeplitzPencil(1j * a, b, 1, "implicit", grid)
+    return ToeplitzPencil(1j * a, b, grid)
 
 
 def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
@@ -251,7 +246,7 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
     _check_unit_norm(phi)
     a, b = _signed_curves(h, t, _ranked_branches(phi, projector_set, subset_size),
                           grid.half_times, plan)
-    return ToeplitzPencil(1j * a, b, 1, f"local:{subset_size}", grid)
+    return ToeplitzPencil(1j * a, b, grid)
 
 
 def sample_expectation_curves(h: PauliSum, t: PauliString, prepared: PreparedState,

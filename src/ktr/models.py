@@ -9,12 +9,11 @@ has vertices on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ModelConsistencyError
 from .paulis import PauliString, PauliSum, symplectic_product
-from .symmetry import verify_time_reversal
 
 MODEL_KINDS = ("tfim", "z2higgs", "cluster", "heisenberg")
 
@@ -33,13 +32,10 @@ class ModelSpec:
     kind: str
     n: int
     params: Mapping[str, float]
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.boundary != "open":
-            raise ValueError("only open boundary conditions are supported")
         expected = set(PARAM_KEYS[self.kind])
         got = set(self.params)
         if got != expected:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NotTimeReversalError, ResourceLimitError
 
-#: Dense matrices above this many qubits are refused by default.
+#: Dense matrices above this many qubits are refused.
 DENSE_QUBIT_CAP = 14
 
 #: Statevectors and compiled string actions above this many qubits are
@@ -223,11 +223,6 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(x, z, phase)
 
 
-def tensor(p: PauliString, q: PauliString) -> PauliString:
-    """Kronecker product with p on the leftmost qubits."""
-    return PauliString(p.x + q.x, p.z + q.z, (p.phase_exp + q.phase_exp) % 4)
-
-
 def embed(p: PauliString, n: int, offset: int) -> PauliString:
     """Place ``p`` on qubits [offset, offset + p.n) of an n-qubit register."""
     if offset < 0 or offset + p.n > n:
@@ -260,8 +255,7 @@ def split_blocks(p: PauliString, sizes: Sequence[int]) -> list[PauliString]:
 class PauliSum:
     """Real-weighted sum of Hermitian Pauli strings on n qubits.
 
-    Terms are kept in construction order and are not merged; use
-    :meth:`normalize` to combine duplicate strings.
+    Terms are kept in construction order and are not merged.
     """
 
     n: int
@@ -281,13 +275,6 @@ class PauliSum:
             norm_terms.append((coeff, string))
         object.__setattr__(self, "terms", tuple(norm_terms))
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[float, PauliString]]) -> "PauliSum":
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("cannot infer qubit count from an empty term list")
-        return cls(terms[0][1].n, terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -295,18 +282,6 @@ class PauliSum:
     def coeff_norm(self) -> float:
         """1-norm of the coefficients, an upper bound on the operator norm."""
         return float(sum(abs(c) for c, _ in self.terms))
-
-    def normalize(self) -> "PauliSum":
-        """Merge equal strings (first-occurrence order) and drop zeros."""
-        order: list[PauliString] = []
-        acc: dict[PauliString, float] = {}
-        for coeff, string in self.terms:
-            if string not in acc:
-                acc[string] = 0.0
-                order.append(string)
-            acc[string] += coeff
-        merged = tuple((acc[s], s) for s in order if acc[s] != 0.0)
-        return PauliSum(self.n, merged)
 
     def compiled(self) -> tuple[tuple[float, tuple[np.ndarray, np.ndarray]], ...]:
         """``(coeff, (src, diag))`` per term in stored order, built on first use
@@ -390,18 +365,18 @@ def build_iht_observable(h: PauliSum, t: PauliString) -> PauliSum:
     return PauliSum(h.n, tuple(out))
 
 
-def dense_matrix(op: PauliString | PauliSum, max_qubits: int | None = None) -> np.ndarray:
+def dense_matrix(op: PauliString | PauliSum) -> np.ndarray:
     """Exact 2**n x 2**n matrix, scattered from the compiled actions.
 
     Row i of a string holds ``diag[i]`` in column ``src[i]``; a sum adds
     ``coeff * diag`` term by term in stored order.  The matrix is float64
-    unless some term has an odd phase.
+    unless some term has an odd phase.  Operators above
+    :data:`DENSE_QUBIT_CAP` qubits are refused before anything is allocated.
     """
     if not isinstance(op, (PauliString, PauliSum)):
         raise TypeError(f"unsupported operand type {type(op).__name__}")
-    cap = DENSE_QUBIT_CAP if max_qubits is None else max_qubits
-    if op.n > cap:
-        raise ResourceLimitError(f"{op.n} qubits exceed the dense cap of {cap}")
+    if op.n > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"{op.n} qubits exceed the dense cap of {DENSE_QUBIT_CAP}")
     terms = op.compiled() if isinstance(op, PauliSum) else ((1.0, op.action()),)
     dim = 2 ** op.n
     idx = np.arange(dim)

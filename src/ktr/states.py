@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import InternalInconsistencyError
@@ -65,52 +63,14 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def basis_state(n: int, bits: int | str | Sequence[int]) -> StateVector:
-    """Computational basis state; ``bits`` is an index or a q0-first pattern."""
-    if isinstance(bits, (str, list, tuple)):
-        pattern = [int(b) for b in bits]
-        if len(pattern) != n or any(b not in (0, 1) for b in pattern):
-            raise ValueError("bit pattern must have one bit per qubit")
-        index = 0
-        for b in pattern:
-            index = (index << 1) | b
-    else:
-        index = int(bits)
-    check_state_qubits(n)
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n, amps)
-
-
 def plus_state(n: int) -> StateVector:
     check_state_qubits(n)
     return StateVector(n, np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex))
 
 
-def product_state(factors: Iterable[Sequence[complex]]) -> StateVector:
-    """Tensor product of single-qubit amplitude pairs, qubit 0 first."""
-    vecs = [np.asarray(factor, dtype=complex) for factor in factors]
-    if any(vec.shape != (2,) for vec in vecs):
-        raise ValueError("each factor must be a length-2 amplitude pair")
-    check_state_qubits(len(vecs))
-    amps = np.ones(1, dtype=complex)
-    for vec in vecs:
-        amps = np.kron(amps, vec)
-    return StateVector(len(vecs), amps)
-
-
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
     check_state_qubits(a.n + b.n)
     return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
-
-
-def random_state(n: int, rng: int | np.random.Generator) -> StateVector:
-    """Haar-ish random unit vector (Gaussian amplitudes, normalized)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    check_state_qubits(n)
-    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return StateVector(n, amps / np.linalg.norm(amps))
 
 
 def apply_pauli_to_array(amps: np.ndarray, p: PauliString) -> np.ndarray:
@@ -164,8 +124,7 @@ class EvolutionPlan:
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
-                 steps_per_unit: int | None = None,
-                 max_qubits: int | None = None):
+                 steps_per_unit: int | None = None):
         if mode not in ("exact", "trotter2"):
             raise ValueError(f"unknown evolution mode {mode!r}")
         if mode == "trotter2":
@@ -175,14 +134,13 @@ class EvolutionPlan:
         self.h = h
         self.mode = mode
         self.steps_per_unit = steps_per_unit
-        self.max_qubits = max_qubits
         self._factorization: tuple[np.ndarray, np.ndarray] | None = None
         # evecs.conj().T, kept for evolve: a view of evecs when H is real
         self._adjoint: np.ndarray | None = None
 
     @classmethod
-    def exact(cls, h: PauliSum, max_qubits: int | None = None) -> "EvolutionPlan":
-        return cls(h, mode="exact", max_qubits=max_qubits)
+    def exact(cls, h: PauliSum) -> "EvolutionPlan":
+        return cls(h, mode="exact")
 
     @classmethod
     def trotter2(cls, h: PauliSum, steps_per_unit: int) -> "EvolutionPlan":
@@ -191,7 +149,7 @@ class EvolutionPlan:
     def factorization(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of the dense Hamiltonian (cached)."""
         if self._factorization is None:
-            hd = dense_matrix(self.h, max_qubits=self.max_qubits)
+            hd = dense_matrix(self.h)
             evals, evecs = np.linalg.eigh(hd)
             adjoint = evecs.conj().T
             residual = np.linalg.norm((evecs * evals) @ adjoint - hd)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -146,18 +146,6 @@ class SymmetrySolution:
         for vec in self.vectors(limit):
             yield decode_t(vec, self.n)
 
-    def contains(self, candidate: PauliString | np.ndarray) -> bool:
-        vec = encode_t(candidate) if isinstance(candidate, PauliString) else np.asarray(candidate, dtype=np.uint8)
-        residual = vec ^ self.particular
-        if not self.nullspace_basis:
-            return not residual.any()
-        reduced, pivots = rref(BitMatrix.from_rows([b.tolist() for b in self.nullspace_basis]))
-        residual = residual.copy()
-        for row_idx, col in enumerate(pivots):
-            if residual[col]:
-                residual ^= reduced.data[row_idx]
-        return not residual.any()
-
 
 def solve_time_reversal(h: PauliSum) -> SymmetrySolution | Infeasible:
     """Solve F t = 1 over GF(2) for the full affine solution space."""
@@ -187,11 +175,6 @@ def decode_t(t: Sequence[int] | np.ndarray, n: int) -> PauliString:
     if vec.shape != (2 * n,):
         raise ValueError(f"expected a vector of length {2 * n}")
     return PauliString.from_xz(tuple(vec[n:]), tuple(vec[:n]))
-
-
-def encode_t(p: PauliString) -> np.ndarray:
-    """Inverse of :func:`decode_t` on supports."""
-    return np.array(p.z + p.x, dtype=np.uint8)
 
 
 def verify_time_reversal(t: PauliString, h: PauliSum) -> bool:

@@ -21,7 +21,6 @@ grid.dt = auto
 grid.m = 8
 evolution = exact
 epsilon = 1e-10
-seed = 7
 """
 
 
@@ -32,7 +31,6 @@ def test_parse_config_round_trip():
     assert cfg.dt is None and cfg.m == 8
     assert cfg.evolution == "exact"
     assert cfg.epsilon == 1e-10
-    assert cfg.seed == 7
 
 
 @pytest.mark.parametrize("mutation, fragment", [
@@ -46,6 +44,7 @@ def test_parse_config_round_trip():
     ("epsilon = 2.0", "epsilon"),
     ("samples_per_step = 7", "even"),
     ("bogus = 1", "unknown key"),
+    ("seed = 7", "unknown key"),
 ])
 def test_parse_config_rejects_bad_values(mutation, fragment):
     key = mutation.split("=")[0].strip()

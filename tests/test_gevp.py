@@ -7,12 +7,13 @@ import scipy.linalg as sla
 from ktr.errors import DegeneratePencilError
 from ktr.gevp import (DEFAULT_EPSILON, SpectrumResult, exact_reference,
                       sector_ground_energy, solve, solve_dense)
-from ktr.initial import PreparedState, ProjectorSpec, build_lgt_initial, project
+from ktr.initial import PreparedState, ProjectorSpec, project
 from ktr.krylov import TimeGrid, ToeplitzPencil, build_ktr, default_dt
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum
 from ktr.states import EvolutionPlan, plus_state
 
+from helpers import gauge_start
 from oracles import all_pauli_strings, kron_matrix, sector_ground_penalty
 
 
@@ -25,7 +26,7 @@ def _random_psd_toeplitz_pencil(m, rng):
     row_a = rng.normal(size=m) + 1j * rng.normal(size=m)
     row_a[0] = rng.normal()
     grid = TimeGrid(0.1, m)
-    return ToeplitzPencil(row_a, row_b, 1, "kqd", grid)
+    return ToeplitzPencil(row_a, row_b, grid)
 
 
 def test_one_by_one_pencil():
@@ -86,7 +87,7 @@ def test_negative_gram_noise_is_dropped():
 
 
 def test_exact_reference_trivial():
-    h = PauliSum.from_terms([(1.0, PauliString.from_label("Z"))])
+    h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     assert np.allclose(exact_reference(h), [-1.0, 1.0])
 
 
@@ -108,7 +109,7 @@ def test_ground_estimate_monotone_in_m_when_full_rank():
     spec = ModelSpec("z2higgs", 8, {"mu": 1.0, "g": 1.0})
     h = build(spec)
     t = known_time_reversal(spec)
-    prep = build_lgt_initial(8, 1)
+    prep = gauge_start(8, 1)
     plan = EvolutionPlan.exact(h)
     pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 16), plan)
     last = np.inf
@@ -135,13 +136,13 @@ def test_sector_energy_bounds_and_pipeline():
 
 def test_sector_energy_rejects_noncommuting_generators():
     h = build(ModelSpec("tfim", 4, {"gamma": 0.7}))
-    bad = PauliSum.from_terms([(1.0, PauliString.from_label("ZIII"))])
+    bad = PauliSum(4, ((1.0, PauliString.from_label("ZIII")),))
     with pytest.raises(ValueError):
         sector_ground_energy(h, [bad])
 
 
 def _single(label: str, coeff: float = 1.0) -> PauliSum:
-    return PauliSum.from_terms([(coeff, PauliString.from_label(label))])
+    return PauliSum(len(label), ((coeff, PauliString.from_label(label)),))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -7,17 +7,22 @@ import pytest
 
 from ktr.errors import DegenerateProjectionError
 from ktr.initial import (PreparedState, ProjectorSpec, build_block_product,
-                         build_block_state_w0, build_lgt_initial,
-                         enumerate_local_projectors, project, project_array)
+                         build_block_state_w0, enumerate_local_projectors, project,
+                         project_array)
 from ktr.models import ModelSpec, build, gauss_generators
 from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.states import (StateVector, apply_pauli, basis_state, expectation, inner,
-                        plus_state, product_state, random_state)
+from ktr.states import StateVector, apply_pauli, expectation, inner, plus_state
 
+from helpers import basis_state, gauge_start, product_state, random_state
 from oracles import HADAMARD, IDENTITY2, controlled_not, dense_projector, kron_chain
 
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+
+def _probability(phi: StateVector, spec: ProjectorSpec) -> float:
+    """Projection probability <phi|P|phi> = ||P phi||**2."""
+    return np.linalg.norm(project_array(phi.amps, spec)) ** 2
 
 
 def test_project_fixed_point():
@@ -26,7 +31,7 @@ def test_project_fixed_point():
                   ProjectorSpec.single_block(t)).state
     again = project(phi, ProjectorSpec.single_block(t))
     assert np.allclose(again.state.amps, phi.amps)
-    assert np.isclose(again.xi, 1.0)
+    assert np.isclose(_probability(phi, ProjectorSpec.single_block(t)), 1.0)
     assert again.c == 1
 
 
@@ -36,7 +41,7 @@ def test_project_plus_with_all_y():
     prep = project(plus_state(4), ProjectorSpec.single_block(t, 0))
     want = (plus_state(4).amps + product_state([MINUS] * 4).amps) / math.sqrt(2.0)
     assert np.max(np.abs(prep.state.amps - want)) <= 1e-12
-    assert np.isclose(prep.xi, math.sqrt(2.0))
+    assert np.isclose(_probability(plus_state(4), ProjectorSpec.single_block(t, 0)), 0.5)
     assert prep.c == 1
 
     perp = project(plus_state(4), ProjectorSpec.single_block(t, 1))
@@ -55,7 +60,7 @@ def test_projection_probability_reproduced():
         prep = project(phi, spec)
         pd = dense_projector(spec)
         direct = (phi.amps.conj() @ pd @ phi.amps).real
-        assert np.isclose(1.0 / prep.xi ** 2, direct, atol=1e-12)
+        assert np.isclose(_probability(phi, spec), direct, atol=1e-12)
 
 
 def test_degenerate_projection_raises():
@@ -67,21 +72,21 @@ def test_degenerate_projection_raises():
 
 def test_enumerate_single_block_gives_complementary_pair():
     t = PauliString.from_label("YXYX")
-    specs = enumerate_local_projectors([t], 1)
+    specs = enumerate_local_projectors([t])
     assert [s.alpha for s in specs] == [(0,), (1,)]
     assert [s.parity for s in specs] == [1, -1]
 
 
 def test_enumerate_two_blocks_parities():
     blocks = ProjectorSpec.blocks_of(PauliString.from_label("YXYX"), (0, 0)).t_blocks
-    specs = enumerate_local_projectors(blocks, 2)
+    specs = enumerate_local_projectors(blocks)
     assert [s.alpha for s in specs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [s.parity for s in specs] == [1, -1, -1, 1]
 
 
 def test_local_projectors_complete_and_orthogonal():
     blocks = ProjectorSpec.blocks_of(PauliString.from_label("YXYX"), (0, 0)).t_blocks
-    specs = enumerate_local_projectors(blocks, 2)
+    specs = enumerate_local_projectors(blocks)
     dense = [dense_projector(s) for s in specs]
     total = sum(dense)
     assert np.max(np.abs(total - np.eye(16))) <= 1e-14
@@ -95,7 +100,7 @@ def test_stabilizer_property_blockwise():
     t = PauliString.from_label("YXYXYX")
     blocks = ProjectorSpec.blocks_of(t, (0, 0, 0)).t_blocks
     rng = np.random.default_rng(8)
-    for spec in enumerate_local_projectors(blocks, 3):
+    for spec in enumerate_local_projectors(blocks):
         phi = random_state(6, rng)
         try:
             prep = project(phi, spec)
@@ -110,7 +115,7 @@ def test_probabilities_sum_to_one():
     rng = np.random.default_rng(9)
     phi = random_state(4, rng)
     total = sum(np.linalg.norm(project_array(phi.amps, spec)) ** 2
-                for spec in enumerate_local_projectors(blocks, 2))
+                for spec in enumerate_local_projectors(blocks))
     assert np.isclose(total, 1.0, atol=1e-12)
 
 
@@ -120,13 +125,14 @@ def test_global_projector_absorbs_even_blocks():
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
     rng = np.random.default_rng(10)
     phi = random_state(4, rng)
-    for spec in enumerate_local_projectors(blocks, 2):
+    for spec in enumerate_local_projectors(blocks):
         if spec.parity != 1:
             continue
         state = project(phi, spec).state
         reabsorbed = project(state, ProjectorSpec.single_block(t, 0))
         assert np.max(np.abs(reabsorbed.state.amps - state.amps)) <= 1e-12
-        assert np.isclose(reabsorbed.xi, 1.0, atol=1e-9)
+        assert np.isclose(_probability(state, ProjectorSpec.single_block(t, 0)), 1.0,
+                          atol=1e-9)
 
 
 def test_orthogonality_across_sign_patterns():
@@ -134,7 +140,7 @@ def test_orthogonality_across_sign_patterns():
     rng = np.random.default_rng(11)
     phi = random_state(4, rng)
     states = []
-    for spec in enumerate_local_projectors(blocks, 2):
+    for spec in enumerate_local_projectors(blocks):
         try:
             states.append(project(phi, spec).state)
         except DegenerateProjectionError:
@@ -181,11 +187,11 @@ def test_block_circuit_prepares_minus_w0():
 
 
 def test_lgt_initial_is_stabilized():
-    prep = build_lgt_initial(8, 1)
+    prep = gauge_start(8, 1)
     t = PauliString.from_label("Y" * 8)
     assert np.max(np.abs(apply_pauli(prep.state, t).amps - prep.state.amps)) <= 1e-12
     assert prep.c == 1
-    assert np.isclose(prep.xi, math.sqrt(2.0))
+    assert np.isclose(_probability(plus_state(8), ProjectorSpec.single_block(t)), 0.5)
 
 
 def test_lgt_sectors_of_the_two_components():
@@ -197,7 +203,7 @@ def test_lgt_sectors_of_the_two_components():
     t_phi = apply_pauli(phi, PauliString.from_label("Y" * 8))
     assert np.max(np.abs(g_avg @ phi.amps - phi.amps)) <= 1e-12
     assert np.max(np.abs(g_avg @ t_phi.amps + t_phi.amps)) <= 1e-12
-    v0 = build_lgt_initial(8, 1).state
+    v0 = gauge_start(8, 1).state
     assert np.max(np.abs(g_avg @ v0.amps - v0.amps)) > 1e-3  # genuinely mixed
 
 
@@ -208,7 +214,7 @@ def test_lgt_start_energy_negative():
 
 
 def test_lgt_blockwise_variant():
-    prep = build_lgt_initial(8, 2)
+    prep = gauge_start(8, 2)
     t = PauliString.from_label("Y" * 8)
     assert np.max(np.abs(apply_pauli(prep.state, t).amps - prep.state.amps)) <= 1e-12
-    assert np.isclose(prep.xi, 2.0)
+    assert np.isclose(_probability(plus_state(8), ProjectorSpec.blocks_of(t, (0, 0))), 0.25)

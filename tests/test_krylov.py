@@ -13,9 +13,9 @@ from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_
                         sample_expectation_curves)
 from ktr.models import ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.states import (EvolutionPlan, StateVector, evolve, expectation, inner, plus_state,
-                        random_state)
+from ktr.states import EvolutionPlan, StateVector, evolve, expectation, inner, plus_state
 
+from helpers import random_state
 from oracles import dense_evolution, dense_projector, overlap_matrices_direct
 
 
@@ -43,7 +43,7 @@ def test_toeplitz_assembly():
     grid = TimeGrid(0.5, 3)
     row_a = np.array([0.0, 1j * 0.2, 1j * 0.3])
     row_b = np.array([1.0, 0.5, 0.25])
-    pen = ToeplitzPencil(row_a, row_b, 1, "ktr", grid)
+    pen = ToeplitzPencil(row_a, row_b, grid)
     a = pen.matrix_a()
     b = pen.matrix_b()
     assert np.allclose(a, a.conj().T)
@@ -54,7 +54,7 @@ def test_toeplitz_assembly():
 
 
 def test_kqd_single_qubit_closed_form():
-    h = PauliSum.from_terms([(1.0, PauliString.from_label("Z"))])
+    h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     grid = TimeGrid(0.4, 6)
     pen = build_kqd(h, plus_state(1), grid, EvolutionPlan.exact(h))
     assert np.allclose(pen.row_b, np.cos(grid.times), atol=1e-12)
@@ -93,7 +93,7 @@ def test_ktr_row_structure():
 
 def test_ktr_rejects_unstabilized_state():
     h, t, plan, grid, _ = _tfim_setup(4, m=4)
-    fake = PreparedState(state=plus_state(4), c=1, xi=1.0)
+    fake = PreparedState(state=plus_state(4), c=1)
     with pytest.raises(ValueError):
         build_ktr(h, t, fake, grid, plan)
 
@@ -127,7 +127,7 @@ def test_implicit_rows_match_dense_oracle():
 
 
 def test_magnitude_overlap():
-    h = PauliSum.from_terms([(1.0, PauliString.from_label("Z"))])
+    h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     plan = EvolutionPlan.exact(h)
     phi = plus_state(1)
     # |<phi| U(t) |phi>|**2, the compute-uncompute quantity
@@ -154,7 +154,7 @@ def test_extended_local_single_block_reduces_to_implicit():
     h, t, plan, grid, _ = _tfim_setup(4, m=5)
     rng = np.random.default_rng(37)
     phi = random_state(4, rng)
-    specs = enumerate_local_projectors([t], 1)
+    specs = enumerate_local_projectors([t])
     row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 2).row_b.real
     imp = implicit_hadamard_rows(phi, h, t, grid, plan)
     assert np.max(np.abs(row_b - imp.row_b.real)) <= 1e-12
@@ -165,7 +165,7 @@ def test_extended_local_full_set_matches_dense():
     rng = np.random.default_rng(41)
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
-    specs = enumerate_local_projectors(blocks, 2)
+    specs = enumerate_local_projectors(blocks)
     row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
     dense = [dense_projector(s) for s in specs]
     hd = dense_matrix(h)
@@ -180,7 +180,7 @@ def test_extended_local_truncation_deviates():
     rng = np.random.default_rng(43)
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
-    specs = enumerate_local_projectors(blocks, 2)
+    specs = enumerate_local_projectors(blocks)
     full = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
     partial = extended_local_pencil(phi, specs, h, t, grid, plan, 1).row_b.real
     assert np.max(np.abs(partial - full)) > 1e-3
@@ -190,7 +190,7 @@ def test_extended_local_pencil_single_block_equals_implicit():
     h, t, plan, grid, _ = _tfim_setup(4, m=5)
     rng = np.random.default_rng(47)
     phi = random_state(4, rng)
-    specs = enumerate_local_projectors([t], 1)
+    specs = enumerate_local_projectors([t])
     pen = extended_local_pencil(phi, specs, h, t, grid, plan, 2)
     imp = implicit_hadamard_rows(phi, h, t, grid, plan)
     assert np.max(np.abs(pen.row_a - imp.row_a)) <= 1e-12
@@ -214,7 +214,7 @@ def test_reconstruct_a_trivial_constant_curve():
 
 def test_reconstruct_single_qubit_closed_forms():
     # v0 = |+>, H = Z, T = X: b(tau) = cos(2 tau), a(tau) = -sin(2 tau)
-    h = PauliSum.from_terms([(1.0, PauliString.from_label("Z"))])
+    h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     t = PauliString.from_label("X")
     prep = project(plus_state(1), ProjectorSpec.single_block(t))
     plan = EvolutionPlan.exact(h)
@@ -277,7 +277,7 @@ def test_phi_routes_require_unit_norm():
     h, t, plan, grid, _ = _tfim_setup(4, m=4)
     phi = random_state(4, np.random.default_rng(53))
     doubled = StateVector(4, 2.0 * phi.amps)
-    specs = enumerate_local_projectors([t], 1)
+    specs = enumerate_local_projectors([t])
     with pytest.raises(ValueError, match="unit norm"):
         build_kqd(h, doubled, grid, plan)
     with pytest.raises(ValueError, match="unit norm"):

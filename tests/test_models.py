@@ -7,8 +7,7 @@ from ktr.errors import ModelConsistencyError
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, dense_matrix
 from ktr.states import apply_pauli, plus_state
-from ktr.symmetry import (Infeasible, encode_t, solve_time_reversal,
-                          verify_time_reversal)
+from ktr.symmetry import Infeasible, solve_time_reversal, verify_time_reversal
 from ktr.gevp import exact_reference
 
 

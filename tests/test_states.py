@@ -13,11 +13,11 @@ from ktr.gevp import exact_reference
 from ktr.models import ModelSpec, build
 from ktr.paulis import PauliString, PauliSum, apply_sum, dense_matrix
 from ktr.states import (EvolutionPlan, StateVector, apply_pauli, apply_pauli_to_array,
-                        basis_state, evolve, expectation, inner, matrix_element, plus_state,
-                        product_state, random_state, tensor_states)
+                        evolve, expectation, inner, matrix_element, plus_state, tensor_states)
 from ktr.symmetry import Infeasible, solve_time_reversal
 from ktr.initial import ProjectorSpec, project
 
+from helpers import basis_state, product_state, random_state
 from oracles import dense_evolution, kron_matrix, random_hermitian_string
 
 
@@ -40,7 +40,7 @@ def test_apply_pauli_matches_dense():
 
 def test_sign_folds_all_index_bits():
     # qubit 0 is bit 17 of the index at n = 18, above a 16-bit parity fold
-    z0 = PauliSum.from_terms([(1.0, PauliString.from_label("Z" + "I" * 17))])
+    z0 = PauliSum(18, ((1.0, PauliString.from_label("Z" + "I" * 17)),))
     assert expectation(basis_state(18, 1 << 17), z0) == -1.0
     assert expectation(basis_state(18, 1), z0) == 1.0
 
@@ -111,8 +111,8 @@ def test_inner_products():
 
 
 def test_expectation_trivial():
-    x = PauliSum.from_terms([(1.0, PauliString.from_label("X"))])
-    z = PauliSum.from_terms([(1.0, PauliString.from_label("Z"))])
+    x = PauliSum(1, ((1.0, PauliString.from_label("X")),))
+    z = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     assert np.isclose(expectation(plus_state(1), x), 1.0)
     assert np.isclose(expectation(basis_state(1, 0), z), 1.0)
     assert np.isclose(expectation(basis_state(1, 1), z), -1.0)
@@ -139,7 +139,7 @@ def test_single_term_closed_form():
     # exp(-i t h P) = cos(th) I - i sin(th) P for involutory P
     coeff = 0.73
     p = PauliString.from_label("XZX")
-    h = PauliSum.from_terms([(coeff, p)])
+    h = PauliSum(p.n, ((coeff, p),))
     s = random_state(3, np.random.default_rng(8))
     for plan in (EvolutionPlan.exact(h), EvolutionPlan.trotter2(h, 3)):
         got = evolve(plan, 1.3, s).amps
@@ -213,9 +213,9 @@ def test_factorization_reconstructs_hamiltonian():
     assert np.linalg.norm((evecs * evals) @ evecs.conj().T - hd) <= 1e-10 * np.linalg.norm(hd)
 
 
-_ODD_Y = PauliSum.from_terms([(0.8, PauliString.from_label("XY")),
-                              (0.5, PauliString.from_label("ZI")),
-                              (0.3, PauliString.from_label("IX"))])
+_ODD_Y = PauliSum(2, ((0.8, PauliString.from_label("XY")),
+                      (0.5, PauliString.from_label("ZI")),
+                      (0.3, PauliString.from_label("IX"))))
 
 
 @pytest.mark.parametrize("h, dtype", [
@@ -251,7 +251,7 @@ def test_expectation_flags_imaginary_residue():
     s = random_state(2, np.random.default_rng(50))
     value = matrix_element(s, h, s)
     assert abs(value.imag) <= 1e-12  # sane on Hermitian input
-    bad = PauliSum.from_terms([(1.0, PauliString.from_label("XX"))])
+    bad = PauliSum(2, ((1.0, PauliString.from_label("XX")),))
     object.__setattr__(bad, "terms", ((1.0, PauliString((1, 1), (0, 0), 1)),))
     with pytest.raises(InternalInconsistencyError):
         expectation(s, bad)

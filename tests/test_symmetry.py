@@ -5,8 +5,8 @@ import pytest
 
 from ktr.models import ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.symmetry import (BitMatrix, Infeasible, build_parity_matrix, decode_t,
-                          encode_t, rref, solve_time_reversal, verify_time_reversal)
+from ktr.symmetry import (BitMatrix, Infeasible, build_parity_matrix, decode_t, rref,
+                          solve_time_reversal, verify_time_reversal)
 
 from oracles import brute_force_reversals_dense, random_pauli_sum
 
@@ -19,21 +19,21 @@ def _chain(n, letters, start):
 
 
 def test_parity_row_example():
-    h = PauliSum.from_terms([(1.0, PauliString.from_label("XYZI"))])
+    h = PauliSum(4, ((1.0, PauliString.from_label("XYZI")),))
     m = build_parity_matrix(h)
     assert m.data.tolist() == [[1, 1, 0, 0, 0, 1, 1, 0]]
 
 
 def test_parity_matrix_strips_identity_terms():
-    h = PauliSum.from_terms([(2.0, PauliString.identity(3)),
-                             (1.0, _chain(3, "X", 0))])
+    h = PauliSum(3, ((2.0, PauliString.identity(3)),
+                      (1.0, _chain(3, "X", 0))))
     with pytest.warns(UserWarning):
         m = build_parity_matrix(h)
     assert m.rows == 1
 
 
 def test_parity_matrix_empty_is_an_error():
-    h = PauliSum.from_terms([(2.0, PauliString.identity(3))])
+    h = PauliSum(3, ((2.0, PauliString.identity(3)),))
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError):
             build_parity_matrix(h)
@@ -82,8 +82,9 @@ def test_cluster_solutions_contain_both_patterns():
     spec = ModelSpec("cluster", 4, {"g_x": 1.0, "g_zz": 0.9, "g_zxz": 1.1})
     sol = solve_time_reversal(build(spec))
     assert not isinstance(sol, Infeasible)
-    assert sol.contains(PauliString.from_label("YZYZ"))
-    assert sol.contains(PauliString.from_label("ZYZY"))
+    labels = {s.label() for s in sol.solutions()}
+    assert "YZYZ" in labels
+    assert "ZYZY" in labels
 
 
 def test_tfim_solution_space():
@@ -91,7 +92,7 @@ def test_tfim_solution_space():
     h = build(spec)
     sol = solve_time_reversal(h)
     assert not isinstance(sol, Infeasible)
-    assert sol.contains(PauliString.from_label("YXYX"))
+    assert "YXYX" in {s.label() for s in sol.solutions()}
     for t in sol.solutions():
         assert verify_time_reversal(t, h)
 
@@ -104,13 +105,6 @@ def test_decode_trivial_and_hermitian_phase():
     td = dense_matrix(t_all_y)
     assert np.allclose(td, td.conj().T)
     assert np.allclose(td @ td, np.eye(4))
-
-
-def test_encode_decode_round_trip():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        vec = rng.integers(0, 2, size=8).astype(np.uint8)
-        assert np.array_equal(encode_t(decode_t(vec, 4)), vec)
 
 
 def test_verify_rejects_commuting_operator():
@@ -183,7 +177,7 @@ def test_odd_interaction_rule():
         assert verify_time_reversal(t_all_b, h)
         sol = solve_time_reversal(h)
         assert not isinstance(sol, Infeasible)
-        assert sol.contains(t_all_b)
+        assert t_all_b.label() in {s.label() for s in sol.solutions()}
 
 
 def test_solution_count_and_vector_enumeration():

@@ -27,12 +27,24 @@ and differs only in its branch list and its times:
   curves from which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b``
   rebuild one row of the ``ktr`` pencil (quadrature and finite
   differences) from fine samples of the other.
+
+In ``trotter2`` mode the states advance along the grid: each sample
+evolves the previous one by the grid increment, never the start state by
+the full time.  ``kqd`` steps by dt, the half-time routes by dt / 2 and the
+fine-sample route by dt / (2 * samples_per_step).  Every sample of one
+pencil therefore comes from powers of one Trotter step, and B is the Gram
+matrix of one Krylov space of that step unitary.  The unitaries of
+different routes can differ: ``kqd`` takes ceil(dt * steps_per_unit)
+steps per increment where the half-time routes take two increments of
+ceil(dt / 2 * steps_per_unit) steps each.  Exact evolution needs no
+stepping and evolves each start state by the full time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -133,6 +145,25 @@ def _check_unit_norm(phi: StateVector) -> None:
         raise ValueError("initial state must be unit norm")
 
 
+def _sample_states(plan: EvolutionPlan, step: float, count: int,
+                   starts: list[StateVector]) -> Iterator[list[StateVector]]:
+    """exp(-i k step H)|s> for every s in ``starts``, one list per k = 0 .. count - 1.
+
+    In ``trotter2`` mode each state advances by one ``evolve(plan, step, .)``
+    per k, so every sample comes from powers of one Trotter step unitary.
+    Exact evolution is exact for any time, so it restarts from ``starts`` at
+    k * step instead: stepping would only let rounding build up over k.
+    """
+    states = starts
+    yield states
+    for k in range(1, count):
+        if plan.mode == "trotter2":
+            states = [evolve(plan, step, w) for w in states]
+        else:
+            states = [evolve(plan, k * step, s) for s in starts]
+        yield states
+
+
 def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
               plan: EvolutionPlan) -> ToeplitzPencil:
     """Canonical first-row construction; entries are complex in general."""
@@ -140,8 +171,7 @@ def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
     plan.prepare()
     row_a = np.zeros(grid.m, dtype=complex)
     row_b = np.zeros(grid.m, dtype=complex)
-    for j, t in enumerate(grid.times):
-        vt = evolve(plan, float(t), v0)
+    for j, (vt,) in enumerate(_sample_states(plan, grid.dt, grid.m, [v0])):
         row_b[j] = inner(v0, vt)
         row_a[j] = matrix_element(v0, h, vt)
     return ToeplitzPencil(row_a, row_b, grid)
@@ -150,12 +180,14 @@ def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
 _Branches = list[tuple[float, StateVector]]
 
 
-def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches,
-                   taus: np.ndarray, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The one pencil kernel: curves (a, b) of iHT and T, one entry per tau.
+def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float,
+                   count: int, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The one pencil kernel: curves (a, b) of iHT and T at tau_k = k * step,
+    k = 0 .. count - 1.
 
     a[k] = sum_b w_b <v_b(tau_k)| iHT |v_b(tau_k)>, and b[k] likewise with
     T, over the (w_b, v_b) ``branches``, where v_b(tau) = exp(-i tau H)|v_b>.
+    The branch states come from :func:`_sample_states`.
     """
     # looked up in ktr.symmetry per call, where the benchmark tracer wraps it
     from .symmetry import verify_time_reversal
@@ -166,11 +198,11 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches,
     t_obs = PauliSum(h.n, ((1.0, t),))
     iht = build_iht_observable(h, t)
     plan.prepare()
-    a = np.zeros(len(taus))
-    b = np.zeros(len(taus))
-    for k, tau in enumerate(taus):
-        for weight, state in branches:
-            w = evolve(plan, float(tau), state)
+    a = np.zeros(count)
+    b = np.zeros(count)
+    starts = [state for _, state in branches]
+    for k, states in enumerate(_sample_states(plan, step, count, starts)):
+        for (weight, _), w in zip(branches, states):
             b[k] += weight * expectation(w, t_obs)
             a[k] += weight * expectation(w, iht)
     return a, b
@@ -208,7 +240,7 @@ def build_ktr(h: PauliSum, t: PauliString, prepared: PreparedState,
     A row:  i c <v(t_j/2)| iHT |v(t_j/2)>        (purely imaginary)
     """
     a, b = _signed_curves(h, t, [(prepared.c, _stabilized(t, prepared))],
-                          grid.half_times, plan)
+                          0.5 * grid.dt, grid.m, plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
@@ -225,7 +257,7 @@ def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
     """
     _check_unit_norm(phi)
     pair = [ProjectorSpec.single_block(t, 0), ProjectorSpec.single_block(t, 1)]
-    a, b = _signed_curves(h, t, _ranked_branches(phi, pair, 2), grid.half_times, plan)
+    a, b = _signed_curves(h, t, _ranked_branches(phi, pair, 2), 0.5 * grid.dt, grid.m, plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
@@ -245,7 +277,7 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
         raise ValueError("subset size out of range")
     _check_unit_norm(phi)
     a, b = _signed_curves(h, t, _ranked_branches(phi, projector_set, subset_size),
-                          grid.half_times, plan)
+                          0.5 * grid.dt, grid.m, plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
@@ -259,8 +291,7 @@ def sample_expectation_curves(h: PauliSum, t: PauliString, prepared: PreparedSta
     Krylov step, matching the spacing the reconstruction routes expect.
     """
     total, delta = _fine_grid(grid, samples_per_step)
-    return _signed_curves(h, t, [(1.0, _stabilized(t, prepared))],
-                          np.arange(total) * delta, plan)
+    return _signed_curves(h, t, [(1.0, _stabilized(t, prepared))], delta, total, plan)
 
 
 def _simpson_prefix(y: np.ndarray, k: int, step: float) -> float:

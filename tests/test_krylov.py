@@ -5,7 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from ktr.cli import parse_config, run
 from ktr.errors import NotTimeReversalError
+from ktr.gevp import solve
 from ktr.initial import PreparedState, ProjectorSpec, enumerate_local_projectors, project
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
                         extended_local_pencil, implicit_hadamard_rows,
@@ -284,6 +286,30 @@ def test_phi_routes_require_unit_norm():
         implicit_hadamard_rows(doubled, h, t, grid, plan)
     with pytest.raises(ValueError, match="unit norm"):
         extended_local_pencil(doubled, specs, h, t, grid, plan, 2)
+
+
+def test_trotter_pencils_step_along_the_grid():
+    # every sample of a trotter2 pencil comes from powers of one Trotter step,
+    # so B is the Gram matrix of one Krylov space and the default epsilon
+    # keeps no spurious direction
+    config = parse_config(
+        "model.kind = tfim\nmodel.n = 8\nmodel.gamma = 0.5\n"
+        "method = kqd,ktr,implicit,local:2,derivative,integral\n"
+        "init = project:00\ngrid.m = 32\nevolution = trotter2:100\n")
+    final = [rec for rec in run(config).records if rec.m_used == 32]
+    assert len(final) == 6
+    for rec in final:
+        assert rec.rel_error <= 1e-3, rec.method
+    h = build(config.model)
+    t = known_time_reversal(config.model)
+    plan = EvolutionPlan.trotter2(h, 100)
+    grid = TimeGrid(default_dt(h), 32)
+    phi = plus_state(8)
+    prep = project(phi, ProjectorSpec.blocks_of(t, (0, 0)))
+    for pencil in (build_kqd(h, prep.state, grid, plan), build_ktr(h, t, prep, grid, plan),
+                   implicit_hadamard_rows(phi, h, t, grid, plan)):
+        b_evals = solve(pencil).b_eigenvalues
+        assert abs(b_evals[0] / b_evals[-1]) <= 1e-12
 
 
 def test_pencil_prefix():

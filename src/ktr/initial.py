@@ -110,10 +110,7 @@ def project(phi: StateVector, spec: ProjectorSpec) -> PreparedState:
     if prob < PROJECTION_PROB_FLOOR:
         raise DegenerateProjectionError(
             f"projection probability {prob:.3e} is numerically zero")
-    return PreparedState(
-        state=StateVector(phi.n, work / math.sqrt(prob)),
-        c=spec.parity,
-    )
+    return PreparedState(state=StateVector(phi.n, work / math.sqrt(prob)), c=spec.parity)
 
 
 def enumerate_local_projectors(t_blocks: Sequence[PauliString]) -> list[ProjectorSpec]:

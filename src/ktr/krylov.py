@@ -28,16 +28,12 @@ and differs only in its branch list and its times:
   rebuild one row of the ``ktr`` pencil (quadrature and finite
   differences) from fine samples of the other.
 
-In ``trotter2`` mode the states advance along the grid: each sample
-evolves the previous one by the grid increment, never the start state by
-the full time.  ``kqd`` steps by dt, the half-time routes by dt / 2 and the
-fine-sample route by dt / (2 * samples_per_step).  Every sample of one
-pencil therefore comes from powers of one Trotter step, and B is the Gram
-matrix of one Krylov space of that step unitary.  The unitaries of
-different routes can differ: ``kqd`` takes ceil(dt * steps_per_unit)
-steps per increment where the half-time routes take two increments of
-ceil(dt / 2 * steps_per_unit) steps each.  Exact evolution needs no
-stepping and evolves each start state by the full time.
+In ``trotter2`` mode each sample advances the previous state by the grid
+increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
+samples_per_step) on the fine grid.  A pencil then sees powers of one
+Trotter step unitary and B is a Gram matrix; ``kqd`` and the half-time
+routes differ when ceil(dt * spu) != 2 ceil(dt / 2 * spu) for
+steps_per_unit spu.  Exact evolution restarts from the start state.
 """
 
 from __future__ import annotations
@@ -147,13 +143,11 @@ def _check_unit_norm(phi: StateVector) -> None:
 
 def _sample_states(plan: EvolutionPlan, step: float, count: int,
                    starts: list[StateVector]) -> Iterator[list[StateVector]]:
-    """exp(-i k step H)|s> for every s in ``starts``, one list per k = 0 .. count - 1.
+    """exp(-i k step H)|s> for each s in ``starts``, one list per k < count.
 
-    In ``trotter2`` mode each state advances by one ``evolve(plan, step, .)``
-    per k, so every sample comes from powers of one Trotter step unitary.
-    Exact evolution is exact for any time, so it restarts from ``starts`` at
-    k * step instead: stepping would only let rounding build up over k.
-    """
+    ``trotter2`` advances the last states by one ``evolve(plan, step, .)``;
+    exact evolution, exact at any time, restarts from ``starts`` so that
+    rounding does not build up over k."""
     states = starts
     yield states
     for k in range(1, count):
@@ -182,12 +176,10 @@ _Branches = list[tuple[float, StateVector]]
 
 def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float,
                    count: int, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The one pencil kernel: curves (a, b) of iHT and T at tau_k = k * step,
-    k = 0 .. count - 1.
+    """The one pencil kernel: curves (a, b) of iHT and T at tau_k = k * step, k < count.
 
     a[k] = sum_b w_b <v_b(tau_k)| iHT |v_b(tau_k)>, and b[k] likewise with
     T, over the (w_b, v_b) ``branches``, where v_b(tau) = exp(-i tau H)|v_b>.
-    The branch states come from :func:`_sample_states`.
     """
     # looked up in ktr.symmetry per call, where the benchmark tracer wraps it
     from .symmetry import verify_time_reversal

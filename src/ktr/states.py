@@ -118,11 +118,9 @@ class EvolutionPlan:
     ``exact`` mode factorizes the dense Hamiltonian once (H = Q L Q+) and
     applies U(t) = Q exp(-i t L) Q+; the factorization is cached and
     read-only, so concurrent evolutions may share it.  ``trotter2`` mode
-    applies the symmetric second-order splitting, running the term
-    exponentials in stored order forward and then backward with half steps.
-    One ``evolve`` call over a time increment dtau takes
-    ceil(|dtau| * steps_per_unit) equal steps, so a caller that wants one
-    step unitary throughout advances a state by a fixed increment per call.
+    applies the symmetric second-order splitting (term exponentials in stored
+    order forward, then backward, with half steps): one ``evolve`` over an
+    increment dtau takes ceil(|dtau| * steps_per_unit) equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",

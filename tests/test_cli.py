@@ -1,8 +1,14 @@
 """Config parsing, the pipeline runner and the emitters."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ktr
 from ktr.cli import (CSV_HEADER, ExperimentConfig, emit, load_config, main,
                      parse_config, report_table, run)
 from ktr.errors import ConfigError
@@ -234,3 +240,15 @@ def test_cli_spectrum(tmp_path, capsys):
     assert main(["spectrum", str(path)]) == 0
     values = [float(v) for v in capsys.readouterr().out.split()]
     assert values == [-1.0, 1.0]
+
+
+def test_module_entry_point_runs(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text("1.0 Z\n")
+    src = str(Path(ktr.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ktr.cli", "spectrum", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [float(v) for v in done.stdout.split()] == [-1.0, 1.0]

@@ -1,14 +1,19 @@
 """Symplectic algebra against dense-matrix oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.errors import NotTimeReversalError, ResourceLimitError
-from ktr.paulis import (PauliString, PauliSum, apply_action, build_iht_observable, commutes,
-                        dense_matrix, embed, multiply, pauli_sum_from_text, pauli_sum_to_text,
-                        split_blocks, symplectic_product)
+from ktr.gevp import exact_reference, sector_ground_energy
+from ktr.paulis import (DENSE_QUBIT_CAP, PauliString, PauliSum, apply_action,
+                        build_iht_observable, commutes, dense_matrix, embed, multiply,
+                        pauli_sum_from_text, pauli_sum_to_text, split_blocks,
+                        symplectic_product)
+from ktr.states import EvolutionPlan
 
 from ktr.models import ModelSpec, build
 
@@ -221,6 +226,30 @@ def test_commutes_agrees_with_the_dense_commutator(n, k_a, k_b, pairing, seed):
 def test_dense_cap():
     with pytest.raises(ResourceLimitError):
         dense_matrix(PauliString.identity(15))
+
+
+def test_every_dense_entry_point_refuses_above_the_cap_before_allocating():
+    n = DENSE_QUBIT_CAP + 1
+    # compiling these 2n - 1 terms alone would take 16 B * 2**n each
+    h = PauliSum(n, tuple((1.0, embed(PauliString.from_label(label), n, i))
+                          for label, sites in (("Z", n), ("XX", n - 1))
+                          for i in range(sites)))
+    parity = PauliSum(n, ((1.0, PauliString.from_label("Z" * n)),))
+    calls = {
+        "dense_matrix": lambda: dense_matrix(h),
+        "exact_reference": lambda: exact_reference(h),
+        "sector_ground_energy": lambda: sector_ground_energy(h, [parity]),
+        "EvolutionPlan.prepare": lambda: EvolutionPlan.exact(h).prepare(),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"{name} allocated {peak} B before refusing"
 
 
 def test_tensor_and_embed():

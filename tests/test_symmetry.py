@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktr.models import ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, dense_matrix
 from ktr.symmetry import (BitMatrix, Infeasible, build_parity_matrix, decode_t, rref,
                           solve_time_reversal, verify_time_reversal)
 
-from oracles import brute_force_reversals_dense, random_pauli_sum
+from oracles import all_pauli_strings, brute_force_reversals_dense, random_pauli_sum
 
 
 def _chain(n, letters, start):
@@ -140,6 +142,26 @@ def test_solver_completeness_small_instances():
         else:
             solved = {(t.x, t.z) for t in outcome.solutions()}
             assert solved == brute
+
+
+@st.composite
+def _distinct_term_sums(draw):
+    """Sums of distinct non-identity strings with nonzero coefficients."""
+    n = draw(st.integers(1, 3))
+    strings = list(all_pauli_strings(n))  # index 0 is the identity
+    picks = draw(st.lists(st.integers(1, 4 ** n - 1), min_size=1, max_size=8, unique=True))
+    coeffs = st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))
+    return PauliSum(n, tuple((draw(coeffs), strings[i]) for i in picks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_distinct_term_sums())
+def test_solver_matches_exhaustive_search(h):
+    brute = brute_force_reversals_dense(h)
+    outcome = solve_time_reversal(h)
+    assert isinstance(outcome, Infeasible) == (brute == set())
+    if not isinstance(outcome, Infeasible):
+        assert {(t.x, t.z) for t in outcome.solutions()} == brute
 
 
 def test_solver_soundness_randomized():

@@ -17,15 +17,14 @@ from .errors import (ConfigError, DegeneratePencilError, DegenerateProjectionErr
                      InternalInconsistencyError, KtrError, ModelConsistencyError,
                      NotTimeReversalError, ResourceLimitError)
 from .paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
-                     multiply, pauli_sum_from_text, pauli_sum_to_text,
-                     symplectic_product)
+                     multiply, pauli_sum_from_text, symplectic_product)
 from .symmetry import (BitMatrix, Infeasible, SymmetrySolution, build_parity_matrix,
                        decode_t, rref, solve_time_reversal,
                        verify_time_reversal)
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve, expectation,
                      inner, matrix_element, plus_state, tensor_states)
-from .initial import (PreparedState, ProjectorSpec, build_block_product,
-                      build_block_state_w0, enumerate_local_projectors, project)
+from .initial import (ProjectorSpec, build_block_product, build_block_state_w0,
+                      enumerate_local_projectors, project)
 from .krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
                      extended_local_pencil, implicit_hadamard_rows,
                      reconstruct_a_from_b, reconstruct_b_from_a,

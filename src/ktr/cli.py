@@ -31,8 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, KtrError
 from .gevp import DEFAULT_EPSILON, exact_reference, sector_ground_energy, solve
-from .initial import (PreparedState, ProjectorSpec, build_block_product,
-                      enumerate_local_projectors, project)
+from .initial import ProjectorSpec, build_block_product, enumerate_local_projectors, project
 from .krylov import (SAMPLES_PER_STEP, TimeGrid, ToeplitzPencil, build_kqd,
                      build_ktr, default_dt, extended_local_pencil,
                      implicit_hadamard_rows, reconstruct_a_from_b,
@@ -147,6 +146,30 @@ def _validate_init(value: str) -> str:
     return value
 
 
+def _check_routes(model: ModelSpec, methods: tuple[str, ...], init: str) -> None:
+    """Reject an init or a route that ``run`` could not build for ``model``."""
+    has_t = known_time_reversal(model) is not None
+    name, _, arg = init.partition(":")
+    s = 1
+    if name != "plus":
+        s = int(arg) if name == "w0-blocks" else len(arg)
+        if model.n % s != 0:
+            raise ConfigError(f"cannot split {model.n} qubits into {s} blocks")
+    if name == "w0-blocks" and (model.n // s) % 4 != 0:
+        raise ConfigError("block size must be a positive multiple of 4")
+    if name == "project" and not has_t:
+        raise ConfigError("init project requires a model with a known involution")
+    for method in methods:
+        route, _, subset = method.partition(":")
+        if route != "kqd" and not has_t:
+            raise ConfigError(f"method {route!r} requires a model with a known involution")
+        if route in _STABILIZED_METHODS and name == "plus":
+            raise ConfigError(
+                f"method {route!r} needs a stabilized init (w0-blocks or project), not {init!r}")
+        if route == "local" and int(subset) > 2 ** s:
+            raise ConfigError(f"subset {int(subset)} exceeds the {2 ** s} available projectors")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a flat key = value config."""
     pairs = _parse_kv_lines(text)
@@ -183,6 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
     methods = tuple(_validate_method(v.strip()) for v in table["method"].split(","))
 
     init = _validate_init(table.get("init", "plus"))
+    _check_routes(model, methods, init)
 
     if "grid.m" not in table:
         raise ConfigError("missing required key grid.m")
@@ -233,12 +257,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def _resolve_init(config: ExperimentConfig, h: PauliSum, t):
-    """Initial-state objects for the pipeline: (phi, prepared, n_blocks).
+def _resolve_init(config: ExperimentConfig, t):
+    """Initial states for the pipeline: (phi, v0, n_blocks).
 
     ``phi`` is the raw (pre-projection) state used by the implicit and
-    local methods; ``prepared`` is the stabilized state for the
-    expectation-based routes, or None when the init does not produce one.
+    local methods; ``v0`` is the start state T|v0> = c|v0> of the
+    stabilized routes, or None for ``plus``.  ``parse_config`` has already
+    checked that the init fits the model.
     """
     n = config.model.n
     name, _, arg = config.init.partition(":")
@@ -246,58 +271,37 @@ def _resolve_init(config: ExperimentConfig, h: PauliSum, t):
         return plus_state(n), None, 1
     if name == "w0-blocks":
         s = int(arg)
-        if n % s != 0:
-            raise ConfigError(f"cannot split {n} qubits into {s} blocks")
         state = build_block_product(n // s, s)
-        return state, PreparedState(state=state, c=1), s
+        return state, state, s
     # project:<alpha-bits>
-    if t is None:
-        raise ConfigError("init project requires a model with a known involution")
     bits = tuple(int(ch) for ch in arg)
-    s = len(bits)
-    if n % s != 0:
-        raise ConfigError(f"cannot split {n} qubits into {s} blocks")
     phi = plus_state(n)
-    prepared = project(phi, ProjectorSpec.blocks_of(t, bits))
-    return phi, prepared, s
+    return phi, project(phi, ProjectorSpec.blocks_of(t, bits)), len(bits)
 
 
 def _build_pencil(method: str, config: ExperimentConfig, h: PauliSum, t,
-                  phi: StateVector, prepared: PreparedState | None,
+                  phi: StateVector, v0: StateVector | None,
                   n_blocks: int, grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
     name, _, arg = method.partition(":")
-    if name != "kqd" and t is None:
-        raise ConfigError(f"method {name!r} requires a model with a known involution")
-    if name in _STABILIZED_METHODS and prepared is None:
-        raise ConfigError(
-            f"method {name!r} needs a stabilized init (w0-blocks or project), not {config.init!r}")
     if name == "kqd":
-        v0 = prepared.state if prepared is not None else phi
-        return build_kqd(h, v0, grid, plan)
+        return build_kqd(h, v0 if v0 is not None else phi, grid, plan)
     if name == "ktr":
-        return build_ktr(h, t, prepared, grid, plan)
+        return build_ktr(h, t, v0, grid, plan)
     if name == "implicit":
         return implicit_hadamard_rows(phi, h, t, grid, plan)
     if name == "local":
-        subset = int(arg)
         projector_set = enumerate_local_projectors(
             ProjectorSpec.blocks_of(t, (0,) * n_blocks).t_blocks)
-        if subset > len(projector_set):
-            raise ConfigError(
-                f"subset {subset} exceeds the {len(projector_set)} available projectors")
-        return extended_local_pencil(phi, projector_set, h, t, grid, plan, subset)
+        return extended_local_pencil(phi, projector_set, h, t, grid, plan, int(arg))
     # reconstruction routes: one row direct, the other from fine samples
     a_fine, b_fine = sample_expectation_curves(
-        h, t, prepared, grid, plan, samples_per_step=config.samples_per_step)
-    c = prepared.c
+        h, t, v0, grid, plan, samples_per_step=config.samples_per_step)
     targets = np.arange(grid.m) * config.samples_per_step
     if name == "derivative":
-        row_b = c * b_fine[targets]
-        row_a = reconstruct_a_from_b(b_fine, c, grid, config.samples_per_step)
-        return ToeplitzPencil(row_a, row_b, grid)
-    row_a = 1j * c * a_fine[targets]
-    row_b = reconstruct_b_from_a(a_fine, c, grid, config.samples_per_step)
-    return ToeplitzPencil(row_a, row_b, grid)
+        row_a = reconstruct_a_from_b(b_fine, grid, config.samples_per_step)
+        return ToeplitzPencil(row_a, b_fine[targets], grid)
+    row_b = reconstruct_b_from_a(a_fine, grid, config.samples_per_step)
+    return ToeplitzPencil(1j * a_fine[targets], row_b, grid)
 
 
 def _prefix_sizes(m: int) -> list[int]:
@@ -317,7 +321,7 @@ def run(config: ExperimentConfig) -> RunReport:
         plan = EvolutionPlan.exact(h)
     else:
         plan = EvolutionPlan.trotter2(h, config.steps_per_unit)
-    phi, prepared, n_blocks = _resolve_init(config, h, t)
+    phi, v0, n_blocks = _resolve_init(config, t)
 
     if config.model.kind == "z2higgs":
         reference = sector_ground_energy(h, gauss_generators(config.model))
@@ -326,7 +330,7 @@ def run(config: ExperimentConfig) -> RunReport:
 
     records = []
     for method in config.methods:
-        pencil = _build_pencil(method, config, h, t, phi, prepared, n_blocks, grid, plan)
+        pencil = _build_pencil(method, config, h, t, phi, v0, n_blocks, grid, plan)
         for m_used in _prefix_sizes(config.m):
             start = time.perf_counter()
             result = solve(pencil.prefix(m_used), config.epsilon)
@@ -373,13 +377,15 @@ def emit(report: RunReport, path: str | Path) -> list[Path]:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.init is not None:
-        raw = tuple((k, v) if k != "init" else (k, args.init) for k, v in config.raw)
+    if args.init is None:
+        config = load_config(args.config)
+    else:
+        # override before validating: the config's own init may not fit its methods
+        pairs = _parse_kv_lines(Path(args.config).read_text())
+        raw = [(k, v) if k != "init" else (k, args.init) for k, v in pairs]
         if all(k != "init" for k, _ in raw):
-            raw = raw + (("init", args.init),)
-        text = "\n".join(f"{k} = {v}" for k, v in raw)
-        config = parse_config(text)
+            raw.append(("init", args.init))
+        config = parse_config("\n".join(f"{k} = {v}" for k, v in raw))
     report = run(config)
     if config.output is not None:
         for written in emit(report, config.output):

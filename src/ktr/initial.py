@@ -79,18 +79,6 @@ class ProjectorSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PreparedState:
-    """Unit-norm start state and the sign c of T|state> = c|state>.
-
-    Built by :func:`project` or directly from a stabilized state; the
-    routes that read it check the relation against their T before use.
-    """
-
-    state: StateVector
-    c: int
-
-
 def project_array(amps: np.ndarray, spec: ProjectorSpec) -> np.ndarray:
     """Unnormalized P|phi> on raw amplitudes, block by block."""
     work = amps
@@ -101,8 +89,9 @@ def project_array(amps: np.ndarray, spec: ProjectorSpec) -> np.ndarray:
     return work
 
 
-def project(phi: StateVector, spec: ProjectorSpec) -> PreparedState:
-    """Normalized projection of ``phi``; fails on a vanishing projection."""
+def project(phi: StateVector, spec: ProjectorSpec) -> StateVector:
+    """Normalized projection of ``phi``, a state with T|v> = ``spec.parity`` |v>
+    for T the product of the blocks; fails on a vanishing projection."""
     if phi.n != spec.n:
         raise ValueError(f"qubit counts differ: {phi.n} vs {spec.n}")
     work = project_array(phi.amps, spec)
@@ -110,7 +99,7 @@ def project(phi: StateVector, spec: ProjectorSpec) -> PreparedState:
     if prob < PROJECTION_PROB_FLOOR:
         raise DegenerateProjectionError(
             f"projection probability {prob:.3e} is numerically zero")
-    return PreparedState(state=StateVector(phi.n, work / math.sqrt(prob)), c=spec.parity)
+    return StateVector(phi.n, work / math.sqrt(prob))
 
 
 def enumerate_local_projectors(t_blocks: Sequence[PauliString]) -> list[ProjectorSpec]:

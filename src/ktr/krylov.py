@@ -16,17 +16,18 @@ overlaps.  Every other route evaluates one quantity in one kernel,
 and differs only in its branch list and its times:
 
 * ``build_ktr`` -- [(c, v0)] for a stabilized start state T|v0> = c|v0>,
-  at half times t_j / 2: B row b (real), A row i a (purely imaginary);
+  at half times t_j / 2: B row b (real), A row i a (purely imaginary).
+  The sign c = +-1 is measured from v0 itself, in ``_stabilized``;
 * ``implicit_hadamard_rows`` -- an arbitrary start state phi split by the
   complementary projectors (I +- T) / 2 into [(+p, v+), (-p', v-)] with
   p, p' the projection probabilities: B row Re <phi|U(t_j)|phi> and A row
   i Im <phi|U(t_j) H|phi>, with no controlled evolution anywhere;
 * ``extended_local_pencil`` -- the blockwise-projector generalization,
   [(parity_i p_i, v_i)] over the most probable projections;
-* ``sample_expectation_curves`` -- [(1, v0)] on a fine grid, the raw
-  curves from which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b``
-  rebuild one row of the ``ktr`` pencil (quadrature and finite
-  differences) from fine samples of the other.
+* ``sample_expectation_curves`` -- the same [(c, v0)] on a fine grid:
+  c-weighted curves, whose samples at h_j are the ``ktr`` rows, and from
+  which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b`` rebuild one
+  row (quadrature and finite differences) from fine samples of the other.
 
 In ``trotter2`` mode each sample advances the previous state by the grid
 increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
@@ -46,8 +47,7 @@ import numpy as np
 
 from .errors import NotTimeReversalError
 # ``project`` has no caller here but stays importable: the benchmark tracer wraps ktr.krylov.project
-from .initial import (PROJECTION_PROB_FLOOR, PreparedState, ProjectorSpec, project,  # noqa: F401
-                      project_array)
+from .initial import PROJECTION_PROB_FLOOR, ProjectorSpec, project, project_array  # noqa: F401
 from .paulis import PauliString, PauliSum, build_iht_observable
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve,
                      expectation, inner, matrix_element)
@@ -78,14 +78,6 @@ class TimeGrid:
             raise ValueError("dt must be positive")
         if self.m < 2:
             raise ValueError("need at least two Krylov vectors")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.m)
-
-    @property
-    def half_times(self) -> np.ndarray:
-        return 0.5 * self.times
 
 
 def _toeplitz_from_row(row: np.ndarray) -> np.ndarray:
@@ -200,14 +192,17 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
     return a, b
 
 
-def _stabilized(t: PauliString, prepared: PreparedState) -> StateVector:
-    """The start state v0, once T|v0> = c|v0> is checked."""
-    reflected = apply_pauli(prepared.state, t)
-    deviation = np.max(np.abs(reflected.amps - prepared.c * prepared.state.amps))
+def _stabilized(t: PauliString, v0: StateVector) -> _Branches:
+    """The branch list [(c, v0)], with c the sign of T|v0> = c|v0>.
+
+    c is whichever of +1 and -1 fits within ``STABILIZER_TOL`` (max norm);
+    a state that neither fits is not stabilized by T and is refused."""
+    reflected = apply_pauli(v0, t).amps
+    deviation, c = min((np.max(np.abs(reflected - sign * v0.amps)), sign) for sign in (1, -1))
     if deviation > STABILIZER_TOL:
         raise ValueError(
             f"initial state is not stabilized by the involution (deviation {deviation:.3e})")
-    return prepared.state
+    return [(c, v0)]
 
 
 def _ranked_branches(phi: StateVector, projector_set: list[ProjectorSpec],
@@ -224,15 +219,16 @@ def _ranked_branches(phi: StateVector, projector_set: list[ProjectorSpec],
             for prob, _, spec, work in ranked[:subset_size] if prob > PROJECTION_PROB_FLOOR]
 
 
-def build_ktr(h: PauliSum, t: PauliString, prepared: PreparedState,
+def build_ktr(h: PauliSum, t: PauliString, v0: StateVector,
               grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
     """Expectation-only route at half times for a stabilized start state.
 
     B row:  c <v(t_j/2)| T |v(t_j/2)>            (real)
     A row:  i c <v(t_j/2)| iHT |v(t_j/2)>        (purely imaginary)
+
+    where T|v0> = c|v0>; v0 must be stabilized by T with either sign.
     """
-    a, b = _signed_curves(h, t, [(prepared.c, _stabilized(t, prepared))],
-                          0.5 * grid.dt, grid.m, plan)
+    a, b = _signed_curves(h, t, _stabilized(t, v0), 0.5 * grid.dt, grid.m, plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
@@ -273,17 +269,19 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
     return ToeplitzPencil(1j * a, b, grid)
 
 
-def sample_expectation_curves(h: PauliSum, t: PauliString, prepared: PreparedState,
+def sample_expectation_curves(h: PauliSum, t: PauliString, v0: StateVector,
                               grid: TimeGrid, plan: EvolutionPlan,
                               samples_per_step: int = SAMPLES_PER_STEP,
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Fine-grid curves a(tau) = <v|iHT|v> and b(tau) = <v|T|v>.
+    """Fine-grid curves a(tau) = c <v|iHT|v> and b(tau) = c <v|T|v>.
 
+    The curves carry the stabilizer sign c of T|v0> = c|v0>, so their
+    samples at h_j are the ``build_ktr`` rows (b, and a up to the factor i).
     The grid covers [0, (m-1) dt / 2] with ``samples_per_step`` points per
     Krylov step, matching the spacing the reconstruction routes expect.
     """
     total, delta = _fine_grid(grid, samples_per_step)
-    return _signed_curves(h, t, [(1.0, _stabilized(t, prepared))], delta, total, plan)
+    return _signed_curves(h, t, _stabilized(t, v0), delta, total, plan)
 
 
 def _simpson_prefix(y: np.ndarray, k: int, step: float) -> float:
@@ -313,11 +311,11 @@ def _derivative4(y: np.ndarray, k: int, step: float) -> float:
 
 
 def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None,
-               c: int = 1, five_point: bool = False) -> tuple[int, float]:
+               five_point: bool = False) -> tuple[int, float]:
     """Size and spacing (total, delta) of the fine tau grid over
     [0, (m-1) dt / 2], after validating the inputs of a fine-grid route:
-    ``samples`` given samples, stabilizer sign ``c`` and, for the
-    derivative stencil, at least five samples."""
+    ``samples`` given samples and, for the derivative stencil, at least
+    five samples."""
     if samples_per_step < 2 or samples_per_step % 2 != 0:
         raise ValueError("samples_per_step must be a positive even number")
     total = (grid.m - 1) * samples_per_step + 1
@@ -325,36 +323,38 @@ def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None
         raise ValueError(f"need at least {total} samples, got {samples}")
     if five_point and samples < 5:
         raise ValueError("grid too coarse for a five-point stencil")
-    if c not in (-1, 1):
-        raise ValueError("stabilizer sign must be +-1")
     return total, (0.5 * grid.dt) / samples_per_step
 
 
-def reconstruct_b_from_a(a_fine: np.ndarray, c: int, grid: TimeGrid,
+def reconstruct_b_from_a(a_fine: np.ndarray, grid: TimeGrid,
                          samples_per_step: int = SAMPLES_PER_STEP) -> np.ndarray:
-    """B row from fine samples of a(tau) = <v(tau)|iHT|v(tau)>.
+    """B row from fine samples of a(tau) = c <v(tau)|iHT|v(tau)>.
 
-    Uses the running-integral relation B[j] = 2c * int_0^{h_j} a + 1 with
-    the composite Simpson rule; h_j = (j - 1) dt / 2.
+    The curve carries the stabilizer sign c, as
+    :func:`sample_expectation_curves` returns it.  Uses the running-integral
+    relation B[j] = 2 int_0^{h_j} a + 1 with the composite Simpson rule;
+    h_j = (j - 1) dt / 2.
     """
     a_fine = np.asarray(a_fine, dtype=float)
-    _, delta = _fine_grid(grid, samples_per_step, a_fine.shape[0], c)
+    _, delta = _fine_grid(grid, samples_per_step, a_fine.shape[0])
     row_b = np.zeros(grid.m, dtype=float)
     for j in range(grid.m):
-        row_b[j] = 2.0 * c * _simpson_prefix(a_fine, j * samples_per_step, delta) + 1.0
+        row_b[j] = 2.0 * _simpson_prefix(a_fine, j * samples_per_step, delta) + 1.0
     return row_b
 
 
-def reconstruct_a_from_b(b_fine: np.ndarray, c: int, grid: TimeGrid,
+def reconstruct_a_from_b(b_fine: np.ndarray, grid: TimeGrid,
                          samples_per_step: int = SAMPLES_PER_STEP) -> np.ndarray:
-    """A row from fine samples of b(tau) = <v(tau)|T|v(tau)>.
+    """A row from fine samples of b(tau) = c <v(tau)|T|v(tau)>.
 
-    Uses A[j] = (i c / 2) * db/dtau at h_j, estimated with 4th-order
-    five-point finite differences (one-sided at the interval ends).
+    The curve carries the stabilizer sign c, as
+    :func:`sample_expectation_curves` returns it.  Uses A[j] = (i / 2) *
+    db/dtau at h_j, estimated with 4th-order five-point finite differences
+    (one-sided at the interval ends).
     """
     b_fine = np.asarray(b_fine, dtype=float)
-    _, delta = _fine_grid(grid, samples_per_step, b_fine.shape[0], c, five_point=True)
+    _, delta = _fine_grid(grid, samples_per_step, b_fine.shape[0], five_point=True)
     row_a = np.zeros(grid.m, dtype=complex)
     for j in range(grid.m):
-        row_a[j] = 0.5j * c * _derivative4(b_fine, j * samples_per_step, delta)
+        row_a[j] = 0.5j * _derivative4(b_fine, j * samples_per_step, delta)
     return row_a

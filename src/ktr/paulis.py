@@ -386,12 +386,8 @@ def dense_matrix(op: PauliString | PauliSum) -> np.ndarray:
     return mat
 
 
-def pauli_sum_to_text(h: PauliSum) -> str:
-    """One ``<coeff> <label>`` line per term; round-trips bit-exactly."""
-    return "".join(f"{coeff!r} {string.label()}\n" for coeff, string in h.terms)
-
-
 def pauli_sum_from_text(text: str) -> PauliSum:
+    """Parse one ``<coeff> <label>`` line per term ('#' starts a comment)."""
     terms = []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -5,14 +5,15 @@ block states of :mod:`ktr.initial` and projections of those; the tests
 also need basis states, product states, random states and the gauge-model
 start state.  Each refuses a register above
 :data:`ktr.paulis.STATE_QUBIT_CAP` before allocating, like the library.
+The text writer of the Pauli-sum format that the CLI reads is here too.
 """
 
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ktr.initial import PreparedState, ProjectorSpec, project
-from ktr.paulis import PauliString, check_state_qubits
+from ktr.initial import ProjectorSpec, project
+from ktr.paulis import PauliString, PauliSum, check_state_qubits
 from ktr.states import StateVector, plus_state
 
 
@@ -54,8 +55,13 @@ def random_state(n: int, rng: int | np.random.Generator) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def gauge_start(n: int, s: int = 1) -> PreparedState:
+def gauge_start(n: int, s: int = 1) -> StateVector:
     """|+>^n projected onto the all-Y involution of the gauge model, blockwise
     over s equal blocks with all-plus signs (stabilizer sign c = +1)."""
     spec = ProjectorSpec.blocks_of(PauliString.from_label("Y" * n), (0,) * s)
     return project(plus_state(n), spec)
+
+
+def pauli_sum_to_text(h: PauliSum) -> str:
+    """One ``<coeff> <label>`` line per term; round-trips bit-exactly."""
+    return "".join(f"{coeff!r} {string.label()}\n" for coeff, string in h.terms)

@@ -68,7 +68,7 @@ def krylov_ritz_grounds(hd: np.ndarray, v0_amps: np.ndarray, dt: float, sizes) -
 def overlap_matrices_direct(h: PauliSum, v0_amps: np.ndarray, grid):
     """Double-loop (a, b) oracle for the overlap matrices."""
     hd = kron_matrix(h)
-    states = [dense_evolution(hd, float(t)) @ v0_amps for t in grid.times]
+    states = [dense_evolution(hd, float(t)) @ v0_amps for t in grid.dt * np.arange(grid.m)]
     m = grid.m
     a = np.zeros((m, m), dtype=complex)
     b = np.zeros((m, m), dtype=complex)

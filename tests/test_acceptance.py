@@ -24,7 +24,7 @@ import pytest
 
 from ktr.cli import parse_config, run
 from ktr.gevp import exact_reference, sector_ground_energy, solve
-from ktr.initial import (PreparedState, ProjectorSpec, build_block_product,
+from ktr.initial import (ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project,
                          project_array)
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
@@ -59,14 +59,15 @@ def test_criterion_01_gram_identity():
     _, h, t = _tfim8()
     plan = EvolutionPlan.exact(h)
     rng = np.random.default_rng(101)
-    prep = project(random_state(8, rng), ProjectorSpec.single_block(t))
+    spec = ProjectorSpec.single_block(t)
+    prep = project(random_state(8, rng), spec)
     t_obs = PauliSum(8, ((1.0, t),))
     worst = 0.0
     for _ in range(50):
         ta, tb = rng.uniform(-3.0, 3.0, size=2)
-        lhs = inner(evolve(plan, ta, prep.state), evolve(plan, tb, prep.state))
-        w = evolve(plan, (tb - ta) / 2.0, prep.state)
-        rhs = prep.c * expectation(w, t_obs)
+        lhs = inner(evolve(plan, ta, prep), evolve(plan, tb, prep))
+        w = evolve(plan, (tb - ta) / 2.0, prep)
+        rhs = spec.parity * expectation(w, t_obs)
         worst = max(worst, abs(lhs - rhs))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -80,15 +81,16 @@ def test_criterion_02_hamiltonian_overlap_identity():
     _, h, t = _tfim8()
     plan = EvolutionPlan.exact(h)
     rng = np.random.default_rng(202)
-    prep = project(random_state(8, rng), ProjectorSpec.single_block(t))
+    spec = ProjectorSpec.single_block(t)
+    prep = project(random_state(8, rng), spec)
     iht = build_iht_observable(h, t)
     worst = 0.0
     for _ in range(50):
         ta, tb = rng.uniform(-3.0, 3.0, size=2)
-        lhs = matrix_element(evolve(plan, ta, prep.state), h,
-                             evolve(plan, tb, prep.state))
-        w = evolve(plan, (tb - ta) / 2.0, prep.state)
-        rhs = 1j * prep.c * expectation(w, iht)
+        lhs = matrix_element(evolve(plan, ta, prep), h,
+                             evolve(plan, tb, prep))
+        w = evolve(plan, (tb - ta) / 2.0, prep)
+        rhs = 1j * spec.parity * expectation(w, iht)
         worst = max(worst, abs(lhs - rhs))
     pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 16), plan)
     head = abs(pen.row_a[0])
@@ -107,7 +109,7 @@ def test_criterion_03_route_equivalence():
     cases = []
     spec, h, t = _tfim8()
     v0 = build_block_product(4, 2)
-    cases.append((h, t, PreparedState(state=v0, c=1)))
+    cases.append((h, t, v0))
     spec2 = ModelSpec("z2higgs", 8, {"mu": 1.0, "g": 1.0})
     h2 = build(spec2)
     cases.append((h2, known_time_reversal(spec2), gauge_start(8, 1)))
@@ -115,7 +117,7 @@ def test_criterion_03_route_equivalence():
         plan = EvolutionPlan.exact(h_i)
         grid = TimeGrid(default_dt(h_i), 32)
         ktr = build_ktr(h_i, t_i, prep_i, grid, plan)
-        kqd = build_kqd(h_i, prep_i.state, grid, plan)
+        kqd = build_kqd(h_i, prep_i, grid, plan)
         worst_entry = max(worst_entry,
                           float(np.max(np.abs(ktr.matrix_a() - kqd.matrix_a()))),
                           float(np.max(np.abs(ktr.matrix_b() - kqd.matrix_b()))))
@@ -155,7 +157,7 @@ epsilon = 1e-10
     v0 = build_block_product(4, 2)
     oracle = krylov_ritz_grounds(hd, v0.amps, dt, sizes)
 
-    pen = build_ktr(h, t, PreparedState(state=v0, c=1), TimeGrid(dt, 32),
+    pen = build_ktr(h, t, v0, TimeGrid(dt, 32),
                     EvolutionPlan.exact(h))
     results = [solve(pen.prefix(m), 1e-10) for m in sizes]
     via_run = np.array([rec.estimate for rec in report.records])
@@ -256,8 +258,8 @@ def test_criterion_07_implicit_overlap_identities():
     worst_re = worst_im = 0.0
     for tdiff in rng.uniform(-3.0, 3.0, size=20):
         half = tdiff / 2.0
-        vp = evolve(plan, half, prep_p.state)
-        vm = evolve(plan, half, prep_m.state)
+        vp = evolve(plan, half, prep_p)
+        vm = evolve(plan, half, prep_m)
         lhs_re = weight * expectation(vp, t_obs) - (1 - weight) * expectation(vm, t_obs)
         lhs_im = 1j * (weight * expectation(vp, iht) - (1 - weight) * expectation(vm, iht))
         u = dense_evolution(hd, float(tdiff))
@@ -285,7 +287,7 @@ def test_criterion_08_blockwise_projector_identity():
 
     def rhs_row():
         out = np.zeros(grid.m)
-        for j, tj in enumerate(grid.times):
+        for j, tj in enumerate(grid.dt * np.arange(grid.m)):
             u = dense_evolution(hd, float(tj))
             out[j] = sum(phi.amps.conj() @ dp @ u @ dp @ phi.amps for dp in dense).real
         return out
@@ -314,8 +316,8 @@ def test_criterion_09_row_reconstructions():
     prep = project(plus_state(6), ProjectorSpec.single_block(t))
     direct = build_ktr(h, t, prep, grid, plan)
     a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
-    row_b_rec = reconstruct_b_from_a(a_fine, prep.c, grid, 20)
-    row_a_rec = reconstruct_a_from_b(b_fine, prep.c, grid, 20)
+    row_b_rec = reconstruct_b_from_a(a_fine, grid, 20)
+    row_a_rec = reconstruct_a_from_b(b_fine, grid, 20)
     err_b = float(np.max(np.abs(row_b_rec - direct.row_b)))
     err_a = float(np.max(np.abs(row_a_rec - direct.row_a)))
     direct_ground = solve(direct, 1e-8).ground

@@ -14,7 +14,8 @@ from ktr.cli import (CSV_HEADER, ExperimentConfig, emit, load_config, main,
 from ktr.errors import ConfigError
 from ktr.krylov import default_dt
 from ktr.models import ModelSpec, build
-from ktr.paulis import pauli_sum_to_text
+
+from helpers import pauli_sum_to_text
 
 TFIM_CONFIG = """
 # desk-scale chain
@@ -51,6 +52,8 @@ def test_parse_config_round_trip():
     ("samples_per_step = 7", "even"),
     ("bogus = 1", "unknown key"),
     ("seed = 7", "unknown key"),
+    ("init = w0-blocks:1", "multiple of 4"),
+    ("method = local:3", "exceeds the 2 available projectors"),
 ])
 def test_parse_config_rejects_bad_values(mutation, fragment):
     key = mutation.split("=")[0].strip()
@@ -128,7 +131,7 @@ def test_emit_deterministic_modulo_wall_time(tmp_path):
 def test_methods_requiring_stabilized_init_are_rejected():
     text = TFIM_CONFIG.replace("init = project:0", "init = plus")
     with pytest.raises(ConfigError):
-        run(parse_config(text))
+        parse_config(text)
 
 
 def test_methods_requiring_symmetry_reject_heisenberg():
@@ -143,7 +146,7 @@ init = plus
 grid.m = 4
 """
     with pytest.raises(ConfigError):
-        run(parse_config(text))
+        parse_config(text)
 
 
 def test_kqd_on_heisenberg_plus_state_works():
@@ -188,6 +191,11 @@ def test_cli_init_override(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--init", "project:00"]) == 0
     out = capsys.readouterr().out
     assert CSV_HEADER in out
+    # the override is validated in place of the config's own init, which
+    # here cannot serve ktr
+    cfg_path.write_text(TFIM_CONFIG.replace("init = project:0", "init = plus"))
+    assert main(["run", str(cfg_path), "--init", "project:0"]) == 0
+    assert CSV_HEADER in capsys.readouterr().out
 
 
 def test_cli_exit_codes(tmp_path, capsys):

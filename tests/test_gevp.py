@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from ktr.errors import DegeneratePencilError
 from ktr.gevp import (DEFAULT_EPSILON, SpectrumResult, exact_reference,
                       sector_ground_energy, solve, solve_dense)
-from ktr.initial import PreparedState, ProjectorSpec, project
+from ktr.initial import ProjectorSpec, project
 from ktr.krylov import TimeGrid, ToeplitzPencil, build_ktr, default_dt
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum

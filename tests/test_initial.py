@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ktr.errors import DegenerateProjectionError
-from ktr.initial import (PreparedState, ProjectorSpec, build_block_product,
+from ktr.initial import (ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project,
                          project_array)
 from ktr.models import ModelSpec, build, gauss_generators
@@ -28,11 +28,11 @@ def _probability(phi: StateVector, spec: ProjectorSpec) -> float:
 def test_project_fixed_point():
     t = PauliString.from_label("YXYX")
     phi = project(random_state(4, np.random.default_rng(1)),
-                  ProjectorSpec.single_block(t)).state
+                  ProjectorSpec.single_block(t))
     again = project(phi, ProjectorSpec.single_block(t))
-    assert np.allclose(again.state.amps, phi.amps)
+    assert np.allclose(again.amps, phi.amps)
     assert np.isclose(_probability(phi, ProjectorSpec.single_block(t)), 1.0)
-    assert again.c == 1
+    assert np.max(np.abs(apply_pauli(again, t).amps - again.amps)) <= 1e-12
 
 
 def test_project_plus_with_all_y():
@@ -40,15 +40,15 @@ def test_project_plus_with_all_y():
     t = PauliString.from_label("YYYY")
     prep = project(plus_state(4), ProjectorSpec.single_block(t, 0))
     want = (plus_state(4).amps + product_state([MINUS] * 4).amps) / math.sqrt(2.0)
-    assert np.max(np.abs(prep.state.amps - want)) <= 1e-12
+    assert np.max(np.abs(prep.amps - want)) <= 1e-12
     assert np.isclose(_probability(plus_state(4), ProjectorSpec.single_block(t, 0)), 0.5)
-    assert prep.c == 1
+    assert np.max(np.abs(apply_pauli(prep, t).amps - prep.amps)) <= 1e-12
 
     perp = project(plus_state(4), ProjectorSpec.single_block(t, 1))
     want_perp = (plus_state(4).amps - product_state([MINUS] * 4).amps) / math.sqrt(2.0)
-    assert np.max(np.abs(perp.state.amps - want_perp)) <= 1e-12
-    assert perp.c == -1
-    assert abs(inner(prep.state, perp.state)) <= 1e-12
+    assert np.max(np.abs(perp.amps - want_perp)) <= 1e-12
+    assert np.max(np.abs(apply_pauli(perp, t).amps + perp.amps)) <= 1e-12
+    assert abs(inner(prep, perp)) <= 1e-12
 
 
 def test_projection_probability_reproduced():
@@ -65,7 +65,7 @@ def test_projection_probability_reproduced():
 
 def test_degenerate_projection_raises():
     t = PauliString.from_label("YYYY")
-    sym = project(plus_state(4), ProjectorSpec.single_block(t, 0)).state
+    sym = project(plus_state(4), ProjectorSpec.single_block(t, 0))
     with pytest.raises(DegenerateProjectionError):
         project(sym, ProjectorSpec.single_block(t, 1))
 
@@ -106,8 +106,8 @@ def test_stabilizer_property_blockwise():
             prep = project(phi, spec)
         except DegenerateProjectionError:
             continue
-        reflected = apply_pauli(prep.state, t)
-        assert np.max(np.abs(reflected.amps - spec.parity * prep.state.amps)) <= 1e-12
+        reflected = apply_pauli(prep, t)
+        assert np.max(np.abs(reflected.amps - spec.parity * prep.amps)) <= 1e-12
 
 
 def test_probabilities_sum_to_one():
@@ -128,9 +128,9 @@ def test_global_projector_absorbs_even_blocks():
     for spec in enumerate_local_projectors(blocks):
         if spec.parity != 1:
             continue
-        state = project(phi, spec).state
+        state = project(phi, spec)
         reabsorbed = project(state, ProjectorSpec.single_block(t, 0))
-        assert np.max(np.abs(reabsorbed.state.amps - state.amps)) <= 1e-12
+        assert np.max(np.abs(reabsorbed.amps - state.amps)) <= 1e-12
         assert np.isclose(_probability(state, ProjectorSpec.single_block(t, 0)), 1.0,
                           atol=1e-9)
 
@@ -142,7 +142,7 @@ def test_orthogonality_across_sign_patterns():
     states = []
     for spec in enumerate_local_projectors(blocks):
         try:
-            states.append(project(phi, spec).state)
+            states.append(project(phi, spec))
         except DegenerateProjectionError:
             pass
     for i in range(len(states)):
@@ -189,8 +189,7 @@ def test_block_circuit_prepares_minus_w0():
 def test_lgt_initial_is_stabilized():
     prep = gauge_start(8, 1)
     t = PauliString.from_label("Y" * 8)
-    assert np.max(np.abs(apply_pauli(prep.state, t).amps - prep.state.amps)) <= 1e-12
-    assert prep.c == 1
+    assert np.max(np.abs(apply_pauli(prep, t).amps - prep.amps)) <= 1e-12
     assert np.isclose(_probability(plus_state(8), ProjectorSpec.single_block(t)), 0.5)
 
 
@@ -203,7 +202,7 @@ def test_lgt_sectors_of_the_two_components():
     t_phi = apply_pauli(phi, PauliString.from_label("Y" * 8))
     assert np.max(np.abs(g_avg @ phi.amps - phi.amps)) <= 1e-12
     assert np.max(np.abs(g_avg @ t_phi.amps + t_phi.amps)) <= 1e-12
-    v0 = gauge_start(8, 1).state
+    v0 = gauge_start(8, 1)
     assert np.max(np.abs(g_avg @ v0.amps - v0.amps)) > 1e-3  # genuinely mixed
 
 
@@ -216,5 +215,5 @@ def test_lgt_start_energy_negative():
 def test_lgt_blockwise_variant():
     prep = gauge_start(8, 2)
     t = PauliString.from_label("Y" * 8)
-    assert np.max(np.abs(apply_pauli(prep.state, t).amps - prep.state.amps)) <= 1e-12
+    assert np.max(np.abs(apply_pauli(prep, t).amps - prep.amps)) <= 1e-12
     assert np.isclose(_probability(plus_state(8), ProjectorSpec.blocks_of(t, (0, 0))), 0.25)

@@ -4,16 +4,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktr.cli import parse_config, run
 from ktr.errors import NotTimeReversalError
 from ktr.gevp import solve
-from ktr.initial import PreparedState, ProjectorSpec, enumerate_local_projectors, project
+from ktr.initial import ProjectorSpec, enumerate_local_projectors, project, project_array
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
                         extended_local_pencil, implicit_hadamard_rows,
                         reconstruct_a_from_b, reconstruct_b_from_a,
                         sample_expectation_curves)
-from ktr.models import ModelSpec, build, known_time_reversal
+from ktr.models import PARAM_KEYS, ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, dense_matrix
 from ktr.states import EvolutionPlan, StateVector, evolve, expectation, inner, plus_state
 
@@ -33,8 +35,7 @@ def _tfim_setup(n, gamma=0.5, m=8, dt=None):
 
 def test_grid_times():
     grid = TimeGrid(0.25, 4)
-    assert np.allclose(grid.times, [0.0, 0.25, 0.5, 0.75])
-    assert np.allclose(grid.half_times, [0.0, 0.125, 0.25, 0.375])
+    assert (grid.dt, grid.m) == (0.25, 4)
     with pytest.raises(ValueError):
         TimeGrid(0.25, 1)
     with pytest.raises(ValueError):
@@ -59,14 +60,14 @@ def test_kqd_single_qubit_closed_form():
     h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     grid = TimeGrid(0.4, 6)
     pen = build_kqd(h, plus_state(1), grid, EvolutionPlan.exact(h))
-    assert np.allclose(pen.row_b, np.cos(grid.times), atol=1e-12)
-    assert np.allclose(pen.row_a, -1j * np.sin(grid.times), atol=1e-12)
+    assert np.allclose(pen.row_b, np.cos(grid.dt * np.arange(grid.m)), atol=1e-12)
+    assert np.allclose(pen.row_a, -1j * np.sin(grid.dt * np.arange(grid.m)), atol=1e-12)
 
 
 def test_kqd_matches_double_loop_oracle():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    pen = build_kqd(h, prep.state, grid, plan)
-    a_direct, b_direct = overlap_matrices_direct(h, prep.state.amps, grid)
+    pen = build_kqd(h, prep, grid, plan)
+    a_direct, b_direct = overlap_matrices_direct(h, prep.amps, grid)
     assert np.max(np.abs(pen.matrix_a() - a_direct)) <= 1e-10
     assert np.max(np.abs(pen.matrix_b() - b_direct)) <= 1e-10
     # the oracle matrices are themselves Hermitian-Toeplitz to tolerance
@@ -79,7 +80,7 @@ def test_kqd_matches_double_loop_oracle():
 def test_ktr_equals_kqd_for_stabilized_state():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
     ktr = build_ktr(h, t, prep, grid, plan)
-    kqd = build_kqd(h, prep.state, grid, plan)
+    kqd = build_kqd(h, prep, grid, plan)
     assert np.max(np.abs(ktr.row_a - kqd.row_a)) <= 1e-10
     assert np.max(np.abs(ktr.row_b - kqd.row_b)) <= 1e-10
 
@@ -95,9 +96,8 @@ def test_ktr_row_structure():
 
 def test_ktr_rejects_unstabilized_state():
     h, t, plan, grid, _ = _tfim_setup(4, m=4)
-    fake = PreparedState(state=plus_state(4), c=1)
     with pytest.raises(ValueError):
-        build_ktr(h, t, fake, grid, plan)
+        build_ktr(h, t, plus_state(4), grid, plan)
 
 
 def test_ktr_rejects_commuting_operator():
@@ -108,7 +108,7 @@ def test_ktr_rejects_commuting_operator():
 
 def test_implicit_rows_symmetric_state_degenerates_to_ktr():
     h, t, plan, grid, prep = _tfim_setup(6, m=6)
-    imp = implicit_hadamard_rows(prep.state, h, t, grid, plan)
+    imp = implicit_hadamard_rows(prep, h, t, grid, plan)
     ktr = build_ktr(h, t, prep, grid, plan)
     assert np.max(np.abs(imp.row_b - ktr.row_b)) <= 1e-12
     assert np.max(np.abs(imp.row_a - ktr.row_a)) <= 1e-12
@@ -120,7 +120,7 @@ def test_implicit_rows_match_dense_oracle():
     phi = random_state(6, rng)
     pen = implicit_hadamard_rows(phi, h, t, grid, plan)
     hd = dense_matrix(h)
-    for j, tj in enumerate(grid.times):
+    for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         u = dense_evolution(hd, float(tj))
         re = (phi.amps.conj() @ u @ phi.amps).real
         im = (phi.amps.conj() @ u @ hd @ phi.amps).imag
@@ -143,7 +143,7 @@ def test_magnitude_closes_the_re_im_identity():
     rng = np.random.default_rng(31)
     phi = random_state(4, rng)
     pen = implicit_hadamard_rows(phi, h, t, grid, plan)
-    for j, tj in enumerate(grid.times):
+    for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         mag = abs(inner(phi, evolve(plan, float(tj), phi))) ** 2
         re = pen.row_b[j].real
         hd = dense_matrix(h)
@@ -171,7 +171,7 @@ def test_extended_local_full_set_matches_dense():
     row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
     dense = [dense_projector(s) for s in specs]
     hd = dense_matrix(h)
-    for j, tj in enumerate(grid.times):
+    for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         u = dense_evolution(hd, float(tj))
         rhs = sum(phi.amps.conj() @ dp @ u @ dp @ phi.amps for dp in dense).real
         assert abs(row_b[j] - rhs) <= 1e-10
@@ -202,15 +202,14 @@ def test_extended_local_pencil_single_block_equals_implicit():
 def test_reconstruct_b_trivial_zero_curve():
     grid = TimeGrid(0.2, 5)
     flat = np.zeros((grid.m - 1) * 20 + 1)
-    for c in (1, -1):
-        row_b = reconstruct_b_from_a(flat, c, grid, 20)
-        assert np.allclose(row_b, 1.0)
+    row_b = reconstruct_b_from_a(flat, grid, 20)
+    assert np.allclose(row_b, 1.0)
 
 
 def test_reconstruct_a_trivial_constant_curve():
     grid = TimeGrid(0.2, 5)
     const = np.full((grid.m - 1) * 20 + 1, 0.7)
-    row_a = reconstruct_a_from_b(const, 1, grid, 20)
+    row_a = reconstruct_a_from_b(const, grid, 20)
     assert np.max(np.abs(row_a)) <= 1e-12
 
 
@@ -226,16 +225,16 @@ def test_reconstruct_single_qubit_closed_forms():
     assert np.max(np.abs(b_fine - np.cos(2 * taus))) <= 1e-12
     assert np.max(np.abs(a_fine - (-np.sin(2 * taus)))) <= 1e-12
     direct = build_ktr(h, t, prep, grid, plan)
-    assert np.max(np.abs(reconstruct_b_from_a(a_fine, 1, grid, 20) - direct.row_b)) <= 1e-9
-    assert np.max(np.abs(reconstruct_a_from_b(b_fine, 1, grid, 20) - direct.row_a)) <= 1e-7
+    assert np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 20) - direct.row_b)) <= 1e-9
+    assert np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 20) - direct.row_a)) <= 1e-7
 
 
 def test_reconstruction_errors_at_default_density():
     h, t, plan, grid, prep = _tfim_setup(6, m=10)
     direct = build_ktr(h, t, prep, grid, plan)
     a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
-    err_b = np.max(np.abs(reconstruct_b_from_a(a_fine, prep.c, grid, 20) - direct.row_b))
-    err_a = np.max(np.abs(reconstruct_a_from_b(b_fine, prep.c, grid, 20) - direct.row_a))
+    err_b = np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 20) - direct.row_b))
+    err_a = np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 20) - direct.row_a))
     assert err_b <= 1e-6
     assert err_a <= 1e-4
 
@@ -247,8 +246,8 @@ def test_reconstruction_refinement_orders():
     errs_b, errs_a = [], []
     for sps in densities:
         a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, sps)
-        errs_b.append(np.max(np.abs(reconstruct_b_from_a(a_fine, prep.c, grid, sps) - direct.row_b)))
-        errs_a.append(np.max(np.abs(reconstruct_a_from_b(b_fine, prep.c, grid, sps) - direct.row_a)))
+        errs_b.append(np.max(np.abs(reconstruct_b_from_a(a_fine, grid, sps) - direct.row_b)))
+        errs_a.append(np.max(np.abs(reconstruct_a_from_b(b_fine, grid, sps) - direct.row_a)))
     slope_b = np.polyfit(np.log([1 / d for d in densities]), np.log(errs_b), 1)[0]
     slope_a = np.polyfit(np.log([1 / d for d in densities]), np.log(errs_a), 1)[0]
     assert 3.5 <= slope_b <= 4.5
@@ -259,16 +258,14 @@ def test_reconstruction_input_validation():
     grid = TimeGrid(0.2, 5)
     for reconstruct in (reconstruct_b_from_a, reconstruct_a_from_b):
         with pytest.raises(ValueError, match="at least 81 samples, got 10"):
-            reconstruct(np.zeros(10), 1, grid, 20)  # too few samples
+            reconstruct(np.zeros(10), grid, 20)  # too few samples
         with pytest.raises(ValueError, match="positive even"):
-            reconstruct(np.zeros(200), 1, grid, 15)  # odd panel count
-        with pytest.raises(ValueError, match="stabilizer sign"):
-            reconstruct(np.zeros(200), 2, grid, 20)  # bad sign
+            reconstruct(np.zeros(200), grid, 15)  # odd panel count
     # m = 2 at 2 samples per step needs only 3 samples; the stencil needs 5
     short = TimeGrid(0.2, 2)
     with pytest.raises(ValueError, match="five-point"):
-        reconstruct_a_from_b(np.zeros(4), 1, short, 2)
-    assert np.allclose(reconstruct_b_from_a(np.zeros(3), 1, short, 2), 1.0)
+        reconstruct_a_from_b(np.zeros(4), short, 2)
+    assert np.allclose(reconstruct_b_from_a(np.zeros(3), short, 2), 1.0)
     h, t, plan, grid, prep = _tfim_setup(4, m=4)
     for sps in (0, 7):
         with pytest.raises(ValueError, match="positive even"):
@@ -306,7 +303,7 @@ def test_trotter_pencils_step_along_the_grid():
     grid = TimeGrid(default_dt(h), 32)
     phi = plus_state(8)
     prep = project(phi, ProjectorSpec.blocks_of(t, (0, 0)))
-    for pencil in (build_kqd(h, prep.state, grid, plan), build_ktr(h, t, prep, grid, plan),
+    for pencil in (build_kqd(h, prep, grid, plan), build_ktr(h, t, prep, grid, plan),
                    implicit_hadamard_rows(phi, h, t, grid, plan)):
         b_evals = solve(pencil).b_eigenvalues
         assert abs(b_evals[0] / b_evals[-1]) <= 1e-12
@@ -324,10 +321,11 @@ def test_row_entries_independent_across_threads():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
     plan.prepare()
     t_obs = PauliSum(h.n, ((1.0, t),))
+    c = ProjectorSpec.single_block(t).parity
 
     def entry(j):
-        w = evolve(plan, float(grid.half_times[j]), prep.state)
-        return prep.c * expectation(w, t_obs)
+        w = evolve(plan, 0.5 * grid.dt * j, prep)
+        return c * expectation(w, t_obs)
 
     sequential = [entry(j) for j in range(grid.m)]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -335,3 +333,57 @@ def test_row_entries_independent_across_threads():
     assert sequential == concurrent
     pen = build_ktr(h, t, prep, grid, plan)
     assert np.allclose(pen.row_b.real, sequential, atol=1e-14)
+
+
+def test_reconstruction_routes_at_negative_stabilizer_sign():
+    # T|v0> = -|v0>: the fine curves carry c = -1 once, so the rebuilt rows
+    # meet the direct ktr rows; a sign applied twice, or not at all, flips them
+    h, t, plan, grid, _ = _tfim_setup(6, m=10)
+    v0 = project(plus_state(6), ProjectorSpec.single_block(t, 1))
+    direct = build_ktr(h, t, v0, grid, plan)
+    assert np.max(np.abs(direct.row_b - build_kqd(h, v0, grid, plan).row_b)) <= 1e-10
+    a_fine, b_fine = sample_expectation_curves(h, t, v0, grid, plan, 20)
+    targets = np.arange(grid.m) * 20
+    assert np.max(np.abs(b_fine[targets] - direct.row_b)) <= 1e-12
+    assert np.max(np.abs(1j * a_fine[targets] - direct.row_a)) <= 1e-12
+    assert np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 20) - direct.row_b)) <= 1e-6
+    assert np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 20) - direct.row_a)) <= 1e-4
+
+
+_COUPLINGS = st.floats(0.3, 1.5)
+
+
+@st.composite
+def _chains(draw):
+    """A tfim, z2higgs or cluster chain at n in {4, 6}, its involution, and a
+    sign pattern over one or two blocks (either stabilizer sign)."""
+    kind = draw(st.sampled_from(("tfim", "z2higgs", "cluster")))
+    n = draw(st.sampled_from((4, 6)))
+    spec = ModelSpec(kind, n, {key: draw(_COUPLINGS) for key in PARAM_KEYS[kind]})
+    alpha = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    return build(spec), known_time_reversal(spec), alpha
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chains(), st.integers(2, 6), st.floats(0.05, 0.5), st.integers(0, 2 ** 32 - 1))
+def test_every_route_gives_the_first_rows_of_the_overlap_matrices(chain, m, dt, seed):
+    h, t, alpha = chain
+    grid = TimeGrid(dt, m)
+    plan = EvolutionPlan.exact(h)
+    v0 = project(plus_state(h.n), ProjectorSpec.blocks_of(t, alpha))
+    a0, b0 = overlap_matrices_direct(h, v0.amps, grid)
+    for pencil in (build_ktr(h, t, v0, grid, plan), build_kqd(h, v0, grid, plan)):
+        assert np.max(np.abs(pencil.row_a - a0[0])) <= 1e-10
+        assert np.max(np.abs(pencil.row_b - b0[0])) <= 1e-10
+
+    phi = random_state(h.n, seed)
+    a_phi, b_phi = overlap_matrices_direct(h, phi.amps, grid)
+    imp = implicit_hadamard_rows(phi, h, t, grid, plan)
+    assert np.max(np.abs(imp.row_a - 1j * a_phi[0].imag)) <= 1e-10
+    assert np.max(np.abs(imp.row_b - b_phi[0].real)) <= 1e-10
+
+    specs = enumerate_local_projectors(ProjectorSpec.blocks_of(t, (0,) * len(alpha)).t_blocks)
+    parts = [overlap_matrices_direct(h, project_array(phi.amps, spec), grid) for spec in specs]
+    local = extended_local_pencil(phi, specs, h, t, grid, plan, len(specs))
+    assert np.max(np.abs(local.row_a - sum(1j * a[0].imag for a, _ in parts))) <= 1e-10
+    assert np.max(np.abs(local.row_b - sum(b[0].real for _, b in parts))) <= 1e-10

@@ -11,12 +11,12 @@ from ktr.errors import NotTimeReversalError, ResourceLimitError
 from ktr.gevp import exact_reference, sector_ground_energy
 from ktr.paulis import (DENSE_QUBIT_CAP, PauliString, PauliSum, apply_action,
                         build_iht_observable, commutes, dense_matrix, embed, multiply,
-                        pauli_sum_from_text, pauli_sum_to_text, split_blocks,
-                        symplectic_product)
+                        pauli_sum_from_text, split_blocks, symplectic_product)
 from ktr.states import EvolutionPlan
 
 from ktr.models import ModelSpec, build
 
+from helpers import pauli_sum_to_text
 from oracles import all_pauli_strings, kron_matrix, random_hermitian_string, random_pauli_sum
 
 

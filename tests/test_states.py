@@ -125,7 +125,7 @@ def test_stabilized_state_has_zero_energy():
     rng = np.random.default_rng(19)
     for _ in range(5):
         prep = project(random_state(4, rng), ProjectorSpec.single_block(t))
-        assert abs(expectation(prep.state, h)) <= 1e-12
+        assert abs(expectation(prep, h)) <= 1e-12
 
 
 def test_evolve_zero_time_is_identity():

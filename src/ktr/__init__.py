@@ -18,9 +18,8 @@ from .errors import (ConfigError, DegeneratePencilError, DegenerateProjectionErr
                      NotTimeReversalError, ResourceLimitError)
 from .paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
                      multiply, pauli_sum_from_text, symplectic_product)
-from .symmetry import (BitMatrix, Infeasible, SymmetrySolution, build_parity_matrix,
-                       decode_t, rref, solve_time_reversal,
-                       verify_time_reversal)
+from .symmetry import (Infeasible, SymmetrySolution, build_parity_matrix, rref,
+                       solve_time_reversal, verify_time_reversal)
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve, expectation,
                      inner, matrix_element, plus_state, tensor_states)
 from .initial import (ProjectorSpec, build_block_product, build_block_state_w0,

@@ -148,7 +148,8 @@ def _validate_init(value: str) -> str:
 
 def _check_routes(model: ModelSpec, methods: tuple[str, ...], init: str) -> None:
     """Reject an init or a route that ``run`` could not build for ``model``."""
-    has_t = known_time_reversal(model) is not None
+    t = known_time_reversal(model)
+    has_t = t is not None
     name, _, arg = init.partition(":")
     s = 1
     if name != "plus":
@@ -166,6 +167,12 @@ def _check_routes(model: ModelSpec, methods: tuple[str, ...], init: str) -> None
         if route in _STABILIZED_METHODS and name == "plus":
             raise ConfigError(
                 f"method {route!r} needs a stabilized init (w0-blocks or project), not {init!r}")
+        # the w0 block state is stabilized only by the alternating (Y X) involution
+        if (route in _STABILIZED_METHODS and name == "w0-blocks"
+                and t.label() != "YX" * (model.n // 2)):
+            raise ConfigError(
+                f"method {route!r} needs an init stabilized by {t.label()}; "
+                f"{init!r} is stabilized only by the alternating (Y X) involution")
         if route == "local" and int(subset) > 2 ** s:
             raise ConfigError(f"subset {int(subset)} exceeds the {2 ** s} available projectors")
 
@@ -395,6 +402,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_find_symmetry(args) -> int:
     h = pauli_sum_from_text(Path(args.hamiltonian).read_text())
     outcome = solve_time_reversal(h)
@@ -431,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sym = sub.add_parser("find-symmetry",
                            help="list anticommuting involutions of a Hamiltonian file")
     p_sym.add_argument("hamiltonian", help="Pauli-sum text file")
-    p_sym.add_argument("--max-solutions", type=int, default=16)
+    p_sym.add_argument("--max-solutions", type=_positive_int, default=16)
     p_sym.set_defaults(handler=_cmd_find_symmetry)
 
     p_spec = sub.add_parser("spectrum", help="dump the exact spectrum of a Hamiltonian file")

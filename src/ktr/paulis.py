@@ -1,15 +1,19 @@
 """Pauli-string algebra in symplectic (x | z) form.
 
-An n-qubit Pauli operator is stored as bit vectors ``x``, ``z`` plus a
-power of the imaginary unit,
+An n-qubit Pauli operator is stored as two integer bit masks ``x``, ``z``
+in [0, 2**n) plus a power of the imaginary unit,
 
-    P = i**phase_exp * (X**x[0] Z**z[0]) (x) ... (x) (X**x[n-1] Z**z[n-1]),
+    P = i**phase_exp * (X**x_0 Z**z_0) (x) ... (x) (X**x_{n-1} Z**z_{n-1}),
 
-where qubit 0 is the leftmost tensor factor (the most significant bit of
-a computational-basis index).  A string is Hermitian exactly when
-``phase_exp`` has the same parity as ``popcount(x & z)``; the canonical
-Hermitian phase ``popcount(x & z) % 4`` makes the stored operator equal
-to the literal product of {I, X, Y, Z} factors, since Y = i X Z.
+where x_j is bit n-1-j of ``x`` (likewise z_j).  Qubit 0 is the leftmost
+tensor factor and the most significant bit, the same convention as a
+computational-basis index, so the masks act on basis indices directly.
+A string is Hermitian exactly when ``phase_exp`` has the same parity as
+``popcount(x & z)``; the canonical Hermitian phase ``popcount(x & z) % 4``
+makes the stored operator equal to the literal product of {I, X, Y, Z}
+factors, since Y = i X Z.  Products, commutation and block splits are
+integer operations on the masks, so strings on hundreds of qubits stay
+cheap for the GF(2) code of :mod:`ktr.symmetry`, which reads the same masks.
 
 Hamiltonians are real-weighted sums of Hermitian strings (:class:`PauliSum`)
 with a line-oriented text interchange format, ``<coeff> <label>`` per term,
@@ -20,16 +24,15 @@ compiles, on first use, into a read-only pair ``(src, diag)`` with
 
     (P v)[i] = diag[i] * v[src[i]],
 
-where ``src = i ^ mask(x)`` and ``diag`` holds the phase times the sign
-``(-1)**popcount(src & mask(z))``.  ``diag`` is float64 when the phase is
+where ``src = i ^ x`` and ``diag`` holds the phase times the sign
+``(-1)**popcount(src & z)``.  ``diag`` is float64 when the phase is
 +-1 (``phase_exp`` 0 or 2, which covers every canonical string with an even
 number of Y factors) and complex128 only for an odd phase.  The pair takes
 16 B * 2**n for a real string (an int64 index and a float64 entry per basis
 state), 24 B * 2**n for a complex one, and is cached on the string; a
 :class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
 Nothing compiles until a statevector operation, a dense matrix or
-:func:`apply_sum` asks for it, so sums on hundreds of qubits stay cheap
-for the GF(2) code.
+:func:`apply_sum` asks for it.
 :func:`apply_action` acts on the leading axis of 1-D and 2-D arrays, and
 :func:`dense_matrix` scatters the same pairs into a matrix.  Both take
 their dtype from their inputs, so a sum of real strings assembles a
@@ -39,9 +42,9 @@ float64 matrix and stays real through everything built on it.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,11 +73,10 @@ COMMUTATOR_TOL = 1e-12
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)
 
 _LETTERS = frozenset("IXYZ")
-_BITS = frozenset((0, 1))
-_X_BITS = bytes.maketrans(b"IXYZ", bytes((0, 1, 1, 0)))
-_Z_BITS = bytes.maketrans(b"IXYZ", bytes((0, 0, 1, 1)))
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
-_XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_XZ_TO_LETTER = {("0", "0"): "I", ("1", "0"): "X", ("1", "1"): "Y", ("0", "1"): "Z"}
 
 
 def check_state_qubits(n: int) -> None:
@@ -82,13 +84,6 @@ def check_state_qubits(n: int) -> None:
     if n > STATE_QUBIT_CAP:
         raise ResourceLimitError(
             f"{n} qubits exceed the statevector cap of {STATE_QUBIT_CAP}")
-
-
-def _mask(bits: tuple[int, ...]) -> int:
-    acc = 0
-    for b in bits:
-        acc = (acc << 1) | b
-    return acc
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -99,48 +94,30 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def _as_bits(values: Iterable[int]) -> tuple[int, ...]:
-    values = tuple(values)
-    try:
-        packed = bytes(values)  # one C pass for Python and numpy integers
-    except (TypeError, ValueError):  # other number types, or ints outside a byte
-        bits = tuple(int(v) for v in values)
-        valid = _BITS.issuperset(bits)
-    else:
-        bits = tuple(packed)
-        valid = not packed.translate(None, b"\0\1")
-    if not valid:
-        raise ValueError("supports must be 0/1 bit vectors")
-    return bits
-
-
 @dataclass(frozen=True)
 class PauliString:
-    """One n-qubit Pauli operator in (x | z | phase) form."""
+    """One n-qubit Pauli operator in (x | z | phase) form, x and z as bit masks."""
 
-    x: tuple[int, ...]
-    z: tuple[int, ...]
+    n: int
+    x: int
+    z: int
     phase_exp: int
     _action: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_bits(self.x))
-        object.__setattr__(self, "z", _as_bits(self.z))
-        if len(self.x) != len(self.z):
-            raise ValueError("x and z supports differ in length")
+        for mask in (self.x, self.z):
+            if type(mask) is not int or not 0 <= mask < 1 << self.n:
+                raise ValueError(f"supports must be ints in [0, 2**{self.n})")
         if self.phase_exp not in (0, 1, 2, 3):
             raise ValueError("phase_exp must be an integer mod 4")
 
     @classmethod
-    def from_xz(cls, x: Iterable[int], z: Iterable[int],
-                phase_exp: int | None = None) -> "PauliString":
-        """Build a string; with ``phase_exp=None`` picks the canonical
-        Hermitian phase ``popcount(x & z) % 4``."""
-        string = cls(x, z, 0 if phase_exp is None else phase_exp % 4)
-        if phase_exp is None:
-            # set after construction: the canonical phase needs validated bits
-            object.__setattr__(string, "phase_exp", string.canonical_phase())
+    def from_xz(cls, n: int, x: int, z: int) -> "PauliString":
+        """Build a string with the canonical Hermitian phase ``popcount(x & z) % 4``."""
+        string = cls(n, x, z, 0)
+        # set after construction: the canonical phase needs validated masks
+        object.__setattr__(string, "phase_exp", string.canonical_phase())
         return string
 
     @classmethod
@@ -149,37 +126,26 @@ class PauliString:
         if not _LETTERS.issuperset(label):
             bad = next(ch for ch in label if ch not in _LETTERS)
             raise ValueError(f"invalid Pauli letter {bad!r}")
-        raw = label.encode("ascii")
-        return cls(tuple(raw.translate(_X_BITS)), tuple(raw.translate(_Z_BITS)),
-                   label.count("Y") % 4)
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls((0,) * n, (0,) * n, 0)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return sum(map(operator.or_, self.x, self.z))
-
-    def is_identity_support(self) -> bool:
-        return self.weight == 0
+        return cls(len(label), int("0" + label.translate(_X_DIGITS), 2),
+                   int("0" + label.translate(_Z_DIGITS), 2), label.count("Y") % 4)
 
     def hermitian(self) -> bool:
         return (self.phase_exp - self.canonical_phase()) % 2 == 0
 
     def canonical_phase(self) -> int:
-        return sum(map(operator.and_, self.x, self.z)) % 4
+        return (self.x & self.z).bit_count() % 4
+
+    def _letters(self) -> str:
+        # the leading 1 pads each binary form to exactly n digits
+        x_digits = bin(self.x | 1 << self.n)[3:]
+        z_digits = bin(self.z | 1 << self.n)[3:]
+        return "".join(_XZ_TO_LETTER[pair] for pair in zip(x_digits, z_digits))
 
     def label(self) -> str:
         """Literal {I,X,Y,Z} label; defined only for the canonical phase."""
         if self.phase_exp != self.canonical_phase():
             raise ValueError("string carries a non-canonical phase, no literal label")
-        return "".join(_XZ_TO_LETTER[(a, b)] for a, b in zip(self.x, self.z))
+        return self._letters()
 
     def action(self) -> tuple[np.ndarray, np.ndarray]:
         """Compiled ``(src, diag)`` with ``(P v)[i] = diag[i] * v[src[i]]``.
@@ -188,16 +154,16 @@ class PauliString:
         """
         if self._action is None:
             check_state_qubits(self.n)
-            src = np.arange(2 ** self.n) ^ _mask(self.x)
+            src = np.arange(2 ** self.n) ^ self.x
             # float64 for phase +-1, complex128 for +-i
-            diag = _PHASES[self.phase_exp] * (1.0 - 2.0 * _parity(src & _mask(self.z)))
+            diag = _PHASES[self.phase_exp] * (1.0 - 2.0 * _parity(src & self.z))
             src.flags.writeable = False
             diag.flags.writeable = False
             object.__setattr__(self, "_action", (src, diag))
         return self._action
 
     def __repr__(self) -> str:
-        letters = "".join(_XZ_TO_LETTER[(a, b)] for a, b in zip(self.x, self.z))
+        letters = self._letters()
         if self.phase_exp == self.canonical_phase():
             return f"PauliString({letters!r})"
         return f"PauliString({letters!r}, extra_phase={(self.phase_exp - self.canonical_phase()) % 4})"
@@ -207,8 +173,7 @@ def symplectic_product(p: PauliString, q: PauliString) -> int:
     """GF(2) form whose value 1 marks anticommuting strings."""
     if p.n != q.n:
         raise ValueError(f"qubit counts differ: {p.n} vs {q.n}")
-    acc = sum(a & b for a, b in zip(p.x, q.z)) + sum(a & b for a, b in zip(p.z, q.x))
-    return acc % 2
+    return ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
 def multiply(p: PauliString, q: PauliString) -> PauliString:
@@ -216,20 +181,17 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     if p.n != q.n:
         raise ValueError(f"qubit counts differ: {p.n} vs {q.n}")
     # commuting Z**z_p past X**x_q costs (-1) per overlapping qubit
-    swaps = sum(a & b for a, b in zip(p.z, q.x))
+    swaps = (p.z & q.x).bit_count()
     phase = (p.phase_exp + q.phase_exp + 2 * swaps) % 4
-    x = tuple(a ^ b for a, b in zip(p.x, q.x))
-    z = tuple(a ^ b for a, b in zip(p.z, q.z))
-    return PauliString(x, z, phase)
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
 def embed(p: PauliString, n: int, offset: int) -> PauliString:
     """Place ``p`` on qubits [offset, offset + p.n) of an n-qubit register."""
     if offset < 0 or offset + p.n > n:
         raise ValueError("embedding window out of range")
-    pad_left = (0,) * offset
-    pad_right = (0,) * (n - offset - p.n)
-    return PauliString(pad_left + p.x + pad_right, pad_left + p.z + pad_right, p.phase_exp)
+    shift = n - offset - p.n  # qubits right of the window sit in the low bits
+    return PauliString(n, p.x << shift, p.z << shift, p.phase_exp)
 
 
 def split_blocks(p: PauliString, sizes: Sequence[int]) -> list[PauliString]:
@@ -243,11 +205,11 @@ def split_blocks(p: PauliString, sizes: Sequence[int]) -> list[PauliString]:
     if p.phase_exp != p.canonical_phase():
         raise ValueError("only canonical-phase strings can be split")
     out = []
-    start = 0
+    shift = p.n
     for size in sizes:
-        stop = start + size
-        out.append(PauliString.from_xz(p.x[start:stop], p.z[start:stop]))
-        start = stop
+        shift -= size
+        block = (1 << size) - 1
+        out.append(PauliString.from_xz(size, p.x >> shift & block, p.z >> shift & block))
     return out
 
 
@@ -361,7 +323,7 @@ def build_iht_observable(h: PauliSum, t: PauliString) -> PauliSum:
         k = (1 + prod.phase_exp - canon) % 4
         assert k in (0, 2), "anticommutation guarantees a real coefficient"
         sign = 1.0 if k == 0 else -1.0
-        out.append((sign * coeff, PauliString(prod.x, prod.z, canon)))
+        out.append((sign * coeff, PauliString(h.n, prod.x, prod.z, canon)))
     return PauliSum(h.n, tuple(out))
 
 
@@ -397,8 +359,13 @@ def pauli_sum_from_text(text: str) -> PauliSum:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<coeff> <label>'")
-        coeff = float(parts[0])
-        string = PauliString.from_label(parts[1])
+        try:
+            coeff = float(parts[0])
+            if not math.isfinite(coeff):
+                raise ValueError("coefficients must be finite reals")
+            string = PauliString.from_label(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if n is None:
             n = string.n
         elif string.n != n:

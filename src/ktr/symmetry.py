@@ -1,13 +1,15 @@
 """GF(2) search for anticommuting Hermitian involutions.
 
 Each Hamiltonian term maps to a row ``(f_x | f_z)`` of a parity matrix F,
-and a candidate operator maps to a vector ``t = (t_z | t_x)``; note the
-component order is reversed with respect to the columns.  The GF(2) inner
-product of a row with ``t`` counts anticommuting single-qubit factors mod
-2, so the solutions of ``F t = 1`` are exactly the Pauli strings that
-anticommute with every term.  The system is XORSAT, solved by Gaussian
-elimination; an inconsistent reduced row ``(0 ... 0 | 1)`` is a definitive
-certificate that no such operator exists.
+held as the int ``x << n | z`` over the masks of :mod:`ktr.paulis`, with
+column 0 the most significant of the 2n bits.  A candidate operator maps
+to the int vector ``t = t_z << n | t_x``; note the component order is
+reversed with respect to the columns.  ``popcount(row & t) % 2`` counts
+anticommuting single-qubit factors mod 2, so the solutions of ``F t = 1``
+are exactly the Pauli strings that anticommute with every term.  The
+system is XORSAT, solved by Gaussian elimination; an inconsistent reduced
+row ``(0 ... 0 | 1)`` is a definitive certificate that no such operator
+exists.
 """
 
 from __future__ import annotations
@@ -16,70 +18,35 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .paulis import PauliString, PauliSum, multiply, symplectic_product
+from .paulis import PauliString, PauliSum, symplectic_product
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Dense 0/1 matrix over GF(2), row-major."""
+def rref(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced row echelon form over GF(2) with the pivot column list.
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=np.uint8, copy=True)
-        if arr.ndim != 2:
-            raise ValueError("BitMatrix needs a 2-D array")
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("entries must be bits")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        return cls(np.array(rows, dtype=np.uint8))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitMatrix) and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
-
-
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over GF(2) with the pivot column list."""
-    a = m.data.copy()
-    nrows, ncols = a.shape
+    Each row is an int of ``width`` bits, column 0 the most significant.
+    """
+    a = list(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(width):
+        if r == len(a):
             break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
+        bit = 1 << (width - 1 - c)
+        p = next((i for i in range(r, len(a)) if a[i] & bit), None)
+        if p is None:
             continue
-        p = r + hits[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        a[others] ^= a[r]
+        pivot = a[p]
+        a[p] = a[r]
+        a = [row ^ pivot if row & bit else row for row in a]
+        a[r] = pivot
         pivots.append(c)
         r += 1
-    return BitMatrix(a), tuple(pivots)
+    return tuple(a), tuple(pivots)
 
 
-def build_parity_matrix(h: PauliSum) -> BitMatrix:
-    """One row (f_x | f_z) per non-identity term with nonzero coefficient.
+def build_parity_matrix(h: PauliSum) -> tuple[int, ...]:
+    """One row ``x << n | z`` per non-identity term with nonzero coefficient.
 
     Identity terms only shift the spectrum and cannot anticommute with
     anything, so they are stripped with a warning.
@@ -89,17 +56,17 @@ def build_parity_matrix(h: PauliSum) -> BitMatrix:
     for coeff, string in h.terms:
         if coeff == 0.0:
             continue
-        if string.is_identity_support():
+        if not string.x | string.z:
             skipped += 1
             continue
-        rows.append(string.x + string.z)
+        rows.append(string.x << h.n | string.z)
     if skipped:
         warnings.warn(
             f"ignored {skipped} identity term(s) while encoding the parity matrix",
             stacklevel=2)
     if not rows:
         raise ValueError("Hamiltonian has no non-identity terms to encode")
-    return BitMatrix.from_rows(rows)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -111,79 +78,56 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class SymmetrySolution:
-    """Affine solution space of F t = 1, in (t_z | t_x) layout."""
+    """Affine solution space of F t = 1, as ``t_z << n | t_x`` ints."""
 
-    particular: np.ndarray
-    nullspace_basis: tuple[np.ndarray, ...]
+    particular: int
+    nullspace_basis: tuple[int, ...]
     n: int
-
-    def __post_init__(self):
-        part = np.array(self.particular, dtype=np.uint8, copy=True)
-        part.flags.writeable = False
-        object.__setattr__(self, "particular", part)
-        basis = []
-        for vec in self.nullspace_basis:
-            v = np.array(vec, dtype=np.uint8, copy=True)
-            v.flags.writeable = False
-            basis.append(v)
-        object.__setattr__(self, "nullspace_basis", tuple(basis))
 
     @property
     def count(self) -> int:
         return 2 ** len(self.nullspace_basis)
 
-    def vectors(self, limit: int | None = None) -> Iterator[np.ndarray]:
-        """Enumerate solution vectors, particular solution first."""
+    def solutions(self, limit: int | None = None) -> Iterator[PauliString]:
+        """Canonical Hermitian strings of the space, particular solution first."""
         total = self.count if limit is None else min(self.count, limit)
+        low = (1 << self.n) - 1
         for k in range(total):
-            vec = self.particular.copy()
+            t = self.particular
             for i, basis_vec in enumerate(self.nullspace_basis):
                 if (k >> i) & 1:
-                    vec ^= basis_vec
-            yield vec
-
-    def solutions(self, limit: int | None = None) -> Iterator[PauliString]:
-        for vec in self.vectors(limit):
-            yield decode_t(vec, self.n)
+                    t ^= basis_vec
+            yield PauliString.from_xz(self.n, t & low, t >> self.n)
 
 
 def solve_time_reversal(h: PauliSum) -> SymmetrySolution | Infeasible:
     """Solve F t = 1 over GF(2) for the full affine solution space."""
-    parity = build_parity_matrix(h)
-    width = parity.cols
-    augmented = BitMatrix(np.hstack([parity.data, np.ones((parity.rows, 1), dtype=np.uint8)]))
-    reduced, pivots = rref(augmented)
+    width = 2 * h.n
+    # the right-hand side 1 is the least significant (last) column
+    augmented = [row << 1 | 1 for row in build_parity_matrix(h)]
+    reduced, pivots = rref(augmented, width + 1)
     if pivots and pivots[-1] == width:
         return Infeasible(witness_row=len(pivots) - 1)
-    particular = np.zeros(width, dtype=np.uint8)
-    for row_idx, col in enumerate(pivots):
-        particular[col] = reduced.data[row_idx, width]
-    free_cols = [c for c in range(width) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        vec = np.zeros(width, dtype=np.uint8)
-        vec[free] = 1
-        for row_idx, col in enumerate(pivots):
-            vec[col] = reduced.data[row_idx, free]
-        basis.append(vec)
-    return SymmetrySolution(particular, tuple(basis), h.n)
 
+    def column(c: int) -> int:
+        return 1 << (width - 1 - c)
 
-def decode_t(t: Sequence[int] | np.ndarray, n: int) -> PauliString:
-    """Decode a (t_z | t_x) vector into the canonical Hermitian string."""
-    vec = np.asarray(t, dtype=np.uint8)
-    if vec.shape != (2 * n,):
-        raise ValueError(f"expected a vector of length {2 * n}")
-    return PauliString.from_xz(tuple(vec[n:]), tuple(vec[:n]))
+    pivot_rows = [(row >> 1, row & 1, c) for row, c in zip(reduced, pivots)]
+    particular = sum(column(c) for _, rhs, c in pivot_rows if rhs)
+    free_cols = sorted(set(range(width)) - set(pivots))
+    basis = tuple(column(free) + sum(column(c) for row, _, c in pivot_rows if row & column(free))
+                  for free in free_cols)
+    return SymmetrySolution(particular, basis, h.n)
 
 
 def verify_time_reversal(t: PauliString, h: PauliSum) -> bool:
-    """True iff t is a Hermitian involution anticommuting with every term."""
+    """True iff t is a Hermitian involution anticommuting with every term.
+
+    Every Hermitian Pauli string squares to the identity, so Hermiticity
+    and anticommutation are all there is to check.
+    """
     if t.n != h.n:
         raise ValueError(f"qubit counts differ: {t.n} vs {h.n}")
     if not t.hermitian():
-        return False
-    square = multiply(t, t)
-    if square.weight != 0 or square.phase_exp != 0:
         return False
     return all(symplectic_product(t, string) == 1 for _, string in h.terms)

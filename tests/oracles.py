@@ -28,8 +28,8 @@ def kron_matrix(op) -> np.ndarray:
     """Exact 2**n x 2**n matrix of a string or sum via Kronecker products."""
     if isinstance(op, PauliString):
         mat = np.ones((1, 1), dtype=complex)
-        for xb, zb in zip(op.x, op.z):
-            mat = np.kron(mat, _FACTORS[(xb, zb)])
+        for shift in range(op.n - 1, -1, -1):  # qubit 0 is the most significant bit
+            mat = np.kron(mat, _FACTORS[(op.x >> shift & 1, op.z >> shift & 1)])
         return _PHASES[op.phase_exp] * mat
     if isinstance(op, PauliSum):
         total = np.zeros((2 ** op.n, 2 ** op.n), dtype=complex)
@@ -104,15 +104,18 @@ def sector_ground_penalty(h: PauliSum, generators) -> float:
 
 
 def all_pauli_strings(n: int):
-    """Every Hermitian-canonical string on n qubits (4**n of them)."""
+    """Every Hermitian-canonical string on n qubits (4**n of them), the
+    identity first."""
     for code in range(4 ** n):
-        x, z = [], []
-        c = code
-        for _ in range(n):
-            x.append(c & 1)
-            z.append((c >> 1) & 1)
-            c >>= 2
-        yield PauliString.from_xz(tuple(x), tuple(z))
+        yield PauliString.from_xz(n, code >> n, code & ((1 << n) - 1))
+
+
+def bits_to_mask(bits) -> int:
+    """Mask of a qubit-0-first sequence of 0/1 values."""
+    mask = 0
+    for b in bits:
+        mask = mask << 1 | int(b)
+    return mask
 
 
 def brute_force_reversals_dense(h: PauliSum) -> set:
@@ -121,7 +124,7 @@ def brute_force_reversals_dense(h: PauliSum) -> set:
     hd = kron_matrix(h)
     found = set()
     for p in all_pauli_strings(h.n):
-        if p.weight == 0:
+        if not p.x | p.z:
             continue
         pd = kron_matrix(p)
         if np.max(np.abs(pd @ hd + hd @ pd)) == 0.0:
@@ -130,16 +133,16 @@ def brute_force_reversals_dense(h: PauliSum) -> set:
 
 
 def random_hermitian_string(n: int, rng: np.random.Generator) -> PauliString:
-    x = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    z = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    return PauliString.from_xz(x, z)
+    x = bits_to_mask(rng.integers(0, 2, size=n))
+    z = bits_to_mask(rng.integers(0, 2, size=n))
+    return PauliString.from_xz(n, x, z)
 
 
 def random_pauli_sum(n: int, terms: int, rng: np.random.Generator) -> PauliSum:
     picked = []
     for _ in range(terms):
         string = random_hermitian_string(n, rng)
-        while string.weight == 0:
+        while not string.x | string.z:
             string = random_hermitian_string(n, rng)
         picked.append((float(rng.normal()), string))
     return PauliSum(n, tuple(picked))

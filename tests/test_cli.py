@@ -65,6 +65,46 @@ def test_parse_config_rejects_bad_values(mutation, fragment):
     assert fragment in str(err.value)
 
 
+W0_GAUGE_CONFIG = """
+model.kind = z2higgs
+model.n = 8
+model.mu = 1.0
+model.g = 1.0
+method = kqd,ktr
+init = w0-blocks:2
+grid.m = 8
+"""
+
+W0_CLUSTER_CONFIG = """
+model.kind = cluster
+model.n = 8
+model.g_x = 1.0
+model.g_zz = 1.0
+model.g_zxz = 1.0
+method = derivative
+init = w0-blocks:2
+grid.m = 8
+evolution = trotter2:100
+"""
+
+
+@pytest.mark.parametrize("text, route, allowed", [
+    (W0_GAUGE_CONFIG, "kqd,ktr", "kqd"),
+    (W0_CLUSTER_CONFIG, "derivative", "local:2"),
+], ids=["z2higgs", "cluster"])
+def test_w0_blocks_needs_the_alternating_involution(tmp_path, capsys, text, route, allowed):
+    # the w0 block state is stabilized by (Y X)^(n/2) only, so a stabilized
+    # route on a model with another involution is refused before any work
+    with pytest.raises(ConfigError, match="alternating"):
+        parse_config(text)
+    path = tmp_path / "w0.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    # routes that need no stabilized start state keep the w0 block state
+    parse_config(text.replace(f"method = {route}", f"method = {allowed}"))
+
+
 def test_parse_config_rejects_duplicates_and_missing():
     with pytest.raises(ConfigError):
         parse_config(TFIM_CONFIG + "\nmodel.n = 8")
@@ -240,6 +280,26 @@ def test_cli_find_symmetry_cap(tmp_path, capsys):
     assert main(["find-symmetry", str(path), "--max-solutions", "4"]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 4
+    # a cap below 1 is a usage error, reported before anything is parsed
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["find-symmetry", str(path), "--max-solutions", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
+
+
+def test_cli_find_symmetry_enumeration_order(tmp_path, capsys):
+    # particular solution first, then XOR combinations of the nullspace basis
+    # in binary-counter order
+    h = build(ModelSpec("z2higgs", 6, {"mu": 1.0, "g": 1.0}))
+    path = tmp_path / "gauge.txt"
+    path.write_text(pauli_sum_to_text(h))
+    assert main(["find-symmetry", str(path), "--max-solutions", "8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["ZZYZZZ", "YYYZZZ", "YZZYZZ", "ZYZYZZ",
+                                    "YZZZYZ", "ZYZZYZ", "ZZYYYZ", "YYYYYZ"]
+    assert captured.err == "# 8 more solution(s) not shown\n"
 
 
 def test_cli_spectrum(tmp_path, capsys):

@@ -105,9 +105,8 @@ def test_cluster_solutions_are_the_reversal_dual_of_tfim():
             build(ModelSpec("cluster", n, {"g_x": 1.0, "g_zz": 1.0, "g_zxz": 1.0})))
         assert not isinstance(tfim, Infeasible)
         assert not isinstance(cluster, Infeasible)
-        swap = lambda vec: np.concatenate([vec[n:], vec[:n]])
-        tfim_swapped = {tuple(swap(v)) for v in tfim.vectors()}
-        cluster_set = {tuple(v) for v in cluster.vectors()}
+        tfim_swapped = {(t.z, t.x) for t in tfim.solutions()}
+        cluster_set = {(t.x, t.z) for t in cluster.solutions()}
         assert tfim_swapped == cluster_set
 
 

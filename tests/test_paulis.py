@@ -17,7 +17,8 @@ from ktr.states import EvolutionPlan
 from ktr.models import ModelSpec, build
 
 from helpers import pauli_sum_to_text
-from oracles import all_pauli_strings, kron_matrix, random_hermitian_string, random_pauli_sum
+from oracles import (all_pauli_strings, bits_to_mask, kron_matrix, random_hermitian_string,
+                     random_pauli_sum)
 
 
 def test_dense_single_qubit_definitions():
@@ -69,7 +70,7 @@ def test_multiply_hermitian_square_is_identity():
     for _ in range(25):
         p = random_hermitian_string(4, rng)
         sq = multiply(p, p)
-        assert sq.weight == 0 and sq.phase_exp == 0
+        assert sq.x == sq.z == 0 and sq.phase_exp == 0
 
 
 def test_multiply_phase_exact_and_associative():
@@ -92,7 +93,7 @@ def test_two_qubit_product_example():
     prod = multiply(yx, xx)
     assert np.allclose(dense_matrix(prod), dense_matrix(yx) @ dense_matrix(xx))
     # support is Z (x) I, up to phase
-    assert prod.x == (0, 0) and prod.z == (1, 0)
+    assert prod.x == 0b00 and prod.z == 0b10
 
 
 def test_hermitian_flag_matches_dense():
@@ -100,7 +101,7 @@ def test_hermitian_flag_matches_dense():
     for _ in range(40):
         base = random_hermitian_string(3, rng)
         for extra in range(4):
-            p = PauliString(base.x, base.z, (base.phase_exp + extra) % 4)
+            p = PauliString(base.n, base.x, base.z, (base.phase_exp + extra) % 4)
             pd = dense_matrix(p)
             assert p.hermitian() == np.allclose(pd, pd.conj().T)
 
@@ -118,7 +119,7 @@ def test_dense_matrix_equals_kronecker_build():
     for _ in range(40):
         n = int(rng.integers(1, 7))
         x, z = rng.integers(0, 2, size=(2, n))
-        p = PauliString(tuple(x), tuple(z), int(rng.integers(0, 4)))  # any phase
+        p = PauliString(n, bits_to_mask(x), bits_to_mask(z), int(rng.integers(0, 4)))  # any phase
         assert np.array_equal(dense_matrix(p), kron_matrix(p))
     for _ in range(10):
         h = random_pauli_sum(int(rng.integers(1, 7)), 6, rng)
@@ -137,11 +138,11 @@ def test_action_diag_is_real_exactly_for_phase_plus_minus_one():
     for label in ("I", "XZIX", "ZZZ", "YY", "XYZY", "YYYY"):  # even Y count
         assert PauliString.from_label(label).action()[1].dtype == np.float64
     for phase in (0, 2):
-        assert PauliString((1, 1, 0), (0, 1, 1), phase).action()[1].dtype == np.float64
+        assert PauliString(3, 0b110, 0b011, phase).action()[1].dtype == np.float64
     for label in ("Y", "XYZ", "YYY"):  # odd Y count
         assert PauliString.from_label(label).action()[1].dtype == np.complex128
     for phase in (1, 3):
-        assert PauliString((1, 0), (0, 1), phase).action()[1].dtype == np.complex128
+        assert PauliString(2, 0b10, 0b01, phase).action()[1].dtype == np.complex128
 
 
 def test_real_diag_acts_like_its_complex_copy_bit_for_bit():
@@ -167,24 +168,29 @@ def test_parsing_keeps_every_validation_error():
         PauliString.from_label("X\u00e9")
     with pytest.raises(ValueError, match="invalid Pauli letter 'x'"):
         pauli_sum_from_text("1.0 XX\n0.5 xZ\n")
-    for bits in ((0, 2), (0, -1), (1, 256), (0.5, 3)):
-        with pytest.raises(ValueError, match="0/1"):
-            PauliString(bits, (0, 0), 0)
-        with pytest.raises(ValueError, match="0/1"):
-            PauliString.from_xz((0, 0), bits)
-    with pytest.raises(ValueError, match="length"):
-        PauliString.from_xz((0, 1), (1,))
+    # every parse error of a term names its line
+    for text, message in (("1.0 XX\n0.5 xZ\n", "line 2: invalid Pauli letter 'x'"),
+                          ("abc XZ\n", "line 1: could not convert string to float"),
+                          ("1.0 XX\nnan XZ\n", "line 2: coefficients must be finite reals"),
+                          ("# header\ninf XZ\n", "line 2: coefficients must be finite reals")):
+        with pytest.raises(ValueError, match=message):
+            pauli_sum_from_text(text)
+    # supports are plain ints in [0, 2**n): no negative, oversized, bool or float mask
+    for mask in (-1, 4, 256, True, 1.0):
+        with pytest.raises(ValueError, match=r"ints in \[0, 2\*\*2\)"):
+            PauliString(2, mask, 0, 0)
+        with pytest.raises(ValueError, match=r"ints in \[0, 2\*\*2\)"):
+            PauliString.from_xz(2, 0, mask)
     with pytest.raises(ValueError, match="mod 4"):
-        PauliString((0,), (1,), 4)
+        PauliString(1, 0, 1, 4)
     with pytest.raises(ValueError, match="qubit count changed"):
         pauli_sum_from_text("1.0 XX\n0.5 XZZ\n")
-    # every accepted spelling gives the same string with plain int bits
-    want = PauliString((1, 1, 0), (0, 1, 1), 1)
-    for got in (PauliString.from_label("XYZ"), PauliString.from_xz([1, 1, 0], [0, 1, 1]),
-                PauliString.from_xz(np.array([1, 1, 0]), (b for b in (0, 1, 1))),
-                PauliString((True, True, False), (0.0, 1.0, 1.0), 1)):
+    with pytest.raises(ValueError, match="finite"):
+        PauliSum(1, ((float("nan"), PauliString.from_label("X")),))
+    # every constructor gives the same string
+    want = PauliString(3, 0b110, 0b011, 1)
+    for got in (PauliString.from_label("XYZ"), PauliString.from_xz(3, 0b110, 0b011)):
         assert got == want and got.label() == "XYZ"
-        assert all(type(b) is int for b in got.x + got.z)
 
 
 def test_commutes_on_known_pairs():
@@ -225,7 +231,7 @@ def test_commutes_agrees_with_the_dense_commutator(n, k_a, k_b, pairing, seed):
 
 def test_dense_cap():
     with pytest.raises(ResourceLimitError):
-        dense_matrix(PauliString.identity(15))
+        dense_matrix(PauliString.from_label("I" * 15))
 
 
 def test_every_dense_entry_point_refuses_above_the_cap_before_allocating():
@@ -287,7 +293,7 @@ def test_iht_dense_identity_random():
     built = 0
     while built < 10:
         t = random_hermitian_string(4, rng)
-        if t.weight == 0:
+        if not t.x | t.z:
             continue
         terms = []
         for _ in range(5):

@@ -77,13 +77,13 @@ def test_statevector_cap_refuses_before_allocating():
 @st.composite
 def _kernel_case(draw):
     n = draw(st.integers(1, 6))
-    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    masks = st.integers(0, 2 ** n - 1)
     if draw(st.booleans()):
-        op = PauliString(tuple(draw(bits)), tuple(draw(bits)), draw(st.integers(0, 3)))
+        op = PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
     else:
-        terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), bits, bits),
+        terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), masks, masks),
                               min_size=1, max_size=5))
-        op = PauliSum(n, tuple((c, PauliString.from_xz(x, z)) for c, x, z in terms))
+        op = PauliSum(n, tuple((c, PauliString.from_xz(n, x, z)) for c, x, z in terms))
     dim = 2 ** n
     shape = draw(st.sampled_from([(dim,), (dim, draw(st.integers(1, 4))), (dim, dim)]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -252,7 +252,7 @@ def test_expectation_flags_imaginary_residue():
     value = matrix_element(s, h, s)
     assert abs(value.imag) <= 1e-12  # sane on Hermitian input
     bad = PauliSum(2, ((1.0, PauliString.from_label("XX")),))
-    object.__setattr__(bad, "terms", ((1.0, PauliString((1, 1), (0, 0), 1)),))
+    object.__setattr__(bad, "terms", ((1.0, PauliString(2, 0b11, 0b00, 1)),))
     with pytest.raises(InternalInconsistencyError):
         expectation(s, bad)
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from ktr.models import ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.symmetry import (BitMatrix, Infeasible, build_parity_matrix, decode_t, rref,
+from ktr.symmetry import (Infeasible, SymmetrySolution, build_parity_matrix, rref,
                           solve_time_reversal, verify_time_reversal)
 
-from oracles import all_pauli_strings, brute_force_reversals_dense, random_pauli_sum
+from oracles import (all_pauli_strings, bits_to_mask, brute_force_reversals_dense,
+                     random_pauli_sum)
 
 
 def _chain(n, letters, start):
@@ -23,19 +24,19 @@ def _chain(n, letters, start):
 def test_parity_row_example():
     h = PauliSum(4, ((1.0, PauliString.from_label("XYZI")),))
     m = build_parity_matrix(h)
-    assert m.data.tolist() == [[1, 1, 0, 0, 0, 1, 1, 0]]
+    assert m == (0b1100_0110,)
 
 
 def test_parity_matrix_strips_identity_terms():
-    h = PauliSum(3, ((2.0, PauliString.identity(3)),
+    h = PauliSum(3, ((2.0, PauliString.from_label("III")),
                       (1.0, _chain(3, "X", 0))))
     with pytest.warns(UserWarning):
         m = build_parity_matrix(h)
-    assert m.rows == 1
+    assert len(m) == 1
 
 
 def test_parity_matrix_empty_is_an_error():
-    h = PauliSum(3, ((2.0, PauliString.identity(3)),))
+    h = PauliSum(3, ((2.0, PauliString.from_label("III")),))
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError):
             build_parity_matrix(h)
@@ -46,31 +47,30 @@ def test_parity_matrix_tfim_three_sites():
     terms = [(-1.0, _chain(3, "XX", 0)), (-1.0, _chain(3, "XX", 1))]
     terms += [(-0.5, _chain(3, "Z", i)) for i in range(3)]
     m = build_parity_matrix(PauliSum(3, tuple(terms)))
-    assert (m.rows, m.cols) == (5, 6)
-    assert m.data.tolist() == [
-        [1, 1, 0, 0, 0, 0],
-        [0, 1, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-    ]
+    assert m == (
+        0b110_000,
+        0b011_000,
+        0b000_100,
+        0b000_010,
+        0b000_001,
+    )
 
 
 def test_rref_identity_fixed_point():
-    eye = BitMatrix(np.eye(4, dtype=np.uint8))
-    reduced, pivots = rref(eye)
+    eye = (0b1000, 0b0100, 0b0010, 0b0001)
+    reduced, pivots = rref(eye, 4)
     assert reduced == eye and pivots == (0, 1, 2, 3)
 
 
 def test_rref_idempotent_and_cancels_duplicates():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        a = rng.integers(0, 2, size=(5, 7)).astype(np.uint8)
+        a = [bits_to_mask(row) for row in rng.integers(0, 2, size=(5, 7))]
         a[3] = a[1]  # duplicated row must vanish
-        reduced, pivots = rref(BitMatrix(a))
-        again, pivots2 = rref(reduced)
+        reduced, pivots = rref(a, 7)
+        again, pivots2 = rref(reduced, 7)
         assert again == reduced and pivots2 == pivots
-        assert not reduced.data[len(pivots):].any()
+        assert not any(reduced[len(pivots):])
         assert list(pivots) == sorted(pivots)
 
 
@@ -100,9 +100,10 @@ def test_tfim_solution_space():
 
 
 def test_decode_trivial_and_hermitian_phase():
-    t_all_x = decode_t(np.array([0, 0, 1, 1], dtype=np.uint8), 2)
+    # (t_z | t_x) = (00 | 11) and (11 | 11)
+    (t_all_x,) = SymmetrySolution(0b00_11, (), 2).solutions()
     assert t_all_x.label() == "XX"
-    t_all_y = decode_t(np.ones(4, dtype=np.uint8), 2)
+    (t_all_y,) = SymmetrySolution(0b11_11, (), 2).solutions()
     assert t_all_y.label() == "YY"
     td = dense_matrix(t_all_y)
     assert np.allclose(td, td.conj().T)
@@ -205,11 +206,12 @@ def test_odd_interaction_rule():
 def test_solution_count_and_vector_enumeration():
     spec = ModelSpec("tfim", 4, {"gamma": 0.3})
     sol = solve_time_reversal(build(spec))
-    vectors = list(sol.vectors())
-    assert len(vectors) == sol.count
+    solutions = list(sol.solutions())
+    assert len(solutions) == sol.count
     parity = build_parity_matrix(build(spec))
-    for vec in vectors:
-        assert np.all((parity.data @ vec) % 2 == 1)
+    for s in solutions:
+        vec = s.z << s.n | s.x  # (t_z | t_x)
+        assert all((row & vec).bit_count() % 2 == 1 for row in parity)
 
 
 def test_symmetry_search_never_compiles_pauli_actions():

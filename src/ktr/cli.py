@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -411,7 +412,12 @@ def _positive_int(text: str) -> int:
 
 def _cmd_find_symmetry(args) -> int:
     h = pauli_sum_from_text(Path(args.hamiltonian).read_text())
-    outcome = solve_time_reversal(h)
+    # one plain line per library warning, not Python's file:line report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = solve_time_reversal(h)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if isinstance(outcome, Infeasible):
         print("INFEASIBLE")
         return 0

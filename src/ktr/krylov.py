@@ -34,7 +34,9 @@ increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
 samples_per_step) on the fine grid.  A pencil then sees powers of one
 Trotter step unitary and B is a Gram matrix; ``kqd`` and the half-time
 routes differ when ceil(dt * spu) != 2 ceil(dt / 2 * spu) for
-steps_per_unit spu.  Exact evolution restarts from the start state.
+steps_per_unit spu.  Exact evolution restarts from the start state, more
+precisely from its eigen-coefficients Q+ v0, which the plan computes once
+per start state and caches (see :func:`ktr.states.evolve`).
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def _sample_states(plan: EvolutionPlan, step: float, count: int,
     """exp(-i k step H)|s> for each s in ``starts``, one list per k < count.
 
     ``trotter2`` advances the last states by one ``evolve(plan, step, .)``;
-    exact evolution, exact at any time, restarts from ``starts`` so that
-    rounding does not build up over k."""
+    exact evolution, exact at any time, restarts from ``starts`` (from their
+    cached eigen-coefficients) so that rounding does not build up over k."""
     states = starts
     yield states
     for k in range(1, count):

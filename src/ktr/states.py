@@ -18,14 +18,21 @@ term with an odd number of Y factors runs the same code in complex128.
 States above :data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
 :class:`ResourceLimitError` before anything is allocated.
 
-All values are immutable after construction and all operations are pure,
-so states and plans can be shared freely across threads (a compiled
-action cached by two threads at once is the same read-only pair).
+All values are immutable after construction and no operation has a
+visible side effect, so states and plans can be shared freely across
+threads.  Two caches fill on first use, each with read-only arrays that
+any thread computes bit for bit the same: the compiled actions, as in
+:meth:`ktr.paulis.PauliSum.compiled`, and an exact plan's memo of the
+eigen-coefficients Q+ s of each start state s, so that later evolutions
+of s skip the Q+ product (two real matrix-vector products per sample
+instead of four for real H).  The memo holds its states weakly and keeps
+nothing alive that the caller has dropped.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 import numpy as np
 
@@ -39,9 +46,9 @@ EXPECTATION_IMAG_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm amplitude vector on n qubits."""
+    """Unit-norm amplitude vector on n qubits; equal and hashed by identity."""
 
     n: int
     amps: np.ndarray
@@ -117,10 +124,14 @@ class EvolutionPlan:
 
     ``exact`` mode factorizes the dense Hamiltonian once (H = Q L Q+) and
     applies U(t) = Q exp(-i t L) Q+; the factorization is cached and
-    read-only, so concurrent evolutions may share it.  ``trotter2`` mode
-    applies the symmetric second-order splitting (term exponentials in stored
-    order forward, then backward, with half steps): one ``evolve`` over an
-    increment dtau takes ceil(|dtau| * steps_per_unit) equal steps.
+    read-only, so concurrent evolutions may share it.  The plan also
+    memoizes the eigen-coefficients Q+ s of each state s it evolves, keyed
+    weakly by the state object, so evolving one start state to many times
+    pays for Q+ once; an entry is read-only and goes when its state is
+    collected.  ``trotter2`` mode applies the symmetric second-order
+    splitting (term exponentials in stored order forward, then backward,
+    with half steps): one ``evolve`` over an increment dtau takes
+    ceil(|dtau| * steps_per_unit) equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
@@ -137,6 +148,8 @@ class EvolutionPlan:
         self._factorization: tuple[np.ndarray, np.ndarray] | None = None
         # evecs.conj().T, kept for evolve: a view of evecs when H is real
         self._adjoint: np.ndarray | None = None
+        # Q+ s per evolved state s (exact mode), dropped with s
+        self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @classmethod
     def exact(cls, h: PauliSum) -> "EvolutionPlan":
@@ -194,15 +207,24 @@ def _trotter_step(amps: np.ndarray, rotations: list) -> np.ndarray:
 
 
 def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
-    """exp(-i t H) |s> under the plan's strategy."""
+    """exp(-i t H) |s> under the plan's strategy.
+
+    Exact mode takes the phase at the full t, so evolving one start state
+    to many times builds up no rounding; the eigen-coefficients Q+ s come
+    from the plan's memo after the first call on s.
+    """
     if plan.h.n != s.n:
         raise ValueError(f"qubit counts differ: {plan.h.n} vs {s.n}")
     if t == 0.0:
         return s
     if plan.mode == "exact":
         evals, evecs = plan.factorization()
-        amps = _matvec(evecs, np.exp(-1j * t * evals) * _matvec(plan._adjoint, s.amps))
-        return StateVector(s.n, amps)
+        coeffs = plan._coefficients.get(s)
+        if coeffs is None:
+            coeffs = _matvec(plan._adjoint, s.amps)
+            coeffs.flags.writeable = False
+            plan._coefficients[s] = coeffs
+        return StateVector(s.n, _matvec(evecs, np.exp(-1j * t * evals) * coeffs))
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     dt = t / steps
     rotations = []

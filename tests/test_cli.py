@@ -273,6 +273,18 @@ def test_cli_find_symmetry(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "INFEASIBLE"
 
 
+def test_cli_find_symmetry_reports_identity_terms_in_one_line(tmp_path, capsys, recwarn):
+    path = tmp_path / "shifted.txt"
+    path.write_text("0.5 IIII\n1.0 XXII\n1.0 IZZI\n")
+    assert main(["find-symmetry", str(path), "--max-solutions", "2"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    err = captured.err.splitlines()
+    assert err[0] == "warning: ignored 1 identity term(s) while encoding the parity matrix"
+    assert "UserWarning" not in captured.err and ".py:" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
 def test_cli_find_symmetry_cap(tmp_path, capsys):
     # a Hamiltonian with a large solution space hits the cap
     path = tmp_path / "tiny.txt"

@@ -1,5 +1,8 @@
 """Statevector kernel: Pauli action, inner products, evolution."""
 
+import gc
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +15,7 @@ from ktr.errors import InternalInconsistencyError, ResourceLimitError
 from ktr.gevp import exact_reference
 from ktr.models import ModelSpec, build
 from ktr.paulis import PauliString, PauliSum, apply_sum, dense_matrix
-from ktr.states import (EvolutionPlan, StateVector, apply_pauli, apply_pauli_to_array,
+from ktr.states import (EvolutionPlan, StateVector, _matvec, apply_pauli, apply_pauli_to_array,
                         evolve, expectation, inner, matrix_element, plus_state, tensor_states)
 from ktr.symmetry import Infeasible, solve_time_reversal
 from ktr.initial import ProjectorSpec, project
@@ -237,6 +240,38 @@ def test_exact_path_follows_the_hamiltonian_dtype(h, dtype):
         assert np.max(np.abs(got - dense_evolution(hd, t) @ s.amps)) <= 1e-12
 
 
+@pytest.mark.parametrize("h", [build(ModelSpec("tfim", 6, {"gamma": 0.7})), _ODD_Y],
+                         ids=["real", "complex"])
+def test_exact_evolution_reuses_start_coefficients(h):
+    hd = kron_matrix(h)
+    plan = EvolutionPlan.exact(h)
+    evals, evecs = plan.factorization()
+    s = random_state(h.n, np.random.default_rng(72))
+    memo = []
+    for k in range(1, 33):
+        t = 0.25 * k
+        got = evolve(plan, t, s).amps
+        # the same arithmetic with Q+ s recomputed on every call
+        want = _matvec(evecs, np.exp(-1j * t * evals) * _matvec(evecs.conj().T, s.amps))
+        assert np.array_equal(got, want)
+        assert np.max(np.abs(got - dense_evolution(hd, t) @ s.amps)) <= 1e-12
+        memo.append(plan._coefficients[s])
+    assert len(plan._coefficients) == 1 and all(c is memo[0] for c in memo)
+    assert not memo[0].flags.writeable
+
+
+def test_coefficient_memo_keeps_nothing_alive():
+    plan = EvolutionPlan.exact(build(ModelSpec("tfim", 4, {"gamma": 0.5})))
+    s = random_state(4, np.random.default_rng(73))
+    evolve(plan, 0.5, s)
+    ref = weakref.ref(s)
+    assert len(plan._coefficients) == 1
+    del s
+    gc.collect()
+    assert ref() is None
+    assert len(plan._coefficients) == 0
+
+
 def test_matrix_element_matches_dense():
     h = build(ModelSpec("tfim", 4, {"gamma": 0.7}))
     rng = np.random.default_rng(44)
@@ -267,5 +302,21 @@ def test_concurrent_evolutions_share_factorization():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda args: evolve(plan, args[0], args[1]).amps,
                                  zip(times, states)))
+    for seq, par in zip(sequential, parallel):
+        assert np.array_equal(seq, par)
+
+    # four threads evolve one start state that nothing has evolved before, so
+    # they race to fill its memo entry; the barrier lines up each round of 4
+    shared = random_state(6, rng)
+    times = list(rng.uniform(-2, 2, size=8))
+    barrier = threading.Barrier(4, timeout=30)
+
+    def evolve_shared(t):
+        barrier.wait()
+        return evolve(plan, t, shared).amps
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(evolve_shared, times))
+    sequential = [evolve(plan, t, shared).amps for t in times]
     for seq, par in zip(sequential, parallel):
         assert np.array_equal(seq, par)

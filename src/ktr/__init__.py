@@ -21,7 +21,7 @@ from .paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
 from .symmetry import (Infeasible, SymmetrySolution, build_parity_matrix, rref,
                        solve_time_reversal, verify_time_reversal)
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve, expectation,
-                     inner, matrix_element, plus_state, tensor_states)
+                     inner, matrix_element, plus_state)
 from .initial import (ProjectorSpec, build_block_product, build_block_state_w0,
                       enumerate_local_projectors, project)
 from .krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,

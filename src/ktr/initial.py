@@ -9,12 +9,16 @@ and projecting any state onto P_alpha yields an eigenstate of T with
 eigenvalue (-1)**sum(alpha).  The single-block patterns alpha = (0,) and
 (1,) recover the complementary global projectors (I +- T) / 2.
 
-Projections are applied vectorially, one block at a time, so no dense
-2**n x 2**n matrix is ever formed.
+Each factor T_j is held as an n-qubit string, T restricted to its window
+(identity elsewhere); the windows are disjoint, so the factors commute and
+multiply back to T.  Projections apply the factors' compiled actions to
+the amplitudes one at a time, so no dense 2**n x 2**n matrix is ever
+formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateProjectionError
-from .paulis import PauliString, embed, split_blocks
-from .states import StateVector, apply_pauli_to_array, plus_state, tensor_states
+from .paulis import PauliString, check_state_qubits
+from .states import StateVector, apply_pauli_to_array, plus_state
 
 #: projection probabilities below this are treated as a vanishing projection
 PROJECTION_PROB_FLOOR = 1e-12
@@ -31,61 +35,63 @@ PROJECTION_PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ProjectorSpec:
-    """Blockwise projector: block involutions plus a sign pattern."""
+    """Blockwise projector: n-qubit involution factors on disjoint supports
+    plus a sign pattern."""
 
     t_blocks: tuple[PauliString, ...]
     alpha: tuple[int, ...]
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "t_blocks", tuple(self.t_blocks))
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        if len(self.t_blocks) != len(self.alpha):
-            raise ValueError("one sign bit per block is required")
         if any(a not in (0, 1) for a in self.alpha):
             raise ValueError("alpha must be a bit pattern")
-        if sum(b.n for b in self.t_blocks) != self.n:
-            raise ValueError("block sizes must sum to the qubit count")
+        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        if not self.t_blocks:
+            raise ValueError("need at least one block")
+        if len(self.t_blocks) != len(self.alpha):
+            raise ValueError("one sign bit per block is required")
+        support = 0
         for block in self.t_blocks:
+            if block.n != self.n:
+                raise ValueError("all blocks must share the qubit count")
             if not block.hermitian():
                 raise ValueError(f"block {block!r} is not Hermitian")
-
-    @classmethod
-    def single_block(cls, t: PauliString, flip: int = 0) -> "ProjectorSpec":
-        """Global projector (I + (-1)**flip T) / 2."""
-        return cls((t,), (flip,), t.n)
+            if support & (block.x | block.z):
+                raise ValueError("block supports must be disjoint")
+            support |= block.x | block.z
 
     @classmethod
     def blocks_of(cls, t: PauliString, alpha: Sequence[int]) -> "ProjectorSpec":
-        """Split ``t`` into len(alpha) equal contiguous blocks."""
+        """Cut ``t`` into len(alpha) equal contiguous windows, one factor each.
+
+        A factor is ``t`` masked to its window; canonical phases add over
+        disjoint supports, so the factors multiply back to ``t`` exactly.
+        """
         s = len(alpha)
         if s < 1 or t.n % s != 0:
             raise ValueError(f"cannot split {t.n} qubits into {s} equal blocks")
-        blocks = split_blocks(t, [t.n // s] * s)
-        return cls(tuple(blocks), tuple(alpha), t.n)
+        if t.phase_exp != t.canonical_phase():
+            raise ValueError("only canonical-phase strings can be split")
+        size = t.n // s
+        windows = [((1 << size) - 1) << (t.n - (j + 1) * size) for j in range(s)]
+        return cls(tuple(PauliString.from_xz(t.n, t.x & w, t.z & w) for w in windows), alpha)
+
+    @property
+    def n(self) -> int:
+        return self.t_blocks[0].n
 
     @property
     def parity(self) -> int:
         """Stabilizer sign (-1)**sum(alpha) of the projected states."""
         return -1 if sum(self.alpha) % 2 else 1
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out = []
-        pos = 0
-        for block in self.t_blocks:
-            out.append(pos)
-            pos += block.n
-        return tuple(out)
-
 
 def project_array(amps: np.ndarray, spec: ProjectorSpec) -> np.ndarray:
-    """Unnormalized P|phi> on raw amplitudes, block by block."""
+    """Unnormalized P|phi> on raw amplitudes, one factor at a time."""
     work = amps
-    for offset, block, flip in zip(spec.offsets, spec.t_blocks, spec.alpha):
+    for block, flip in zip(spec.t_blocks, spec.alpha):
         sign = -1.0 if flip else 1.0
-        reflected = apply_pauli_to_array(work, embed(block, spec.n, offset))
-        work = 0.5 * (work + sign * reflected)
+        work = 0.5 * (work + sign * apply_pauli_to_array(work, block))
     return work
 
 
@@ -103,17 +109,9 @@ def project(phi: StateVector, spec: ProjectorSpec) -> StateVector:
 
 
 def enumerate_local_projectors(t_blocks: Sequence[PauliString]) -> list[ProjectorSpec]:
-    """All 2**s sign patterns over the s given blocks, in binary order."""
-    blocks = tuple(t_blocks)
-    s = len(blocks)
-    if s < 1:
-        raise ValueError("need at least one block")
-    n = sum(b.n for b in blocks)
-    specs = []
-    for i in range(2 ** s):
-        alpha = tuple((i >> (s - 1 - j)) & 1 for j in range(s))
-        specs.append(ProjectorSpec(blocks, alpha, n))
-    return specs
+    """All 2**s sign patterns over the s given factors, in binary order."""
+    return [ProjectorSpec(t_blocks, alpha)
+            for alpha in itertools.product((0, 1), repeat=len(t_blocks))]
 
 
 def build_block_state_w0(r: int) -> StateVector:
@@ -137,8 +135,9 @@ def build_block_state_w0(r: int) -> StateVector:
 
 def build_block_product(r: int, s: int) -> StateVector:
     """s-fold tensor power of the block state, on r*s qubits."""
-    w0 = build_block_state_w0(r)
-    out = w0
+    check_state_qubits(r * s)
+    w0 = build_block_state_w0(r).amps
+    amps = w0
     for _ in range(s - 1):
-        out = tensor_states(out, w0)
-    return out
+        amps = np.kron(amps, w0)
+    return StateVector(r * s, amps)

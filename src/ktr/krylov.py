@@ -18,12 +18,13 @@ and differs only in its branch list and its times:
 * ``build_ktr`` -- [(c, v0)] for a stabilized start state T|v0> = c|v0>,
   at half times t_j / 2: B row b (real), A row i a (purely imaginary).
   The sign c = +-1 is measured from v0 itself, in ``_stabilized``;
-* ``implicit_hadamard_rows`` -- an arbitrary start state phi split by the
-  complementary projectors (I +- T) / 2 into [(+p, v+), (-p', v-)] with
-  p, p' the projection probabilities: B row Re <phi|U(t_j)|phi> and A row
-  i Im <phi|U(t_j) H|phi>, with no controlled evolution anywhere;
-* ``extended_local_pencil`` -- the blockwise-projector generalization,
-  [(parity_i p_i, v_i)] over the most probable projections;
+* ``extended_local_pencil`` -- an arbitrary start state phi split by the
+  blockwise projectors P_alpha into [(parity_i p_i, v_i)] over the most
+  probable projections, p_i the projection probabilities;
+* ``implicit_hadamard_rows`` -- the local route on the one-block set, the
+  complementary projectors (I +- T) / 2: [(+p, v+), (-p', v-)] gives
+  B row Re <phi|U(t_j)|phi> and A row i Im <phi|U(t_j) H|phi>, with no
+  controlled evolution anywhere;
 * ``sample_expectation_curves`` -- the same [(c, v0)] on a fine grid:
   c-weighted curves, whose samples at h_j are the ``ktr`` rows, and from
   which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b`` rebuild one
@@ -48,8 +49,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NotTimeReversalError
-# ``project`` has no caller here but stays importable: the benchmark tracer wraps ktr.krylov.project
-from .initial import PROJECTION_PROB_FLOOR, ProjectorSpec, project, project_array  # noqa: F401
+from .initial import (PROJECTION_PROB_FLOOR, ProjectorSpec, enumerate_local_projectors,
+                      project_array)
+# no caller here, but the benchmark tracer wraps ktr.krylov.project
+from .initial import project  # noqa: F401
 from .paulis import PauliString, PauliSum, build_iht_observable
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve,
                      expectation, inner, matrix_element)
@@ -244,11 +247,9 @@ def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
     where w = <phi|P|phi> and h_j = t_j / 2.  A projection whose weight
     vanishes drops out of the combination and is skipped, which covers
     symmetric start states where the route degenerates to ``build_ktr``.
+    This is the local route on the one-block set {(I + T) / 2, (I - T) / 2}.
     """
-    _check_unit_norm(phi)
-    pair = [ProjectorSpec.single_block(t, 0), ProjectorSpec.single_block(t, 1)]
-    a, b = _signed_curves(h, t, _ranked_branches(phi, pair, 2), 0.5 * grid.dt, grid.m, plan)
-    return ToeplitzPencil(1j * a, b, grid)
+    return extended_local_pencil(phi, enumerate_local_projectors((t,)), h, t, grid, plan, 2)
 
 
 def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
@@ -261,7 +262,7 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
     full set this equals Re <phi| sum_i P_i U(t_j) P_i |phi>.  The A row
     applies the same signed combination to the observable iHT, mirroring
     the imaginary-part estimator of the implicit route; with a single block
-    and the full set this reproduces :func:`implicit_hadamard_rows` exactly.
+    and the full set it is :func:`implicit_hadamard_rows`.
     """
     if not 1 <= subset_size <= len(projector_set):
         raise ValueError("subset size out of range")

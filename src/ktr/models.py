@@ -50,12 +50,6 @@ class ModelSpec:
             raise ValueError("the gauge model needs an even qubit count >= 4")
 
 
-def _single(n: int, letter: str, site: int) -> PauliString:
-    label = ["I"] * n
-    label[site] = letter
-    return PauliString.from_label("".join(label))
-
-
 def _window(n: int, letters: str, start: int) -> PauliString:
     label = ["I"] * n
     for k, letter in enumerate(letters):
@@ -72,18 +66,18 @@ def build(spec: ModelSpec) -> PauliSum:
         for i in range(n - 1):
             terms.append((-1.0, _window(n, "XX", i)))
         for i in range(n):
-            terms.append((-p["gamma"], _single(n, "Z", i)))
+            terms.append((-p["gamma"], _window(n, "Z", i)))
     elif spec.kind == "z2higgs":
         for link in range(1, n, 2):
             if link + 1 < n:  # interior link: vertices on both sides
                 terms.append((-1.0, _window(n, "ZZZ", link - 1)))
         for vertex in range(0, n, 2):
-            terms.append((-p["mu"], _single(n, "X", vertex)))
+            terms.append((-p["mu"], _window(n, "X", vertex)))
         for link in range(1, n, 2):
-            terms.append((-p["g"], _single(n, "X", link)))
+            terms.append((-p["g"], _window(n, "X", link)))
     elif spec.kind == "cluster":
         for i in range(n):
-            terms.append((-p["g_x"], _single(n, "X", i)))
+            terms.append((-p["g_x"], _window(n, "X", i)))
         for i in range(n - 1):
             terms.append((-p["g_zz"], _window(n, "ZZ", i)))
         for i in range(n - 2):

@@ -11,9 +11,9 @@ computational-basis index, so the masks act on basis indices directly.
 A string is Hermitian exactly when ``phase_exp`` has the same parity as
 ``popcount(x & z)``; the canonical Hermitian phase ``popcount(x & z) % 4``
 makes the stored operator equal to the literal product of {I, X, Y, Z}
-factors, since Y = i X Z.  Products, commutation and block splits are
-integer operations on the masks, so strings on hundreds of qubits stay
-cheap for the GF(2) code of :mod:`ktr.symmetry`, which reads the same masks.
+factors, since Y = i X Z.  Products and commutation are integer
+operations on the masks, so strings on hundreds of qubits stay cheap for
+the GF(2) code of :mod:`ktr.symmetry`, which reads the same masks.
 
 Hamiltonians are real-weighted sums of Hermitian strings (:class:`PauliSum`)
 with a line-oriented text interchange format, ``<coeff> <label>`` per term,
@@ -44,8 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .errors import NotTimeReversalError, ResourceLimitError
@@ -184,33 +182,6 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     swaps = (p.z & q.x).bit_count()
     phase = (p.phase_exp + q.phase_exp + 2 * swaps) % 4
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
-
-
-def embed(p: PauliString, n: int, offset: int) -> PauliString:
-    """Place ``p`` on qubits [offset, offset + p.n) of an n-qubit register."""
-    if offset < 0 or offset + p.n > n:
-        raise ValueError("embedding window out of range")
-    shift = n - offset - p.n  # qubits right of the window sit in the low bits
-    return PauliString(n, p.x << shift, p.z << shift, p.phase_exp)
-
-
-def split_blocks(p: PauliString, sizes: Sequence[int]) -> list[PauliString]:
-    """Split a canonical Hermitian string into contiguous tensor blocks.
-
-    The blocks multiply back to ``p`` exactly because canonical phases are
-    additive over disjoint supports.
-    """
-    if sum(sizes) != p.n:
-        raise ValueError("block sizes must sum to the qubit count")
-    if p.phase_exp != p.canonical_phase():
-        raise ValueError("only canonical-phase strings can be split")
-    out = []
-    shift = p.n
-    for size in sizes:
-        shift -= size
-        block = (1 << size) - 1
-        out.append(PauliString.from_xz(size, p.x >> shift & block, p.z >> shift & block))
-    return out
 
 
 @dataclass(frozen=True)

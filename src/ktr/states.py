@@ -75,11 +75,6 @@ def plus_state(n: int) -> StateVector:
     return StateVector(n, np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex))
 
 
-def tensor_states(a: StateVector, b: StateVector) -> StateVector:
-    check_state_qubits(a.n + b.n)
-    return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
-
-
 def apply_pauli_to_array(amps: np.ndarray, p: PauliString) -> np.ndarray:
     """Low-level Pauli action on the leading axis of a raw 1-D or 2-D array."""
     if amps.shape[0] != 2 ** p.n:

@@ -10,7 +10,6 @@ Pauli action.
 import numpy as np
 import scipy.linalg as sla
 
-from ktr.initial import ProjectorSpec
 from ktr.paulis import PauliString, PauliSum
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -79,11 +78,11 @@ def overlap_matrices_direct(h: PauliSum, v0_amps: np.ndarray, grid):
     return a, b
 
 
-def dense_projector(spec: ProjectorSpec) -> np.ndarray:
-    mat = np.ones((1, 1), dtype=complex)
+def dense_projector(spec) -> np.ndarray:
+    """prod_j (I + (-1)**alpha_j T_j) / 2 over the spec's n-qubit factors T_j."""
+    mat = np.eye(2 ** spec.n, dtype=complex)
     for block, flip in zip(spec.t_blocks, spec.alpha):
-        factor = (np.eye(2 ** block.n) + (-1) ** flip * kron_matrix(block)) / 2.0
-        mat = np.kron(mat, factor)
+        mat = mat @ ((np.eye(2 ** block.n) + (-1) ** flip * kron_matrix(block)) / 2.0)
     return mat
 
 

@@ -59,7 +59,7 @@ def test_criterion_01_gram_identity():
     _, h, t = _tfim8()
     plan = EvolutionPlan.exact(h)
     rng = np.random.default_rng(101)
-    spec = ProjectorSpec.single_block(t)
+    spec = ProjectorSpec((t,), (0,))
     prep = project(random_state(8, rng), spec)
     t_obs = PauliSum(8, ((1.0, t),))
     worst = 0.0
@@ -81,7 +81,7 @@ def test_criterion_02_hamiltonian_overlap_identity():
     _, h, t = _tfim8()
     plan = EvolutionPlan.exact(h)
     rng = np.random.default_rng(202)
-    spec = ProjectorSpec.single_block(t)
+    spec = ProjectorSpec((t,), (0,))
     prep = project(random_state(8, rng), spec)
     iht = build_iht_observable(h, t)
     worst = 0.0
@@ -250,9 +250,9 @@ def test_criterion_07_implicit_overlap_identities():
     hd = dense_matrix(h)
     rng = np.random.default_rng(707)
     phi = random_state(8, rng)
-    prep_p = project(phi, ProjectorSpec.single_block(t, 0))
-    prep_m = project(phi, ProjectorSpec.single_block(t, 1))
-    weight = np.linalg.norm(project_array(phi.amps, ProjectorSpec.single_block(t, 0))) ** 2
+    prep_p = project(phi, ProjectorSpec((t,), (0,)))
+    prep_m = project(phi, ProjectorSpec((t,), (1,)))
+    weight = np.linalg.norm(project_array(phi.amps, ProjectorSpec((t,), (0,)))) ** 2
     t_obs = PauliSum(8, ((1.0, t),))
     iht = build_iht_observable(h, t)
     worst_re = worst_im = 0.0
@@ -313,7 +313,7 @@ def test_criterion_09_row_reconstructions():
     t = known_time_reversal(spec)
     plan = EvolutionPlan.exact(h)
     grid = TimeGrid(default_dt(h), 10)
-    prep = project(plus_state(6), ProjectorSpec.single_block(t))
+    prep = project(plus_state(6), ProjectorSpec((t,), (0,)))
     direct = build_ktr(h, t, prep, grid, plan)
     a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
     row_b_rec = reconstruct_b_from_a(a_fine, grid, 20)

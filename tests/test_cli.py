@@ -47,6 +47,9 @@ def test_parse_config_round_trip():
     ("init = w1-blocks:2", "unknown init"),
     ("grid.m = 1", "at least 2"),
     ("grid.dt = -0.5", "positive"),
+    ("grid.dt = inf", "expected a finite number"),
+    ("grid.dt = nan", "expected a finite number"),
+    ("model.gamma = inf", "expected a finite number"),
     ("evolution = trotter4:2", "unknown evolution"),
     ("epsilon = 2.0", "epsilon"),
     ("samples_per_step = 7", "even"),

@@ -95,7 +95,7 @@ def test_ktr_pipeline_reaches_reference():
     spec = ModelSpec("tfim", 8, {"gamma": 0.5})
     h = build(spec)
     t = known_time_reversal(spec)
-    prep = project(plus_state(8), ProjectorSpec.single_block(t))
+    prep = project(plus_state(8), ProjectorSpec((t,), (0,)))
     plan = EvolutionPlan.exact(h)
     pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 32), plan)
     res = solve(pen, 1e-10)

@@ -10,7 +10,7 @@ from ktr.initial import (ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project,
                          project_array)
 from ktr.models import ModelSpec, build, gauss_generators
-from ktr.paulis import PauliString, PauliSum, dense_matrix
+from ktr.paulis import PauliString, PauliSum, dense_matrix, multiply
 from ktr.states import StateVector, apply_pauli, expectation, inner, plus_state
 
 from helpers import basis_state, gauge_start, product_state, random_state
@@ -28,23 +28,23 @@ def _probability(phi: StateVector, spec: ProjectorSpec) -> float:
 def test_project_fixed_point():
     t = PauliString.from_label("YXYX")
     phi = project(random_state(4, np.random.default_rng(1)),
-                  ProjectorSpec.single_block(t))
-    again = project(phi, ProjectorSpec.single_block(t))
+                  ProjectorSpec((t,), (0,)))
+    again = project(phi, ProjectorSpec((t,), (0,)))
     assert np.allclose(again.amps, phi.amps)
-    assert np.isclose(_probability(phi, ProjectorSpec.single_block(t)), 1.0)
+    assert np.isclose(_probability(phi, ProjectorSpec((t,), (0,))), 1.0)
     assert np.max(np.abs(apply_pauli(again, t).amps - again.amps)) <= 1e-12
 
 
 def test_project_plus_with_all_y():
     # (I + Y^4)/2 on |+>^4 gives (|+>^4 + |->^4)/sqrt(2) since (-i)^4 = 1
     t = PauliString.from_label("YYYY")
-    prep = project(plus_state(4), ProjectorSpec.single_block(t, 0))
+    prep = project(plus_state(4), ProjectorSpec((t,), (0,)))
     want = (plus_state(4).amps + product_state([MINUS] * 4).amps) / math.sqrt(2.0)
     assert np.max(np.abs(prep.amps - want)) <= 1e-12
-    assert np.isclose(_probability(plus_state(4), ProjectorSpec.single_block(t, 0)), 0.5)
+    assert np.isclose(_probability(plus_state(4), ProjectorSpec((t,), (0,))), 0.5)
     assert np.max(np.abs(apply_pauli(prep, t).amps - prep.amps)) <= 1e-12
 
-    perp = project(plus_state(4), ProjectorSpec.single_block(t, 1))
+    perp = project(plus_state(4), ProjectorSpec((t,), (1,)))
     want_perp = (plus_state(4).amps - product_state([MINUS] * 4).amps) / math.sqrt(2.0)
     assert np.max(np.abs(perp.amps - want_perp)) <= 1e-12
     assert np.max(np.abs(apply_pauli(perp, t).amps + perp.amps)) <= 1e-12
@@ -55,7 +55,7 @@ def test_projection_probability_reproduced():
     t = PauliString.from_label("YXYX")
     rng = np.random.default_rng(3)
     for flip in (0, 1):
-        spec = ProjectorSpec.single_block(t, flip)
+        spec = ProjectorSpec((t,), (flip,))
         phi = random_state(4, rng)
         prep = project(phi, spec)
         pd = dense_projector(spec)
@@ -65,9 +65,9 @@ def test_projection_probability_reproduced():
 
 def test_degenerate_projection_raises():
     t = PauliString.from_label("YYYY")
-    sym = project(plus_state(4), ProjectorSpec.single_block(t, 0))
+    sym = project(plus_state(4), ProjectorSpec((t,), (0,)))
     with pytest.raises(DegenerateProjectionError):
-        project(sym, ProjectorSpec.single_block(t, 1))
+        project(sym, ProjectorSpec((t,), (1,)))
 
 
 def test_enumerate_single_block_gives_complementary_pair():
@@ -82,6 +82,40 @@ def test_enumerate_two_blocks_parities():
     specs = enumerate_local_projectors(blocks)
     assert [s.alpha for s in specs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [s.parity for s in specs] == [1, -1, -1, 1]
+
+
+def test_blocks_of_factors_are_n_qubit_windows():
+    spec = ProjectorSpec.blocks_of(PauliString.from_label("YXYX"), (0, 0))
+    assert [block.label() for block in spec.t_blocks] == ["YXII", "IIYX"]
+    assert spec.n == 4
+    for label in ("YXYX", "YYYY"):
+        t = PauliString.from_label(label)
+        left, right = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
+        assert multiply(left, right) == t  # phase included
+    specs = enumerate_local_projectors(spec.t_blocks)
+    assert [s.alpha for s in specs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+_YX = PauliString.from_label("YX")
+_YI = PauliString.from_label("YI")
+_XY = PauliString.from_label("XY")
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: ProjectorSpec((), ()), "at least one block"),
+    (lambda: ProjectorSpec((_YI,), (0, 1)), "one sign bit per block"),
+    (lambda: ProjectorSpec((_YX,), (2,)), "bit pattern"),
+    (lambda: ProjectorSpec((_YX,), (0.5,)), "bit pattern"),
+    (lambda: ProjectorSpec((PauliString(2, _YX.x, _YX.z, 0),), (0,)), "not Hermitian"),
+    (lambda: ProjectorSpec((_YX, PauliString.from_label("Y")), (0, 0)), "share the qubit count"),
+    (lambda: ProjectorSpec((_YI, _XY), (0, 0)), "disjoint"),
+    (lambda: ProjectorSpec.blocks_of(PauliString.from_label("YXY"), (0, 0)), "equal blocks"),
+    (lambda: ProjectorSpec.blocks_of(PauliString(2, _YX.x, _YX.z, 3), (0, 0)),
+     "canonical-phase"),
+])
+def test_projector_spec_rejects_bad_layouts(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
 
 
 def test_local_projectors_complete_and_orthogonal():
@@ -129,9 +163,9 @@ def test_global_projector_absorbs_even_blocks():
         if spec.parity != 1:
             continue
         state = project(phi, spec)
-        reabsorbed = project(state, ProjectorSpec.single_block(t, 0))
+        reabsorbed = project(state, ProjectorSpec((t,), (0,)))
         assert np.max(np.abs(reabsorbed.amps - state.amps)) <= 1e-12
-        assert np.isclose(_probability(state, ProjectorSpec.single_block(t, 0)), 1.0,
+        assert np.isclose(_probability(state, ProjectorSpec((t,), (0,))), 1.0,
                           atol=1e-9)
 
 
@@ -190,7 +224,7 @@ def test_lgt_initial_is_stabilized():
     prep = gauge_start(8, 1)
     t = PauliString.from_label("Y" * 8)
     assert np.max(np.abs(apply_pauli(prep, t).amps - prep.amps)) <= 1e-12
-    assert np.isclose(_probability(plus_state(8), ProjectorSpec.single_block(t)), 0.5)
+    assert np.isclose(_probability(plus_state(8), ProjectorSpec((t,), (0,))), 0.5)
 
 
 def test_lgt_sectors_of_the_two_components():

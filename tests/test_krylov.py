@@ -29,7 +29,7 @@ def _tfim_setup(n, gamma=0.5, m=8, dt=None):
     t = known_time_reversal(spec)
     plan = EvolutionPlan.exact(h)
     grid = TimeGrid(dt if dt is not None else default_dt(h), m)
-    prep = project(plus_state(n), ProjectorSpec.single_block(t))
+    prep = project(plus_state(n), ProjectorSpec((t,), (0,)))
     return h, t, plan, grid, prep
 
 
@@ -217,7 +217,7 @@ def test_reconstruct_single_qubit_closed_forms():
     # v0 = |+>, H = Z, T = X: b(tau) = cos(2 tau), a(tau) = -sin(2 tau)
     h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     t = PauliString.from_label("X")
-    prep = project(plus_state(1), ProjectorSpec.single_block(t))
+    prep = project(plus_state(1), ProjectorSpec((t,), (0,)))
     plan = EvolutionPlan.exact(h)
     grid = TimeGrid(0.3, 6)
     a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
@@ -321,7 +321,7 @@ def test_row_entries_independent_across_threads():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
     plan.prepare()
     t_obs = PauliSum(h.n, ((1.0, t),))
-    c = ProjectorSpec.single_block(t).parity
+    c = ProjectorSpec((t,), (0,)).parity
 
     def entry(j):
         w = evolve(plan, 0.5 * grid.dt * j, prep)
@@ -339,7 +339,7 @@ def test_reconstruction_routes_at_negative_stabilizer_sign():
     # T|v0> = -|v0>: the fine curves carry c = -1 once, so the rebuilt rows
     # meet the direct ktr rows; a sign applied twice, or not at all, flips them
     h, t, plan, grid, _ = _tfim_setup(6, m=10)
-    v0 = project(plus_state(6), ProjectorSpec.single_block(t, 1))
+    v0 = project(plus_state(6), ProjectorSpec((t,), (1,)))
     direct = build_ktr(h, t, v0, grid, plan)
     assert np.max(np.abs(direct.row_b - build_kqd(h, v0, grid, plan).row_b)) <= 1e-10
     a_fine, b_fine = sample_expectation_curves(h, t, v0, grid, plan, 20)

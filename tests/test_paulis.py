@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ktr.errors import NotTimeReversalError, ResourceLimitError
 from ktr.gevp import exact_reference, sector_ground_energy
 from ktr.paulis import (DENSE_QUBIT_CAP, PauliString, PauliSum, apply_action,
-                        build_iht_observable, commutes, dense_matrix, embed, multiply,
-                        pauli_sum_from_text, split_blocks, symplectic_product)
+                        build_iht_observable, commutes, dense_matrix, multiply,
+                        pauli_sum_from_text, symplectic_product)
 from ktr.states import EvolutionPlan
 
 from ktr.models import ModelSpec, build
@@ -237,7 +237,8 @@ def test_dense_cap():
 def test_every_dense_entry_point_refuses_above_the_cap_before_allocating():
     n = DENSE_QUBIT_CAP + 1
     # compiling these 2n - 1 terms alone would take 16 B * 2**n each
-    h = PauliSum(n, tuple((1.0, embed(PauliString.from_label(label), n, i))
+    h = PauliSum(n, tuple((1.0, PauliString.from_label(
+                              "I" * i + label + "I" * (n - i - len(label))))
                           for label, sites in (("Z", n), ("XX", n - 1))
                           for i in range(sites)))
     parity = PauliSum(n, ((1.0, PauliString.from_label("Z" * n)),))
@@ -258,12 +259,10 @@ def test_every_dense_entry_point_refuses_above_the_cap_before_allocating():
         assert peak < 2 ** 20, f"{name} allocated {peak} B before refusing"
 
 
-def test_tensor_and_embed():
+def test_tensor_product_is_kron():
     y = PauliString.from_label("Y")
     x = PauliString.from_label("X")
     yx = PauliString.from_label("YX")
-    assert split_blocks(yx, [1, 1]) == [y, x]
-    assert embed(x, 4, 2).label() == "IIXI"
     assert np.allclose(dense_matrix(yx), np.kron(dense_matrix(y), dense_matrix(x)))
 
 

@@ -16,9 +16,9 @@ from ktr.gevp import exact_reference
 from ktr.models import ModelSpec, build
 from ktr.paulis import PauliString, PauliSum, apply_sum, dense_matrix
 from ktr.states import (EvolutionPlan, StateVector, _matvec, apply_pauli, apply_pauli_to_array,
-                        evolve, expectation, inner, matrix_element, plus_state, tensor_states)
+                        evolve, expectation, inner, matrix_element, plus_state)
 from ktr.symmetry import Infeasible, solve_time_reversal
-from ktr.initial import ProjectorSpec, project
+from ktr.initial import ProjectorSpec, build_block_product, project
 
 from helpers import basis_state, product_state, random_state
 from oracles import dense_evolution, kron_matrix, random_hermitian_string
@@ -69,7 +69,7 @@ def test_compiled_action_is_cached_and_read_only():
 def test_statevector_cap_refuses_before_allocating():
     calls = (lambda: basis_state(40, 0), lambda: plus_state(40),
              lambda: random_state(40, 0), lambda: product_state([(1.0, 0.0)] * 40),
-             lambda: tensor_states(basis_state(20, 0), basis_state(20, 0)),
+             lambda: build_block_product(4, 6),
              lambda: StateVector(40, np.zeros(1)),
              lambda: PauliString.from_label("Z" * 40).action())
     for call in calls:
@@ -127,7 +127,7 @@ def test_stabilized_state_has_zero_energy():
     t = PauliString.from_label("YXYX")
     rng = np.random.default_rng(19)
     for _ in range(5):
-        prep = project(random_state(4, rng), ProjectorSpec.single_block(t))
+        prep = project(random_state(4, rng), ProjectorSpec((t,), (0,)))
         assert abs(expectation(prep, h)) <= 1e-12
 
 

@@ -5,6 +5,17 @@ B, discarding the eigenspace below a relative threshold (B is positive
 semidefinite in exact arithmetic, so negative eigenvalues are numerical
 noise and always dropped), whitening A into the kept subspace and solving
 the ordinary Hermitian problem there.
+
+:func:`sector_ground_energy` restricts H to the joint +1 sector of
+generators that are +-1 times one X-type or Z-type Pauli string, the X-type
+case of qubit tapering (Bravyi, Gambetta, Mezzacapo & Temme,
+arXiv:1701.08213).  GF(2) elimination of the signed rows finds the group; a
+pivot in the sign column puts -I in it and empties the sector.  The basis
+vector of a representative b (zero in every X pivot column, meeting every Z
+parity) sums chi(s) |b ^ s> over the X-type subgroup, chi(s) the sign of
+X**s in the group.  A term P = (x, z) that commutes with the group maps it
+to diag[b ^ x] chi(s0) times the vector of rep(b ^ x) = b ^ x ^ s0, so H is
+assembled on the representatives alone.
 """
 
 from __future__ import annotations
@@ -13,20 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePencilError
-from .paulis import PauliSum, apply_sum, commutes, dense_matrix
+from .errors import DegeneratePencilError, ResourceLimitError
+from .paulis import DENSE_QUBIT_CAP, PauliSum, _parity, commutes, dense_matrix
 from .krylov import ToeplitzPencil
+from .symmetry import rref
 
 DEFAULT_EPSILON = 1e-8
 
 _HERMITICITY_TOL = 1e-10
-
-#: largest residual projector diagonal allowed once the sector basis is
-#: complete.  For an exact projector the residual is rounding, O(r * eps)
-#: ~ 1e-14 at the dense cap; a rank that round(tr P) miscounts leaves at
-#: least one unit of trace on the d diagonal entries, so some entry keeps
-#: >= 1 / d >= 6e-5 (d <= 2**14).
-_SECTOR_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,40 +97,16 @@ def exact_reference(h: PauliSum) -> np.ndarray:
     return np.linalg.eigvalsh(dense_matrix(h))
 
 
-def _sector_basis(projector: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of a projector, by pivoted Gram-Schmidt
-    on its columns (largest remaining diagonal first), r = round(tr P) steps;
-    the basis has the projector's dtype."""
-    rank = int(round(np.trace(projector).real))
-    if rank == 0:
-        raise ValueError("the joint +1 sector is empty")
-    rows = np.empty((rank, projector.shape[0]), dtype=projector.dtype)
-    # residual[i] = |column i minus its part in the basis so far|^2, which
-    # is P[i, i] - sum_k |basis[i, k]|^2 for a Hermitian idempotent P
-    residual = projector.diagonal().real.copy()
-    for k in range(rank):
-        column = projector[:, int(np.argmax(residual))]
-        column = column - rows[:k].T @ (rows[:k].conj() @ column)
-        rows[k] = column / np.linalg.norm(column)
-        residual -= np.abs(rows[k]) ** 2
-    if np.max(np.abs(residual)) > _SECTOR_RESIDUAL_TOL:
-        raise ValueError(
-            f"generators do not define a projector: residual diagonal "
-            f"{np.max(np.abs(residual)):.3e} after {rank} basis vectors")
-    return rows.T
-
-
 def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
-    """Ground energy restricted to the joint +1 eigenspace of the generators.
+    """Ground energy of H on the joint +1 eigenspace of the generators.
 
-    Commutation is checked in the Pauli algebra (:func:`ktr.paulis.commutes`):
-    each generator with H, then with every earlier generator, before any
-    matrix is built; no dense generator matrix is formed.  The projector
-    P = prod_k (I + G_k) / 2 is built as P <- (P + G P) / 2 through the
-    compiled Pauli actions, starting from a real identity, so it stays
-    real for real generators.  The sector basis comes from round(tr P)
-    steps of pivoted Gram-Schmidt on the columns of P; a sector with no
-    states raises ValueError.
+    Commutation is checked first, in the Pauli algebra
+    (:func:`ktr.paulis.commutes`).  Generators other than +-1 times one
+    X-type or Z-type string, an empty sector and more than
+    :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are refused before anything is
+    allocated.  H is restricted to the orbit basis of the module docstring,
+    float64 for a real H.  With no generators the restricted H is the dense
+    H.
     """
     for i, g in enumerate(generators):
         if not commutes(g, h):
@@ -133,13 +114,41 @@ def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
         for j in range(i):
             if not commutes(generators[j], g):
                 raise ValueError(f"generators {i} and {j} do not commute")
-    hd = dense_matrix(h)
-    if not generators:
-        return float(np.linalg.eigvalsh(hd)[0])
-    projector = np.eye(hd.shape[0])
-    for g in generators:
-        projector = 0.5 * (projector + apply_sum(g, projector))
-    basis = _sector_basis(projector)
-    restricted = basis.conj().T @ (hd @ basis)
-    restricted = 0.5 * (restricted + restricted.conj().T)
+    x_rows, z_rows = [], []
+    for i, g in enumerate(generators):
+        coeff, p = g.terms[0] if len(g) == 1 else (0.0, None)
+        if abs(coeff) != 1.0 or (p.x and p.z):
+            raise ValueError(f"generator {i} does not define a supported projector: "
+                             f"need +-1 times one X-type or Z-type Pauli string")
+        # a Hermitian X- or Z-type string carries the phase +1 or -1
+        negative = (coeff < 0) != (p.phase_exp == 2)
+        (z_rows if p.z else x_rows).append((p.x | p.z) << 1 | negative)
+    n = h.n
+    if n > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceed the dense cap of {DENSE_QUBIT_CAP}")
+    # column n is the sign; each reduced row is a group element with its sign
+    x_reduced, x_pivots = rref(x_rows, n + 1)
+    z_reduced, z_pivots = rref(z_rows, n + 1)
+    if n in x_pivots + z_pivots:
+        raise ValueError("the joint +1 sector is empty")
+    # (s, negative, pivot bit of s) per reduced X row
+    orbit_rows = [(row >> 1, row & 1, 1 << (n - 1 - c)) for row, c in zip(x_reduced, x_pivots)]
+    index = np.arange(2 ** n)
+    keep = (index & sum(bit for *_, bit in orbit_rows)) == 0
+    for row in z_reduced[:len(z_pivots)]:
+        keep &= _parity(index & (row >> 1)) == (row & 1)
+    reps = index[keep]
+    pos = np.cumsum(keep) - 1  # position of each representative in reps
+    terms = h.compiled()
+    restricted = np.zeros((reps.size, reps.size),
+                          np.result_type(float, *(diag for _, (_, diag) in terms)))
+    for coeff, (src, diag) in terms:
+        v = src[reps]  # rep ^ x
+        entry = coeff * diag[v]
+        for s, negative, bit in orbit_rows:
+            hit = (v & bit) != 0
+            v[hit] ^= s
+            if negative:
+                entry[hit] *= -1.0
+        restricted[pos[v], np.arange(reps.size)] += entry
     return float(np.linalg.eigvalsh(restricted)[0])

@@ -31,8 +31,8 @@ number of Y factors) and complex128 only for an odd phase.  The pair takes
 16 B * 2**n for a real string (an int64 index and a float64 entry per basis
 state), 24 B * 2**n for a complex one, and is cached on the string; a
 :class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
-Nothing compiles until a statevector operation, a dense matrix or
-:func:`apply_sum` asks for it.
+Nothing compiles until a statevector operation, a dense matrix or the
+Gauss-sector reference asks for it.
 :func:`apply_action` acts on the leading axis of 1-D and 2-D arrays, and
 :func:`dense_matrix` scatters the same pairs into a matrix.  Both take
 their dtype from their inputs, so a sum of real strings assembles a
@@ -232,23 +232,6 @@ def apply_action(action: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.n
     if arr.ndim == 2:
         diag = diag[:, None]
     return diag * arr[src]
-
-
-def apply_sum(op: PauliSum, arr: np.ndarray) -> np.ndarray:
-    """O @ arr for a Pauli sum, on the leading axis of a 1-D or 2-D array.
-
-    The result is real when ``arr`` and every term's ``diag`` are real.
-    """
-    terms = op.compiled()
-    dtype = np.result_type(arr, *(diag for _, (_, diag) in terms))
-    if not terms:
-        return np.zeros(arr.shape, dtype)
-    (coeff, action), *rest = terms
-    out = apply_action(action, arr).astype(dtype, copy=False)
-    out *= coeff
-    for coeff, action in rest:
-        out += coeff * apply_action(action, arr)
-    return out
 
 
 def commutes(a: PauliSum, b: PauliSum) -> bool:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktr.errors import DegeneratePencilError
 from ktr.gevp import (DEFAULT_EPSILON, SpectrumResult, exact_reference,
@@ -10,11 +12,11 @@ from ktr.gevp import (DEFAULT_EPSILON, SpectrumResult, exact_reference,
 from ktr.initial import ProjectorSpec, project
 from ktr.krylov import TimeGrid, ToeplitzPencil, build_ktr, default_dt
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
-from ktr.paulis import PauliString, PauliSum
+from ktr.paulis import PauliString, PauliSum, symplectic_product
 from ktr.states import EvolutionPlan, plus_state
 
 from helpers import gauge_start
-from oracles import all_pauli_strings, kron_matrix, sector_ground_penalty
+from oracles import kron_matrix, sector_ground_penalty
 
 
 def _random_psd_toeplitz_pencil(m, rng):
@@ -161,21 +163,67 @@ def test_sector_energy_matches_penalty_oracle_global_parity():
     assert abs(sector_ground_energy(h, gens) - want) <= 1e-12 * abs(want)
 
 
-def test_sector_energy_matches_penalty_oracle_generic_generator():
-    # G = U Z0 U+ and H = U D U+ for a random unitary U and real diagonal D,
-    # expanded over all 64 strings: the projector's columns overlap without
-    # being parallel, so the Gram-Schmidt projections matter
-    rng = np.random.default_rng(41)
-    u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    z0 = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+@pytest.mark.parametrize("h, g", [
+    # YY commutes with XX + ZZ but is neither X-type nor Z-type
+    pytest.param(
+        PauliSum(2, ((1.0, PauliString.from_label("XX")), (1.0, PauliString.from_label("ZZ")))),
+        _single("YY"), id="y-string"),
+    # (X0 + Z0) / sqrt 2 is an involution commuting with X0 + Z0 + Z1, but has two terms
+    pytest.param(
+        PauliSum(2, tuple((1.0, PauliString.from_label(label)) for label in ("XI", "ZI", "IZ"))),
+        PauliSum(2, tuple((2 ** -0.5, PauliString.from_label(label)) for label in ("XI", "ZI"))),
+        id="two-term"),
+])
+def test_sector_energy_rejects_a_commuting_generator_that_is_no_xz_string(h, g):
+    with pytest.raises(ValueError, match="projector"):
+        sector_ground_energy(h, [g])
 
-    def pauli_sum(mat):
-        return PauliSum(3, tuple((float(np.trace(kron_matrix(p) @ mat).real) / 8.0, p)
-                                 for p in all_pauli_strings(3)))
-    g = pauli_sum(u @ z0 @ u.conj().T)
-    h = pauli_sum(u @ np.diag(rng.normal(size=8)) @ u.conj().T)
-    want = sector_ground_penalty(h, [g])
-    assert abs(sector_ground_energy(h, [g]) - want) <= 1e-12 * abs(want)
+
+@st.composite
+def _xz_sector_case(draw):
+    """Pairwise-commuting X-type and Z-type generators with random signs,
+    dependent ones included, and a Hamiltonian of random strings that
+    commute with every generator."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs, zs = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        same, other = (xs, zs) if rng.random() < 0.5 else (zs, xs)
+        if len(same) >= 2 and rng.random() < 0.4:
+            # a product of two earlier generators: its sign may empty the sector
+            i, j = rng.choice(len(same), 2, replace=False)
+            same.append(same[i] ^ same[j])
+        else:
+            mask = int(rng.integers(2 ** n))
+            if all((mask & m).bit_count() % 2 == 0 for m in other):
+                same.append(mask)
+    strings = ([PauliString.from_xz(n, x, 0) for x in xs]
+               + [PauliString.from_xz(n, 0, z) for z in zs])
+    gens = [PauliSum(n, ((float(rng.choice([-1.0, 1.0])), strings[k]),))
+            for k in rng.permutation(len(strings))]
+    terms = []
+    size = draw(st.integers(1, 8))
+    while len(terms) < size:
+        p = PauliString.from_xz(n, int(rng.integers(2 ** n)), int(rng.integers(2 ** n)))
+        if not any(symplectic_product(p, s) for s in strings):
+            terms.append((float(rng.normal()), p))
+    return PauliSum(n, tuple(terms)), gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(_xz_sector_case())
+def test_sector_energy_matches_penalty_oracle_on_xz_groups(case):
+    h, gens = case
+    eye = np.eye(2 ** h.n)
+    proj = eye
+    for g in gens:
+        proj = proj @ (eye + kron_matrix(g)) / 2.0
+    if np.trace(proj).real < 0.5:  # a signed product of generators is -I
+        with pytest.raises(ValueError, match="empty"):
+            sector_ground_energy(h, gens)
+        return
+    want = sector_ground_penalty(h, gens)
+    assert abs(sector_ground_energy(h, gens) - want) <= 1e-12 * max(1.0, h.coeff_norm)
 
 
 def test_sector_energy_rejects_noncommuting_generator_pair():

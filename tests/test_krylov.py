@@ -152,16 +152,6 @@ def test_magnitude_closes_the_re_im_identity():
         assert abs(re ** 2 + im ** 2 - mag) <= 1e-10
 
 
-def test_extended_local_single_block_reduces_to_implicit():
-    h, t, plan, grid, _ = _tfim_setup(4, m=5)
-    rng = np.random.default_rng(37)
-    phi = random_state(4, rng)
-    specs = enumerate_local_projectors([t])
-    row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 2).row_b.real
-    imp = implicit_hadamard_rows(phi, h, t, grid, plan)
-    assert np.max(np.abs(row_b - imp.row_b.real)) <= 1e-12
-
-
 def test_extended_local_full_set_matches_dense():
     h, t, plan, grid, _ = _tfim_setup(8, m=4)
     rng = np.random.default_rng(41)
@@ -188,15 +178,16 @@ def test_extended_local_truncation_deviates():
     assert np.max(np.abs(partial - full)) > 1e-3
 
 
-def test_extended_local_pencil_single_block_equals_implicit():
+def test_extended_local_single_block_rows_match_overlap_oracle():
+    # one block, full set: row_b = Re B[0, :] and row_a = i Im A[0, :]
     h, t, plan, grid, _ = _tfim_setup(4, m=5)
     rng = np.random.default_rng(47)
     phi = random_state(4, rng)
     specs = enumerate_local_projectors([t])
     pen = extended_local_pencil(phi, specs, h, t, grid, plan, 2)
-    imp = implicit_hadamard_rows(phi, h, t, grid, plan)
-    assert np.max(np.abs(pen.row_a - imp.row_a)) <= 1e-12
-    assert np.max(np.abs(pen.row_b - imp.row_b)) <= 1e-12
+    a, b = overlap_matrices_direct(h, phi.amps, grid)
+    assert np.max(np.abs(pen.row_b - b[0].real)) <= 1e-12
+    assert np.max(np.abs(pen.row_a - 1j * a[0].imag)) <= 1e-12
 
 
 def test_reconstruct_b_trivial_zero_curve():

@@ -31,29 +31,34 @@ def test_every_tracer_target_resolves():
 
 
 RUN_CONFIG = """
-model.kind = tfim
-model.n = 4
-model.gamma = 0.5
+{model}
 method = {methods}
-init = project:0
+init = {init}
 grid.m = 4
 evolution = {evolution}
 output = {output}
 """
 
+TFIM = "model.kind = tfim\nmodel.n = 4\nmodel.gamma = 0.5"
+# the gauge model's reference is the Gauss-sector ground energy
+Z2HIGGS = "model.kind = z2higgs\nmodel.n = 4\nmodel.mu = 1.0\nmodel.g = 1.0"
 
-@pytest.mark.parametrize("methods, evolution", [
-    ("kqd,ktr,implicit,local:2,derivative,integral", "exact"),
-    ("ktr", "trotter2:20"),
+
+@pytest.mark.parametrize("methods, evolution, model, init", [
+    pytest.param("kqd,ktr,implicit,local:2,derivative,integral", "exact", TFIM, "project:0",
+                 id="kqd,ktr,implicit,local:2,derivative,integral-exact"),
+    pytest.param("ktr", "trotter2:20", TFIM, "project:0", id="ktr-trotter2:20"),
+    pytest.param("kqd,ktr", "exact", Z2HIGGS, "project:00", id="z2higgs-kqd,ktr-exact"),
 ])
-def test_tracer_hooks_run_on_a_traced_pass(tmp_path, methods, evolution):
+def test_tracer_hooks_run_on_a_traced_pass(tmp_path, methods, evolution, model, init):
     """Every count hook reads the attributes it needs from live program objects."""
     tracer = _load_tracer().Tracer()
     tables = []
     for traced in (False, True):
         csv = tmp_path / f"run{int(traced)}.csv"
         cfg = csv.with_suffix(".cfg")
-        cfg.write_text(RUN_CONFIG.format(methods=methods, evolution=evolution, output=csv))
+        cfg.write_text(RUN_CONFIG.format(model=model, init=init, methods=methods,
+                                         evolution=evolution, output=csv))
         if traced:
             tracer.install()
         try:

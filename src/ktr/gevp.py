@@ -6,28 +6,45 @@ semidefinite in exact arithmetic, so negative eigenvalues are numerical
 noise and always dropped), whitening A into the kept subspace and solving
 the ordinary Hermitian problem there.
 
-:func:`sector_ground_energy` restricts H to the joint +1 sector of
-generators that are +-1 times one X-type or Z-type Pauli string, the X-type
-case of qubit tapering (Bravyi, Gambetta, Mezzacapo & Temme,
-arXiv:1701.08213).  GF(2) elimination of the signed rows finds the group; a
-pivot in the sign column puts -I in it and empties the sector.  The basis
-vector of a representative b (zero in every X pivot column, meeting every Z
-parity) sums chi(s) |b ^ s> over the X-type subgroup, chi(s) the sign of
-X**s in the group.  A term P = (x, z) that commutes with the group maps it
-to diag[b ^ x] chi(s0) times the vector of rep(b ^ x) = b ^ x ^ s0, so H is
-assembled on the representatives alone.
+:class:`SectorBasis` is the orbit x character basis of an abelian group of
+X-type and Z-type Pauli strings, the case of qubit tapering that needs no
+Clifford (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213).  The reduced X-type rows
+s_i carry the orbit S(a) = XOR of the s_i picked by the bits of a; a
+representative b is zero in every X pivot column, and its Z parities name
+its Z sector.  The basis vector of b and the character c sums
+2**(-r_x/2) (-1)**popcount(a & c) |b ^ S(a)> over the 2**r_x orbit
+elements.  A term P = (x, z) that commutes with the group maps it to
+diag[b ^ x] (-1)**popcount(a0 & c) times the vector of rep(b ^ x) =
+b ^ x ^ S(a0), so H is assembled block by block on the representatives
+alone: one k x k block per character and Z sector, k = 2**(n - r).
+Amplitudes enter the basis by a gather into orbits and a Walsh-Hadamard
+transform over each orbit, and leave by the same transform and a scatter.
+
+:func:`exact_reference` splits H on the group of
+:func:`ktr.symmetry.commutant` and returns the sorted union of the block
+spectra, which :class:`ktr.states.EvolutionPlan` factorizes the same way.
+:func:`sector_ground_energy` reads one block, the joint +1 sector of
+generators that are +-1 times one X-type or Z-type string: GF(2)
+elimination of the signed rows finds their group, a pivot in the sign
+column puts -I in it and empties the sector, and the signs of the reduced
+rows name the character and the Z sector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePencilError, ResourceLimitError
-from .paulis import DENSE_QUBIT_CAP, PauliSum, _parity, commutes, dense_matrix
-from .krylov import ToeplitzPencil
-from .symmetry import rref
+from .paulis import DENSE_QUBIT_CAP, PauliSum, _parity, commutes
+# no caller here, but the benchmark tracer wraps ktr.gevp.dense_matrix
+from .paulis import dense_matrix  # noqa: F401
+from .symmetry import commutant, rref
+
+if TYPE_CHECKING:  # krylov imports states, which imports this module
+    from .krylov import ToeplitzPencil
 
 DEFAULT_EPSILON = 1e-8
 
@@ -91,10 +108,112 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
     return solve_dense(pencil.matrix_a(), pencil.matrix_b(), epsilon)
 
 
+def _hadamard(r: int) -> np.ndarray:
+    """Orthonormal Sylvester-Hadamard matrix of order 2**r, entry a, c equal to
+    (-1)**popcount(a & c) / 2**(r/2): symmetric and its own inverse."""
+    index = np.arange(2 ** r)
+    return (1.0 - 2.0 * _parity(index[:, None] & index)) * 2.0 ** (-r / 2)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBasis:
+    """Orbit x character basis of the group of reduced X-type rows and
+    Z-type masks; see the module docstring.  Arrays are read-only."""
+
+    pivots: tuple[int, ...]   # pivot bit of each reduced X-type row
+    orbit: np.ndarray         # orbit[a] = S(a), 2**r_x entries
+    reps: np.ndarray          # (2**r_z, k) representatives, one row per Z sector
+    slot: np.ndarray          # slot[rep] = column of rep in its row of reps
+    order: np.ndarray         # (2**r_x, 2**r_z * k): index of S(a) ^ rep, reps flattened
+    hadamards: tuple[np.ndarray, np.ndarray]  # H_{2**hi}, H_{2**lo}, hi + lo = r_x
+
+    @classmethod
+    def build(cls, n: int, x_rows: Sequence[int], z_rows: Sequence[int]) -> "SectorBasis":
+        """Basis of the group of X**s (s in ``x_rows``, reduced row echelon
+        form as :func:`ktr.symmetry.rref` returns it) and Z**r (r in
+        ``z_rows``, independent, commuting with every X**s).  More than
+        :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are refused before anything
+        is allocated."""
+        if n > DENSE_QUBIT_CAP:
+            raise ResourceLimitError(f"{n} qubits exceed the dense cap of {DENSE_QUBIT_CAP}")
+        # in reduced row echelon form the leading bit of a row is its pivot
+        pivots = tuple(1 << (row.bit_length() - 1) for row in x_rows)
+        orbit = np.zeros(1, dtype=np.int64)
+        for row in x_rows:
+            orbit = np.concatenate((orbit, orbit ^ row))
+        index = np.arange(2 ** n)
+        reps = index[(index & sum(pivots)) == 0]
+        sector = np.zeros_like(reps)
+        for j, row in enumerate(z_rows):
+            sector |= _parity(reps & row) << j
+        # every Z sector holds the same number k of representatives
+        reps = reps[np.argsort(sector, kind="stable")].reshape(2 ** len(z_rows), -1)
+        slot = np.zeros_like(index)
+        slot[reps] = np.arange(reps.shape[1])
+        order = orbit[:, None] ^ reps.ravel()
+        rx = len(pivots)
+        hadamards = (_hadamard((rx + 1) // 2), _hadamard(rx // 2))
+        for arr in (orbit, reps, slot, order, *hadamards):
+            arr.flags.writeable = False
+        return cls(pivots, orbit, reps, slot, order, hadamards)
+
+    def to_sectors(self, amps: np.ndarray) -> np.ndarray:
+        """Coordinates of complex amplitudes, shape (2**r, k): row
+        c * 2**r_z + zeta holds character c and Z sector zeta."""
+        return self._walsh_hadamard(amps[self.order]).reshape(-1, self.reps.shape[1])
+
+    def to_amplitudes(self, coords: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_sectors`."""
+        amps = np.empty(self.order.size, dtype=complex)
+        amps[self.order] = self._walsh_hadamard(coords.reshape(self.order.shape))
+        return amps
+
+    def _walsh_hadamard(self, coords: np.ndarray) -> np.ndarray:
+        """The orthonormal transform over the orbit, the leading axis of a
+        complex (2**r_x, K) array, as H_{2**hi} (x) H_{2**lo}: no matrix above
+        O(2**n) entries, and the real factors act on the float view, real and
+        imaginary parts at once.  It is its own inverse."""
+        high, low = self.hadamards
+        arr = np.ascontiguousarray(coords).view(float).reshape(high.shape[0], -1)
+        arr = (high @ arr).reshape(high.shape[0], low.shape[0], -1)
+        return (low @ arr).reshape(coords.shape[0], -1).view(complex)
+
+    def blocks(self, h: PauliSum, characters: Sequence[int]) -> np.ndarray:
+        """H on the sectors of the given characters, shape
+        (len(characters), 2**r_z, k, k); float64 unless some term has an odd
+        phase.  Every term must commute with the group."""
+        sectors, k = self.reps.shape
+        reps = self.reps.ravel()
+        sector, column = np.divmod(np.arange(reps.size), k)
+        characters = np.asarray(characters, dtype=np.int64)[:, None]
+        terms = h.compiled()
+        out = np.zeros((characters.shape[0], sectors, k, k),
+                       np.result_type(float, *(diag for _, (_, diag) in terms)))
+        for coeff, (src, diag) in terms:
+            v = src[reps]  # rep ^ x
+            a0 = np.zeros_like(v)
+            for i, bit in enumerate(self.pivots):
+                a0[(v & bit) != 0] |= 1 << i
+            signs = 1.0 - 2.0 * _parity(a0 & characters)
+            out[:, sector, self.slot[v ^ self.orbit[a0]], column] += coeff * diag[v] * signs
+        return out
+
+
+def symmetry_blocks(h: PauliSum) -> tuple[SectorBasis, np.ndarray]:
+    """H split on the group of :func:`ktr.symmetry.commutant`: the basis and
+    the 2**r blocks, shape (2**r, k, k), block c * 2**r_z + zeta holding
+    character c and Z sector zeta."""
+    x_rows, z_rows = commutant(h)
+    basis = SectorBasis.build(h.n, x_rows, z_rows)
+    blocks = basis.blocks(h, range(2 ** len(x_rows)))
+    return basis, blocks.reshape(-1, *blocks.shape[2:])
+
+
 def exact_reference(h: PauliSum) -> np.ndarray:
-    """Full sorted spectrum of the dense Hamiltonian (desk-scale oracle);
-    a real symmetric eigenproblem when every term has an even Y count."""
-    return np.linalg.eigvalsh(dense_matrix(h))
+    """Full sorted spectrum of H (desk-scale oracle): the union of the
+    spectra of its symmetry blocks, real symmetric ones when every term has
+    an even Y count."""
+    return np.sort(np.linalg.eigvalsh(symmetry_blocks(h)[1]), axis=None)
 
 
 def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
@@ -104,9 +223,9 @@ def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
     (:func:`ktr.paulis.commutes`).  Generators other than +-1 times one
     X-type or Z-type string, an empty sector and more than
     :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are refused before anything is
-    allocated.  H is restricted to the orbit basis of the module docstring,
-    float64 for a real H.  With no generators the restricted H is the dense
-    H.
+    allocated.  H is restricted to one block of the generators'
+    :class:`SectorBasis`, float64 for a real H.  With no generators the
+    block is the dense H.
     """
     for i, g in enumerate(generators):
         if not commutes(g, h):
@@ -124,31 +243,14 @@ def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
         negative = (coeff < 0) != (p.phase_exp == 2)
         (z_rows if p.z else x_rows).append((p.x | p.z) << 1 | negative)
     n = h.n
-    if n > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(f"{n} qubits exceed the dense cap of {DENSE_QUBIT_CAP}")
     # column n is the sign; each reduced row is a group element with its sign
     x_reduced, x_pivots = rref(x_rows, n + 1)
     z_reduced, z_pivots = rref(z_rows, n + 1)
     if n in x_pivots + z_pivots:
         raise ValueError("the joint +1 sector is empty")
-    # (s, negative, pivot bit of s) per reduced X row
-    orbit_rows = [(row >> 1, row & 1, 1 << (n - 1 - c)) for row, c in zip(x_reduced, x_pivots)]
-    index = np.arange(2 ** n)
-    keep = (index & sum(bit for *_, bit in orbit_rows)) == 0
-    for row in z_reduced[:len(z_pivots)]:
-        keep &= _parity(index & (row >> 1)) == (row & 1)
-    reps = index[keep]
-    pos = np.cumsum(keep) - 1  # position of each representative in reps
-    terms = h.compiled()
-    restricted = np.zeros((reps.size, reps.size),
-                          np.result_type(float, *(diag for _, (_, diag) in terms)))
-    for coeff, (src, diag) in terms:
-        v = src[reps]  # rep ^ x
-        entry = coeff * diag[v]
-        for s, negative, bit in orbit_rows:
-            hit = (v & bit) != 0
-            v[hit] ^= s
-            if negative:
-                entry[hit] *= -1.0
-        restricted[pos[v], np.arange(reps.size)] += entry
-    return float(np.linalg.eigvalsh(restricted)[0])
+    x_reduced, z_reduced = x_reduced[:len(x_pivots)], z_reduced[:len(z_pivots)]
+    basis = SectorBasis.build(n, [row >> 1 for row in x_reduced], [row >> 1 for row in z_reduced])
+    # the +1 sector: character bit i and Z parity j equal the sign of row i and j
+    character = sum((row & 1) << i for i, row in enumerate(x_reduced))
+    sector = sum((row & 1) << j for j, row in enumerate(z_reduced))
+    return float(np.linalg.eigvalsh(basis.blocks(h, [character])[0, sector])[0])

@@ -36,8 +36,9 @@ samples_per_step) on the fine grid.  A pencil then sees powers of one
 Trotter step unitary and B is a Gram matrix; ``kqd`` and the half-time
 routes differ when ceil(dt * spu) != 2 ceil(dt / 2 * spu) for
 steps_per_unit spu.  Exact evolution restarts from the start state, more
-precisely from its eigen-coefficients Q+ v0, which the plan computes once
-per start state and caches (see :func:`ktr.states.evolve`).
+precisely from its block eigen-coefficients Q_b+ v0 on the symmetry sectors
+of H, which the plan computes once per start state and caches (see
+:func:`ktr.states.evolve`).
 """
 
 from __future__ import annotations

@@ -6,16 +6,26 @@ line with the Kronecker convention of :mod:`ktr.paulis`).  A Pauli string
 acts as an amplitude permutation with +-1 / +-i phases, through the
 compiled ``(src, diag)`` pair of :meth:`ktr.paulis.PauliString.action`:
 built once per string on first use, read-only, 16 B * 2**n each (24 B for
-an odd phase).  Time evolution under exp(-i t H) runs either exactly,
-through a cached Hermitian eigenfactorization of the dense Hamiltonian, or
+an odd phase).  Time evolution under exp(-i t H) runs either exactly or
 with a symmetric second-order Trotter splitting built from closed-form
 single-string exponentials exp(-i theta P) = cos(theta) I - i sin(theta) P,
-which reuses the Hamiltonian's compiled terms across all steps.  Exact mode
-uses a real ``eigh`` for real H: when every string has an even number of Y
-factors (every model chain), the dense matrix is float64 and the real
-eigenvectors Q act on the real and the imaginary part of the amplitudes; a
-term with an odd number of Y factors runs the same code in complex128.
-States above :data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
+which reuses the Hamiltonian's compiled terms across all steps.
+
+Exact mode splits H on its X/Z symmetry sectors
+(:func:`ktr.gevp.symmetry_blocks`): the abelian group of
+:func:`ktr.symmetry.commutant`, r generators, makes H block-diagonal in the
+orbit x character basis of :class:`ktr.gevp.SectorBasis`, 2**r blocks of
+k = 2**(n - r), and each block has its own cached eigenfactorization
+H_b = Q_b L_b Q_b+.  A state enters that basis by a gather into orbits and
+an orthonormal Walsh-Hadamard transform over each orbit, applied as two
+small factors, so no matrix above O(2**n) entries is built; it leaves by
+the same transform and a scatter.  A group with no generators is one
+block of 2**n, the dense eigenfactorization.  Real H
+(every string with an even number of Y factors, as in every model chain)
+gives float64 blocks and eigenvectors, which act on the real and the
+imaginary part of the coefficients at once; a term with an odd number of
+Y factors runs the same code in complex128.  States above
+:data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
 :class:`ResourceLimitError` before anything is allocated.
 
 All values are immutable after construction and no operation has a
@@ -23,9 +33,9 @@ visible side effect, so states and plans can be shared freely across
 threads.  Two caches fill on first use, each with read-only arrays that
 any thread computes bit for bit the same: the compiled actions, as in
 :meth:`ktr.paulis.PauliSum.compiled`, and an exact plan's memo of the
-eigen-coefficients Q+ s of each start state s, so that later evolutions
-of s skip the Q+ product (two real matrix-vector products per sample
-instead of four for real H).  The memo holds its states weakly and keeps
+block eigen-coefficients Q_b+ s of each start state s, so that a later
+evolution of s costs one phase, one batched block product, the inverse
+transform and a scatter.  The memo holds its states weakly and keeps
 nothing alive that the caller has dropped.
 """
 
@@ -37,12 +47,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .paulis import PauliString, PauliSum, apply_action, check_state_qubits, dense_matrix
+from .gevp import SectorBasis, symmetry_blocks
+from .paulis import PauliString, PauliSum, apply_action, check_state_qubits
+# no caller here, but the benchmark tracer wraps ktr.states.dense_matrix
+from .paulis import dense_matrix  # noqa: F401
 
 #: absolute imaginary residue tolerated in a Hermitian expectation
 EXPECTATION_IMAG_TOL = 1e-12
 
-#: relative Frobenius tolerance for the eigenfactorization self-check
+#: relative Frobenius tolerance for the self-check of each block's eigenfactorization
 FACTORIZATION_TOL = 1e-10
 
 
@@ -117,15 +130,15 @@ def expectation(s: StateVector, o: PauliSum) -> float:
 class EvolutionPlan:
     """Reusable strategy for evolving states under one Hamiltonian.
 
-    ``exact`` mode factorizes the dense Hamiltonian once (H = Q L Q+) and
-    applies U(t) = Q exp(-i t L) Q+; the factorization is cached and
-    read-only, so concurrent evolutions may share it.  The plan also
-    memoizes the eigen-coefficients Q+ s of each state s it evolves, keyed
-    weakly by the state object, so evolving one start state to many times
-    pays for Q+ once; an entry is read-only and goes when its state is
-    collected.  ``trotter2`` mode applies the symmetric second-order
-    splitting (term exponentials in stored order forward, then backward,
-    with half steps): one ``evolve`` over an increment dtau takes
+    ``exact`` mode finds the symmetry sectors of H and factorizes each block
+    once (H_b = Q_b L_b Q_b+); the factorization is cached and read-only,
+    so concurrent evolutions may share it.  The plan also memoizes the
+    block eigen-coefficients Q_b+ s of each state s it evolves, keyed weakly
+    by the state object, so evolving one start state to many times pays for
+    the basis change and Q_b+ once; an entry is read-only and goes when its
+    state is collected.  ``trotter2`` mode applies the symmetric
+    second-order splitting (term exponentials in stored order forward, then
+    backward, with half steps): one ``evolve`` over an increment dtau takes
     ceil(|dtau| * steps_per_unit) equal steps.
     """
 
@@ -141,9 +154,10 @@ class EvolutionPlan:
         self.mode = mode
         self.steps_per_unit = steps_per_unit
         self._factorization: tuple[np.ndarray, np.ndarray] | None = None
-        # evecs.conj().T, kept for evolve: a view of evecs when H is real
+        # Q_b+ per block (a view of the eigenvectors when H is real)
         self._adjoint: np.ndarray | None = None
-        # Q+ s per evolved state s (exact mode), dropped with s
+        self._basis: SectorBasis | None = None
+        # Q_b+ s per evolved state s (exact mode), dropped with s
         self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @classmethod
@@ -155,19 +169,24 @@ class EvolutionPlan:
         return cls(h, mode="trotter2", steps_per_unit=steps_per_unit)
 
     def factorization(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of the dense Hamiltonian (cached)."""
+        """Eigenvalues (2**r, k) and eigenvectors (2**r, k, k) of the
+        symmetry blocks of H (cached), each block checked to reproduce
+        itself within :data:`FACTORIZATION_TOL`."""
         if self._factorization is None:
-            hd = dense_matrix(self.h)
-            evals, evecs = np.linalg.eigh(hd)
-            adjoint = evecs.conj().T
-            residual = np.linalg.norm((evecs * evals) @ adjoint - hd)
-            scale = max(np.linalg.norm(hd), 1.0)
-            if residual > FACTORIZATION_TOL * scale:
+            basis, blocks = symmetry_blocks(self.h)
+            evals, evecs = np.linalg.eigh(blocks)
+            adjoint = evecs.conj().transpose(0, 2, 1)
+            residual = np.linalg.norm((evecs * evals[:, None, :]) @ adjoint - blocks, axis=(1, 2))
+            scale = np.maximum(np.linalg.norm(blocks, axis=(1, 2)), 1.0)
+            worst = int(np.argmax(residual / scale))
+            if residual[worst] > FACTORIZATION_TOL * scale[worst]:
                 raise InternalInconsistencyError(
-                    f"eigenfactorization residual {residual:.3e} exceeds tolerance")
+                    f"eigenfactorization residual {residual[worst]:.3e} of block {worst} "
+                    f"exceeds tolerance")
             for arr in (evals, evecs, adjoint):
                 arr.flags.writeable = False
             self._adjoint = adjoint
+            self._basis = basis
             self._factorization = (evals, evecs)
         return self._factorization
 
@@ -181,16 +200,16 @@ class EvolutionPlan:
         return self
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec without upcasting a real matrix: numpy would copy a real
-    ``mat`` to complex128 on every call, so it acts on the real and the
-    imaginary part of a complex ``vec`` separately."""
-    if np.isrealobj(mat) and np.iscomplexobj(vec):
-        out = np.empty(vec.shape, dtype=np.result_type(mat, vec))
-        out.real = mat @ vec.real
-        out.imag = mat @ vec.imag
-        return out
-    return mat @ vec
+def _apply_blocks(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[b] @ vecs[b] for every block b of a complex (blocks, k) array.
+
+    A real ``mats`` acts on the float view of ``vecs``, whose (re, im) pairs
+    form two columns: numpy would otherwise copy it to complex128 on every
+    call."""
+    if np.isrealobj(mats):
+        pairs = np.ascontiguousarray(vecs).view(float).reshape(*vecs.shape, 2)
+        return (mats @ pairs).view(complex)[..., 0]
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def _trotter_step(amps: np.ndarray, rotations: list) -> np.ndarray:
@@ -205,8 +224,10 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
     """exp(-i t H) |s> under the plan's strategy.
 
     Exact mode takes the phase at the full t, so evolving one start state
-    to many times builds up no rounding; the eigen-coefficients Q+ s come
-    from the plan's memo after the first call on s.
+    to many times builds up no rounding; the block eigen-coefficients
+    Q_b+ s come from the plan's memo after the first call on s, and each
+    call then costs the phases, one batched block product, the inverse
+    Walsh-Hadamard transform and a scatter back to amplitudes.
     """
     if plan.h.n != s.n:
         raise ValueError(f"qubit counts differ: {plan.h.n} vs {s.n}")
@@ -216,10 +237,11 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         evals, evecs = plan.factorization()
         coeffs = plan._coefficients.get(s)
         if coeffs is None:
-            coeffs = _matvec(plan._adjoint, s.amps)
+            coeffs = _apply_blocks(plan._adjoint, plan._basis.to_sectors(s.amps))
             coeffs.flags.writeable = False
             plan._coefficients[s] = coeffs
-        return StateVector(s.n, _matvec(evecs, np.exp(-1j * t * evals) * coeffs))
+        phased = np.exp(-1j * t * evals) * coeffs
+        return StateVector(s.n, plan._basis.to_amplitudes(_apply_blocks(evecs, phased)))
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     dt = t / steps
     rotations = []

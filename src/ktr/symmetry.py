@@ -10,6 +10,11 @@ are exactly the Pauli strings that anticommute with every term.  The
 system is XORSAT, solved by Gaussian elimination; an inconsistent reduced
 row ``(0 ... 0 | 1)`` is a definitive certificate that no such operator
 exists.
+
+The same elimination with a zero right-hand side gives the commuting
+strings, the symmetries of H.  :func:`commutant` keeps their X-type and
+Z-type parts, the abelian group on whose sectors exact evolution splits H
+(see :mod:`ktr.gevp`).
 """
 
 from __future__ import annotations
@@ -43,6 +48,37 @@ def rref(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], tuple[int, .
         pivots.append(c)
         r += 1
     return tuple(a), tuple(pivots)
+
+
+def _nullspace(reduced: Sequence[int], pivots: Sequence[int], width: int) -> tuple[int, ...]:
+    """Basis of {t : popcount(row & t) even for every row} from the output of
+    :func:`rref`, one vector per free column."""
+
+    def column(c: int) -> int:
+        return 1 << (width - 1 - c)
+
+    free_cols = sorted(set(range(width)) - set(pivots))
+    return tuple(column(free) + sum(column(c) for row, c in zip(reduced, pivots) if row & column(free))
+                 for free in free_cols)
+
+
+def commutant(h: PauliSum) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """X-type and Z-type symmetry generators of H, as x masks and z masks.
+
+    X**s commutes with a term (x, z) exactly when popcount(s & z) is even and
+    Z**r when popcount(r & x) is even, so these are the X-type and the
+    Z-type parts of the nullspace of the parity matrix.  Only Z-type strings
+    that also commute with every X-type one are kept, so the generators
+    commute pairwise; they are independent and carry the sign +1, so the
+    group they generate is abelian and does not hold -I.  The x masks come
+    in reduced row echelon form (:func:`rref`).  Identity terms give zero
+    rows and need no special case.
+    """
+    n = h.n
+    strings = [string for _, string in h.terms]
+    x_rows = rref(_nullspace(*rref([p.z for p in strings], n), n), n)[0]
+    z_rows = _nullspace(*rref([p.x for p in strings] + list(x_rows), n), n)
+    return x_rows, z_rows
 
 
 def build_parity_matrix(h: PauliSum) -> tuple[int, ...]:
@@ -109,14 +145,8 @@ def solve_time_reversal(h: PauliSum) -> SymmetrySolution | Infeasible:
     if pivots and pivots[-1] == width:
         return Infeasible(witness_row=len(pivots) - 1)
 
-    def column(c: int) -> int:
-        return 1 << (width - 1 - c)
-
-    pivot_rows = [(row >> 1, row & 1, c) for row, c in zip(reduced, pivots)]
-    particular = sum(column(c) for _, rhs, c in pivot_rows if rhs)
-    free_cols = sorted(set(range(width)) - set(pivots))
-    basis = tuple(column(free) + sum(column(c) for row, _, c in pivot_rows if row & column(free))
-                  for free in free_cols)
+    particular = sum(1 << (width - 1 - c) for row, c in zip(reduced, pivots) if row & 1)
+    basis = _nullspace([row >> 1 for row in reduced], pivots, width)
     return SymmetrySolution(particular, basis, h.n)
 
 

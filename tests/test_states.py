@@ -2,6 +2,8 @@
 
 import gc
 import threading
+import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 from ktr.errors import InternalInconsistencyError, ResourceLimitError
 from ktr.gevp import exact_reference
 from ktr.models import ModelSpec, build
-from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.states import (EvolutionPlan, StateVector, _matvec, apply_pauli, apply_pauli_to_array,
-                        evolve, expectation, inner, matrix_element, plus_state)
+from ktr.paulis import PauliString, PauliSum, symplectic_product
+from ktr.states import (EvolutionPlan, StateVector, _apply_blocks, apply_pauli,
+                        apply_pauli_to_array, evolve, expectation, inner, matrix_element,
+                        plus_state)
 from ktr.symmetry import Infeasible, solve_time_reversal
 from ktr.initial import ProjectorSpec, build_block_product, project
 
@@ -198,12 +201,26 @@ def test_conjugation_reverses_evolution():
     assert np.max(np.abs(lhs.amps - rhs.amps)) <= 1e-12
 
 
+def _sector_basis_matrix(plan):
+    """Columns: each sector coordinate of the plan, in amplitudes."""
+    shape = plan.factorization()[0].shape
+    eye = np.eye(shape[0] * shape[1], dtype=complex)
+    return np.stack([plan._basis.to_amplitudes(col.reshape(shape)) for col in eye], axis=1)
+
+
 def test_factorization_reconstructs_hamiltonian():
-    h = build(ModelSpec("tfim", 4, {"gamma": 0.5}))
-    plan = EvolutionPlan.exact(h)
-    evals, evecs = plan.factorization()
-    hd = dense_matrix(h)
-    assert np.linalg.norm((evecs * evals) @ evecs.conj().T - hd) <= 1e-10 * np.linalg.norm(hd)
+    # tfim: two blocks (Z parity); z2higgs n=6: four X-type generators, 16 blocks of 4
+    for spec in (ModelSpec("tfim", 4, {"gamma": 0.5}),
+                 ModelSpec("z2higgs", 6, {"mu": 0.8, "g": 1.1})):
+        h = build(spec)
+        plan = EvolutionPlan.exact(h)
+        evals, evecs = plan.factorization()
+        assert evals.shape[0] > 1 and evecs.shape == evals.shape + evals.shape[1:]
+        blocks = sla.block_diag(*((q * w) @ q.conj().T for w, q in zip(evals, evecs)))
+        basis = _sector_basis_matrix(plan)
+        hd = kron_matrix(h)
+        rebuilt = basis @ blocks @ basis.conj().T
+        assert np.linalg.norm(rebuilt - hd) <= 1e-10 * np.linalg.norm(hd)
 
 
 _ODD_Y = PauliSum(2, ((0.8, PauliString.from_label("XY")),
@@ -220,7 +237,7 @@ def test_exact_path_follows_the_hamiltonian_dtype(h, dtype):
     hd = kron_matrix(h)
     plan = EvolutionPlan.exact(h)
     evals, evecs = plan.factorization()
-    assert evecs.dtype == dtype
+    assert evecs.dtype == dtype and evals.dtype == np.float64
     assert np.max(np.abs(exact_reference(h) - sla.eigh(hd, eigvals_only=True))) <= 1e-12
     rng = np.random.default_rng(71)
     for t in (0.37, -1.9):
@@ -241,8 +258,9 @@ def test_exact_evolution_reuses_start_coefficients(h):
     for k in range(1, 33):
         t = 0.25 * k
         got = evolve(plan, t, s).amps
-        # the same arithmetic with Q+ s recomputed on every call
-        want = _matvec(evecs, np.exp(-1j * t * evals) * _matvec(evecs.conj().T, s.amps))
+        # the same arithmetic with the basis change and Q_b+ s recomputed on every call
+        start = _apply_blocks(evecs.conj().transpose(0, 2, 1), plan._basis.to_sectors(s.amps))
+        want = plan._basis.to_amplitudes(_apply_blocks(evecs, np.exp(-1j * t * evals) * start))
         assert np.array_equal(got, want)
         assert np.max(np.abs(got - dense_evolution(hd, t) @ s.amps)) <= 1e-12
         memo.append(plan._coefficients[s])
@@ -310,3 +328,93 @@ def test_concurrent_evolutions_share_factorization():
     sequential = [evolve(plan, t, shared).amps for t in times]
     for seq, par in zip(sequential, parallel):
         assert np.array_equal(seq, par)
+
+
+@st.composite
+def _symmetric_sum(draw):
+    """A random sum that commutes with random pairwise-commuting X-type and
+    Z-type strings, with random signs; some draws add a term with an odd
+    number of Y factors and an identity term."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs, zs = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        same, other = (xs, zs) if rng.random() < 0.5 else (zs, xs)
+        mask = int(rng.integers(1, 2 ** n))
+        if all((mask & m).bit_count() % 2 == 0 for m in other):
+            same.append(mask)
+    group = ([PauliString.from_xz(n, x, 0) for x in xs]
+             + [PauliString.from_xz(n, 0, z) for z in zs])
+
+    def commuting(odd_y):
+        for _ in range(200):
+            p = PauliString.from_xz(n, int(rng.integers(2 ** n)), int(rng.integers(2 ** n)))
+            if (not any(symplectic_product(p, g) for g in group)
+                    and (p.x & p.z).bit_count() % 2 == odd_y):
+                return p
+        return None
+
+    terms = [(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)), p)
+             for p in (commuting(0) for _ in range(draw(st.integers(1, 8)))) if p is not None]
+    if draw(st.booleans()):
+        odd = commuting(1)
+        if odd is not None:
+            terms.append((float(rng.normal()), odd))
+    if draw(st.booleans()):
+        terms.append((float(rng.normal()), PauliString.from_xz(n, 0, 0)))
+    if not terms:
+        terms.append((1.0, PauliString.from_xz(n, 0, 0)))
+    return PauliSum(n, tuple(terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_sum(), st.floats(-3.0, 3.0))
+def test_block_evolution_matches_expm_on_symmetric_sums(h, t):
+    hd = kron_matrix(h)
+    s = random_state(h.n, np.random.default_rng(h.n))
+    got = evolve(EvolutionPlan.exact(h), t, s).amps
+    assert np.max(np.abs(got - dense_evolution(hd, t) @ s.amps)) <= 1e-12
+    scale = 1e-12 * max(1.0, h.coeff_norm)
+    assert np.max(np.abs(exact_reference(h) - np.linalg.eigvalsh(hd))) <= scale
+
+
+def test_identity_terms_need_no_special_case():
+    shift = PauliString.from_label("III")
+    h = PauliSum(3, ((0.7, shift), (-1.0, PauliString.from_label("XXI")),
+                     (0.4, PauliString.from_label("IZZ"))))
+    s = random_state(3, np.random.default_rng(74))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evolve(EvolutionPlan.exact(h), 0.9, s).amps
+        assert np.max(np.abs(got - dense_evolution(kron_matrix(h), 0.9) @ s.amps)) <= 1e-12
+        # an identity-only sum: every X string is a symmetry, blocks of 1
+        only = PauliSum(3, ((0.7, shift),))
+        plan = EvolutionPlan.exact(only)
+        assert plan.factorization()[0].shape == (8, 1)
+        assert np.max(np.abs(evolve(plan, 0.9, s).amps - np.exp(-0.63j) * s.amps)) <= 1e-15
+        assert np.array_equal(exact_reference(only), np.full(8, 0.7))
+
+
+def test_plain_x_field_stays_linear_in_memory():
+    # H = sum_i X_i: every X_i is a symmetry, so the plan holds 2**12 blocks of
+    # 1 and an orbit transform over all 12 qubits, applied in two factors of 64
+    n = 12
+    dim = 2 ** n
+    h = PauliSum(n, tuple((1.0, PauliString.from_xz(n, 1 << j, 0)) for j in range(n)))
+    s = random_state(n, np.random.default_rng(75))
+    tracemalloc.start()
+    try:
+        plan = EvolutionPlan.exact(h).prepare()
+        got = evolve(plan, 0.6, s).amps
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.factorization()[0].shape == (dim, 1)
+    # a sixteenth of the one float64 2**n x 2**n matrix the dense path needs at the least
+    assert peak <= 8 * dim ** 2 // 16, f"peak {peak} B"
+    # exp(-i t X) = cos t - i sin t X on every qubit, applied along its own axis
+    factor = np.array([[np.cos(0.6), -1j * np.sin(0.6)], [-1j * np.sin(0.6), np.cos(0.6)]])
+    want = s.amps.reshape((2,) * n)
+    for axis in range(n):
+        want = np.moveaxis(np.tensordot(factor, want, axes=([1], [axis])), 0, axis)
+    assert np.max(np.abs(got - want.ravel())) <= 1e-12

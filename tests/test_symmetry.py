@@ -1,13 +1,15 @@
 """GF(2) parity-matrix encoding, RREF and the XORSAT solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.models import ModelSpec, build, known_time_reversal
-from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.symmetry import (Infeasible, SymmetrySolution, build_parity_matrix, rref,
+from ktr.paulis import PauliString, PauliSum, commutes, dense_matrix
+from ktr.symmetry import (Infeasible, SymmetrySolution, build_parity_matrix, commutant, rref,
                           solve_time_reversal, verify_time_reversal)
 
 from oracles import (all_pauli_strings, bits_to_mask, brute_force_reversals_dense,
@@ -220,3 +222,62 @@ def test_symmetry_search_never_compiles_pauli_actions():
     sol = solve_time_reversal(h)
     assert not isinstance(sol, Infeasible)
     assert verify_time_reversal(next(sol.solutions()), h)
+
+
+_CHAIN_PARAMS = {
+    "tfim": {"gamma": 0.6},
+    "cluster": {"g_x": 1.0, "g_zz": 0.5, "g_zxz": 0.3},
+    "heisenberg": {"j_x": 1.0, "j_y": 0.8, "j_z": 0.6},
+    "z2higgs": {"mu": 0.9, "g": 1.1},
+}
+
+
+def _expected_commutant(kind, n):
+    """(X-type count, Z-type count) of each chain's symmetry group."""
+    ones = (1 << n) - 1
+    if kind == "tfim":
+        return [], [ones]
+    if kind == "cluster":
+        return [ones], []
+    if kind == "heisenberg":  # Pi X and Pi Z anticommute at odd n
+        return [ones], [ones] if n % 2 == 0 else []
+    return n // 2 + 1, 0
+
+
+@pytest.mark.parametrize("kind", sorted(_CHAIN_PARAMS))
+def test_commutant_of_every_chain(kind):
+    seen = 0
+    for n in range(4, 11):
+        try:
+            h = build(ModelSpec(kind, n, _CHAIN_PARAMS[kind]))
+        except ValueError:  # tfim, cluster and z2higgs need an even n
+            continue
+        seen += 1
+        x_rows, z_rows = commutant(h)
+        group = ([PauliString.from_xz(n, x, 0) for x in x_rows]
+                 + [PauliString.from_xz(n, 0, z) for z in z_rows])
+        for g in group:
+            assert commutes(PauliSum(n, ((1.0, g),)), h), (n, g)
+            assert g.x == 0 or g.z == 0
+        assert all((p.x & q.z ^ p.z & q.x).bit_count() % 2 == 0 for p in group for q in group)
+        for rows in (x_rows, z_rows):
+            assert len(rref(rows, n)[1]) == len(rows) and 0 not in rows  # independent
+        want_x, want_z = _expected_commutant(kind, n)
+        if kind == "z2higgs":
+            assert (len(x_rows), len(z_rows)) == (want_x, want_z)
+        else:
+            assert (list(x_rows), list(z_rows)) == (want_x, want_z)
+    assert seen >= 4
+
+
+def test_commutant_takes_identity_terms_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = PauliSum(3, ((2.0, PauliString.from_label("III")),
+                          (1.0, PauliString.from_label("ZZI")),
+                          (0.5, PauliString.from_label("IXX"))))
+        # X on qubits 0 and 1, X on qubit 2; no Z string commutes with both
+        assert commutant(h) == ((0b110, 0b001), ())
+        # every X string commutes with the identity; Z strings then cannot
+        only = PauliSum(3, ((2.0, PauliString.from_label("III")),))
+        assert commutant(only) == ((0b100, 0b010, 0b001), ())

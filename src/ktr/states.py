@@ -20,13 +20,13 @@ H_b = Q_b L_b Q_b+.  A state enters that basis by a gather into orbits and
 an orthonormal Walsh-Hadamard transform over each orbit, applied as two
 small factors, so no matrix above O(2**n) entries is built; it leaves by
 the same transform and a scatter.  A group with no generators is one
-block of 2**n, the dense eigenfactorization.  Real H
-(every string with an even number of Y factors, as in every model chain)
-gives float64 blocks and eigenvectors, which act on the real and the
-imaginary part of the coefficients at once; a term with an odd number of
-Y factors runs the same code in complex128.  States above
-:data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
-:class:`ResourceLimitError` before anything is allocated.
+block of 2**n, the dense eigenfactorization.  Real H (every string with an
+even number of Y factors, as in every model chain) gives float64 blocks and
+eigenvectors, which act on the real and the imaginary part of the
+coefficients at once; a term with an odd number of Y factors runs the same
+code in complex128.  States above :data:`ktr.paulis.STATE_QUBIT_CAP`
+qubits are refused with :class:`ResourceLimitError` before anything is
+allocated.
 
 All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across

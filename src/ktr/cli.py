@@ -337,6 +337,9 @@ def run(config: ExperimentConfig) -> RunReport:
 
     if config.model.kind == "z2higgs":
         reference = sector_ground_energy(h, gauss_generators(config.model))
+    elif plan.mode == "exact":
+        # the plan's block spectra are the exact spectrum; no second build
+        reference = float(np.min(plan.factorization()[0]))
     else:
         reference = float(exact_reference(h)[0])
 

@@ -13,10 +13,16 @@ s_i carry the orbit S(a) = XOR of the s_i picked by the bits of a; a
 representative b is zero in every X pivot column, and its Z parities name
 its Z sector.  The basis vector of b and the character c sums
 2**(-r_x/2) (-1)**popcount(a & c) |b ^ S(a)> over the 2**r_x orbit
-elements.  A term P = (x, z) that commutes with the group maps it to
-diag[b ^ x] (-1)**popcount(a0 & c) times the vector of rep(b ^ x) =
-b ^ x ^ S(a0), so H is assembled block by block on the representatives
-alone: one k x k block per character and Z sector, k = 2**(n - r).
+elements.  A string P = (x, z) maps it to diag[b ^ x]
+(-1)**popcount(a0 & (c ^ delta)) times the vector of rep(b ^ x) =
+b ^ x ^ S(a0) and the character c ^ delta, where delta_i =
+parity(z & s_i); rep(b ^ x) lies in the Z sector of b flipped at the bits
+eps_j = parity(x & r_j) of the Z rows r_j (:meth:`SectorBasis.image`).  A
+term of H commutes with the group (delta = eps = 0), so H is assembled
+block by block on the representatives alone: one k x k block per
+character and Z sector, k = 2**(n - r).  An involution T that
+anticommutes with H moves the blocks instead, a signed permutation of the
+basis that :meth:`ktr.states.EvolutionPlan.reversal` reads.
 Amplitudes enter the basis by a gather into orbits and a Walsh-Hadamard
 transform over each orbit, and leave by the same transform and a scatter.
 
@@ -38,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DegeneratePencilError, ResourceLimitError
-from .paulis import DENSE_QUBIT_CAP, PauliSum, _parity, commutes
+from .paulis import DENSE_QUBIT_CAP, PauliString, PauliSum, _parity, commutes
 # no caller here, but the benchmark tracer wraps ktr.gevp.dense_matrix
 from .paulis import dense_matrix  # noqa: F401
 from .symmetry import commutant, rref
@@ -123,7 +129,7 @@ class SectorBasis:
     pivots: tuple[int, ...]   # pivot bit of each reduced X-type row
     orbit: np.ndarray         # orbit[a] = S(a), 2**r_x entries
     reps: np.ndarray          # (2**r_z, k) representatives, one row per Z sector
-    slot: np.ndarray          # slot[rep] = column of rep in its row of reps
+    slot: np.ndarray          # slot[rep] = index of rep in reps flattened, sector * k + column
     order: np.ndarray         # (2**r_x, 2**r_z * k): index of S(a) ^ rep, reps flattened
     hadamards: tuple[np.ndarray, np.ndarray]  # H_{2**hi}, H_{2**lo}, hi + lo = r_x
 
@@ -149,7 +155,7 @@ class SectorBasis:
         # every Z sector holds the same number k of representatives
         reps = reps[np.argsort(sector, kind="stable")].reshape(2 ** len(z_rows), -1)
         slot = np.zeros_like(index)
-        slot[reps] = np.arange(reps.shape[1])
+        slot[reps] = np.arange(reps.size).reshape(reps.shape)
         order = orbit[:, None] ^ reps.ravel()
         rx = len(pivots)
         hadamards = (_hadamard((rx + 1) // 2), _hadamard(rx // 2))
@@ -178,25 +184,38 @@ class SectorBasis:
         arr = (high @ arr).reshape(high.shape[0], low.shape[0], -1)
         return (low @ arr).reshape(coords.shape[0], -1).view(complex)
 
+    def image(self, p: PauliString, characters: Sequence[int]
+              ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Where the string P sends the basis vectors of the given characters:
+        P|b, c> = sign * |b', c ^ delta>; see the module docstring.
+
+        Returns delta, the flat index ``slot[b']`` for each representative b
+        of ``reps`` flattened, and the signs, shape (len(characters),
+        reps.size)."""
+        src, diag = p.action()
+        v = src[self.reps.ravel()]  # b ^ x
+        a0 = np.zeros_like(v)
+        delta = 0
+        for i, bit in enumerate(self.pivots):
+            a0[(v & bit) != 0] |= 1 << i
+            delta |= (p.z & int(self.orbit[1 << i])).bit_count() % 2 << i
+        characters = np.asarray(characters, dtype=np.int64)[:, None] ^ delta
+        signs = diag[v] * (1.0 - 2.0 * _parity(a0 & characters))
+        return delta, self.slot[v ^ self.orbit[a0]], signs
+
     def blocks(self, h: PauliSum, characters: Sequence[int]) -> np.ndarray:
         """H on the sectors of the given characters, shape
         (len(characters), 2**r_z, k, k); float64 unless some term has an odd
         phase.  Every term must commute with the group."""
         sectors, k = self.reps.shape
-        reps = self.reps.ravel()
-        sector, column = np.divmod(np.arange(reps.size), k)
-        characters = np.asarray(characters, dtype=np.int64)[:, None]
-        terms = h.compiled()
-        out = np.zeros((characters.shape[0], sectors, k, k),
-                       np.result_type(float, *(diag for _, (_, diag) in terms)))
-        for coeff, (src, diag) in terms:
-            v = src[reps]  # rep ^ x
-            a0 = np.zeros_like(v)
-            for i, bit in enumerate(self.pivots):
-                a0[(v & bit) != 0] |= 1 << i
-            signs = 1.0 - 2.0 * _parity(a0 & characters)
-            out[:, sector, self.slot[v ^ self.orbit[a0]], column] += coeff * diag[v] * signs
-        return out
+        column = np.arange(self.reps.size) % k
+        out = np.zeros((len(characters), sectors * k, k),
+                       np.result_type(float, *(diag for _, (_, diag) in h.compiled())))
+        for coeff, p in h.terms:
+            # a commuting term keeps the sector, so rows sector * k + slot stay in it
+            _, target, signs = self.image(p, characters)
+            out[:, target, column] += coeff * signs
+        return out.reshape(len(characters), sectors, k, k)
 
 
 def symmetry_blocks(h: PauliSum) -> tuple[SectorBasis, np.ndarray]:

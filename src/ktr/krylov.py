@@ -35,10 +35,13 @@ increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
 samples_per_step) on the fine grid.  A pencil then sees powers of one
 Trotter step unitary and B is a Gram matrix; ``kqd`` and the half-time
 routes differ when ceil(dt * spu) != 2 ceil(dt / 2 * spu) for
-steps_per_unit spu.  Exact evolution restarts from the start state, more
-precisely from its block eigen-coefficients Q_b+ v0 on the symmetry sectors
-of H, which the plan computes once per start state and caches (see
-:func:`ktr.states.evolve`).
+steps_per_unit spu.  Exact samples are taken at the full time from the
+start state's block eigen-coefficients Q_b+ v0 on the symmetry sectors of
+H, which the plan computes once per start state and caches, so rounding
+does not build up along the grid.  ``build_kqd`` evolves amplitudes from
+them (:func:`ktr.states.evolve`); ``_signed_curves`` builds no amplitudes
+at all and reads both expectations in the block eigenbasis, where T is a
+signed block permutation (:func:`ktr.states.reversal_curves`).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .initial import (PROJECTION_PROB_FLOOR, ProjectorSpec, enumerate_local_proj
 from .initial import project  # noqa: F401
 from .paulis import PauliString, PauliSum, build_iht_observable
 from .states import (EvolutionPlan, StateVector, apply_pauli, evolve,
-                     expectation, inner, matrix_element)
+                     expectation, inner, matrix_element, reversal_curves)
 
 #: max-norm tolerance for the stabilizer precondition T|v0> = c|v0>
 STABILIZER_TOL = 1e-12
@@ -178,6 +181,9 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
 
     a[k] = sum_b w_b <v_b(tau_k)| iHT |v_b(tau_k)>, and b[k] likewise with
     T, over the (w_b, v_b) ``branches``, where v_b(tau) = exp(-i tau H)|v_b>.
+    Exact mode reads every branch's curves in the plan's block eigenbasis
+    (:func:`ktr.states.reversal_curves`); ``trotter2`` steps amplitude
+    vectors along the grid and takes two expectations per sample.
     """
     # looked up in ktr.symmetry per call, where the benchmark tracer wraps it
     from .symmetry import verify_time_reversal
@@ -185,12 +191,16 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
     if not verify_time_reversal(t, h):
         raise NotTimeReversalError(
             "operator is not an anticommuting Hermitian involution for this Hamiltonian")
+    starts = [state for _, state in branches]
+    if plan.mode == "exact":
+        weights = np.array([weight for weight, _ in branches])
+        a, b = reversal_curves(plan, t, starts, step, count)
+        return weights @ a, weights @ b
     t_obs = PauliSum(h.n, ((1.0, t),))
     iht = build_iht_observable(h, t)
     plan.prepare()
     a = np.zeros(count)
     b = np.zeros(count)
-    starts = [state for _, state in branches]
     for k, states in enumerate(_sample_states(plan, step, count, starts)):
         for (weight, _), w in zip(branches, states):
             b[k] += weight * expectation(w, t_obs)

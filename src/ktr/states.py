@@ -28,15 +28,24 @@ code in complex128.  States above :data:`ktr.paulis.STATE_QUBIT_CAP`
 qubits are refused with :class:`ResourceLimitError` before anything is
 allocated.
 
+An involution T that anticommutes with H maps each symmetry block onto
+another (:meth:`ktr.gevp.SectorBasis.image`), so in the block eigenbasis
+it is M_T[b] = Q_pi(b)+ P_T Q_b for a block permutation pi, cached per
+involution by :meth:`EvolutionPlan.reversal`.  :func:`reversal_curves`
+reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for v(tau) = exp(-i tau
+H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v, they are
+sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi), and
+no amplitude vector is built.
+
 All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across
-threads.  Two caches fill on first use, each with read-only arrays that
+threads.  Three caches fill on first use, each with read-only arrays that
 any thread computes bit for bit the same: the compiled actions, as in
-:meth:`ktr.paulis.PauliSum.compiled`, and an exact plan's memo of the
-block eigen-coefficients Q_b+ s of each start state s, so that a later
+:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's memo of the block
+eigen-coefficients Q_b+ s of each start state s, so that a later
 evolution of s costs one phase, one batched block product, the inverse
-transform and a scatter.  The memo holds its states weakly and keeps
-nothing alive that the caller has dropped.
+transform and a scatter; and its M_T per involution T.  The memo holds
+its states weakly and keeps nothing alive that the caller has dropped.
 """
 
 from __future__ import annotations
@@ -55,8 +64,14 @@ from .paulis import dense_matrix  # noqa: F401
 #: absolute imaginary residue tolerated in a Hermitian expectation
 EXPECTATION_IMAG_TOL = 1e-12
 
-#: relative Frobenius tolerance for the self-check of each block's eigenfactorization
+#: relative Frobenius tolerance for the self-check of each block's
+#: eigenfactorization, and of M_T[pi] M_T = I (T**2 = I) in the block eigenbasis
 FACTORIZATION_TOL = 1e-10
+
+#: bound on the work arrays of one chunk of :func:`reversal_curves`: four
+#: complex (2**n, K) arrays, K = CURVE_CHUNK_BYTES // (64 * 2**n) samples
+#: (at least one), so memory does not grow with the number of samples
+CURVE_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +151,13 @@ class EvolutionPlan:
     block eigen-coefficients Q_b+ s of each state s it evolves, keyed weakly
     by the state object, so evolving one start state to many times pays for
     the basis change and Q_b+ once; an entry is read-only and goes when its
-    state is collected.  ``trotter2`` mode applies the symmetric
-    second-order splitting (term exponentials in stored order forward, then
-    backward, with half steps): one ``evolve`` over an increment dtau takes
-    ceil(|dtau| * steps_per_unit) equal steps.
+    state is collected.  For each anticommuting involution T it caches the
+    block permutation and M_T of :meth:`reversal`, read-only too, so
+    threads may share them as they share the factorization.  ``trotter2``
+    mode applies the symmetric second-order splitting (term exponentials
+    in stored order forward, then backward, with half steps): one
+    ``evolve`` over an increment dtau takes ceil(|dtau| * steps_per_unit)
+    equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
@@ -159,6 +177,8 @@ class EvolutionPlan:
         self._basis: SectorBasis | None = None
         # Q_b+ s per evolved state s (exact mode), dropped with s
         self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # (pi, M_T) per involution T (exact mode)
+        self._reversals: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def exact(cls, h: PauliSum) -> "EvolutionPlan":
@@ -190,6 +210,44 @@ class EvolutionPlan:
             self._factorization = (evals, evecs)
         return self._factorization
 
+    def coefficients(self, s: StateVector) -> np.ndarray:
+        """Block eigen-coefficients Q_b+ s, shape (2**r, k), memoized per state
+        (exact mode) and read-only."""
+        coeffs = self._coefficients.get(s)
+        if coeffs is None:
+            self.factorization()
+            coeffs = _apply_blocks(self._adjoint, self._basis.to_sectors(s.amps))
+            coeffs.flags.writeable = False
+            self._coefficients[s] = coeffs
+        return coeffs
+
+    def reversal(self, t: PauliString) -> tuple[np.ndarray, np.ndarray]:
+        """An involution T that anticommutes with H in the block eigenbasis
+        (exact mode, cached per T): the block permutation pi, block
+        c * 2**r_z + zeta going to (c ^ delta) * 2**r_z + (zeta ^ eps), and
+        M_T[b] = Q_pi(b)+ P_T Q_b, shape (2**r, k, k), where P_T is the signed
+        permutation that :meth:`ktr.gevp.SectorBasis.image` gives.  Checked to
+        square to the identity (:func:`_check_involution`)."""
+        cached = self._reversals.get(t)
+        if cached is None:
+            evals, evecs = self.factorization()
+            blocks, k = evals.shape
+            sectors = self._basis.reps.shape[0]
+            characters = np.arange(blocks // sectors)
+            delta, target, signs = self._basis.image(t, characters)
+            to_sector, row = np.divmod(target, k)
+            # every representative of one Z sector lands in the same sector
+            perm = ((characters[:, None] ^ delta) * sectors + to_sector[::k]).ravel()
+            moved = np.empty(evecs.shape, np.result_type(evecs, signs))
+            rows = np.tile(row.reshape(sectors, k), (characters.size, 1))
+            moved[np.arange(blocks)[:, None], rows] = signs.reshape(blocks, k)[..., None] * evecs
+            m_t = self._adjoint[perm] @ moved
+            _check_involution(perm, m_t)
+            for arr in (perm, m_t):
+                arr.flags.writeable = False
+            cached = self._reversals[t] = (perm, m_t)
+        return cached
+
     def prepare(self) -> "EvolutionPlan":
         """Force the caches to exist (useful before fanning out threads):
         the factorization in exact mode, the compiled terms in trotter2 mode."""
@@ -200,16 +258,29 @@ class EvolutionPlan:
         return self
 
 
+def _check_involution(perm: np.ndarray, m_t: np.ndarray) -> None:
+    """Refuse M_T unless pi is an involution and M_T[pi(b)] M_T[b] = I on
+    every block within :data:`FACTORIZATION_TOL` (relative Frobenius)."""
+    k = m_t.shape[-1]
+    residual = np.linalg.norm(m_t[perm] @ m_t - np.eye(k), axis=(1, 2)) / math.sqrt(k)
+    worst = int(np.argmax(residual))
+    if not np.array_equal(perm[perm], np.arange(perm.size)) or residual[worst] > FACTORIZATION_TOL:
+        raise InternalInconsistencyError(
+            f"involution in the block eigenbasis does not square to the identity "
+            f"(residual {residual[worst]:.3e} at block {worst})")
+
+
 def _apply_blocks(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats[b] @ vecs[b] for every block b of a complex (blocks, k) array.
+    """mats[b] @ vecs[b] for every block b of a complex (blocks, k) or
+    (blocks, k, K) array.
 
     A real ``mats`` acts on the float view of ``vecs``, whose (re, im) pairs
-    form two columns: numpy would otherwise copy it to complex128 on every
-    call."""
+    form twice the columns: numpy would otherwise copy it to complex128 on
+    every call."""
+    columns = np.ascontiguousarray(vecs).reshape(*vecs.shape[:2], -1)
     if np.isrealobj(mats):
-        pairs = np.ascontiguousarray(vecs).view(float).reshape(*vecs.shape, 2)
-        return (mats @ pairs).view(complex)[..., 0]
-    return (mats @ vecs[..., None])[..., 0]
+        return (mats @ columns.view(float)).view(complex).reshape(vecs.shape)
+    return (mats @ columns).reshape(vecs.shape)
 
 
 def _trotter_step(amps: np.ndarray, rotations: list) -> np.ndarray:
@@ -235,12 +306,7 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         return s
     if plan.mode == "exact":
         evals, evecs = plan.factorization()
-        coeffs = plan._coefficients.get(s)
-        if coeffs is None:
-            coeffs = _apply_blocks(plan._adjoint, plan._basis.to_sectors(s.amps))
-            coeffs.flags.writeable = False
-            plan._coefficients[s] = coeffs
-        phased = np.exp(-1j * t * evals) * coeffs
+        phased = np.exp(-1j * t * evals) * plan.coefficients(s)
         return StateVector(s.n, plan._basis.to_amplitudes(_apply_blocks(evecs, phased)))
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     dt = t / steps
@@ -253,3 +319,55 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
     for _ in range(steps):
         amps = _trotter_step(amps, rotations)
     return StateVector(s.n, amps)
+
+
+def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVector],
+                    step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """<v(tau)| iHT |v(tau)> and <v(tau)| T |v(tau)> at tau_k = k * step,
+    k < count, for each v in ``starts``: two (len(starts), count) arrays.
+
+    The exact curves, for an involution T that anticommutes with H.  Both
+    are read in the block eigenbasis from the memoized coefficients
+    c0 = Q+ v, with no amplitude vector: phi = exp(-i L tau) c0 at the full
+    tau, then sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) .
+    (M_T phi), with pi and M_T from :meth:`EvolutionPlan.reversal`.  The tau
+    grid runs in chunks of at most :data:`CURVE_CHUNK_BYTES` of work arrays.
+    The imaginary residue of each value is checked against
+    :data:`EXPECTATION_IMAG_TOL`, as :func:`expectation` checks it.
+    """
+    evals, _ = plan.factorization()
+    perm, m_t = plan.reversal(t)
+    dim = evals.size
+    # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
+    weights = np.stack((np.ones(dim), evals[perm].ravel()))
+    chunk = max(1, CURVE_CHUNK_BYTES // (64 * dim))
+    coeffs = [plan.coefficients(s)[..., None] for s in starts]
+    a = np.empty((len(starts), count))
+    b = np.empty((len(starts), count))
+    for lo in range(0, count, chunk):
+        taus = step * np.arange(lo, min(lo + chunk, count))
+        # the phases exp(-i L tau), shared by every start state
+        phases = np.zeros(evals.shape + taus.shape, dtype=complex)
+        np.multiply.outer(evals, -taus, out=phases.imag)
+        np.exp(phases, out=phases)
+        for i, c0 in enumerate(coeffs):
+            sums = _reversal_sums(perm, m_t, weights, phases * c0)
+            residue = max(np.max(np.abs(sums[0].imag)), np.max(np.abs(sums[1].real)))
+            if residue > EXPECTATION_IMAG_TOL:
+                raise InternalInconsistencyError(
+                    f"Hermitian expectation has imaginary residue {residue:.3e}")
+            b[i, lo:lo + taus.size] = sums[0].real
+            a[i, lo:lo + taus.size] = -sums[1].imag
+    return a, b
+
+
+def _reversal_sums(perm: np.ndarray, m_t: np.ndarray, weights: np.ndarray,
+                   phi: np.ndarray) -> np.ndarray:
+    """sum_j w_j conj(phi_pi)_j (M_T phi)_j for each row w of ``weights``
+    (over the 2**n block-eigenbasis entries) and each column of a complex
+    (2**r, k, K) array ``phi``: a complex (len(weights), K) array.  Its two
+    work arrays go on return, so a chunk never holds more than four."""
+    pair = phi[perm]
+    np.conjugate(pair, out=pair)
+    pair *= _apply_blocks(m_t, phi)
+    return (weights @ pair.reshape(weights.shape[1], -1).view(float)).view(complex)

@@ -12,6 +12,7 @@ import ktr
 from ktr.cli import (CSV_HEADER, ExperimentConfig, emit, load_config, main,
                      parse_config, report_table, run)
 from ktr.errors import ConfigError
+from ktr.gevp import exact_reference
 from ktr.krylov import default_dt
 from ktr.models import ModelSpec, build
 
@@ -126,6 +127,14 @@ def test_run_produces_error_curve(tmp_path):
     h = build(cfg.model)
     echoed = dict(report.provenance)["resolved.dt"]
     assert float(echoed) == default_dt(h)
+
+
+@pytest.mark.parametrize("evolution", ["exact", "trotter2:50"])
+def test_reference_is_the_exact_ground_energy(evolution):
+    # exact mode reads it from the plan's block spectra, trotter2 builds it
+    cfg = parse_config(TFIM_CONFIG.replace("evolution = exact", f"evolution = {evolution}"))
+    want = float(exact_reference(build(cfg.model))[0])
+    assert all(abs(rec.reference - want) <= 1e-12 * abs(want) for rec in run(cfg).records)
 
 
 def test_error_curve_non_increasing_band():

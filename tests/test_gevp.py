@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.errors import DegeneratePencilError
-from ktr.gevp import (DEFAULT_EPSILON, SpectrumResult, exact_reference,
+from ktr.gevp import (DEFAULT_EPSILON, SectorBasis, SpectrumResult, exact_reference,
                       sector_ground_energy, solve, solve_dense)
 from ktr.initial import ProjectorSpec, project
 from ktr.krylov import TimeGrid, ToeplitzPencil, build_ktr, default_dt
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, symplectic_product
 from ktr.states import EvolutionPlan, plus_state
+from ktr.symmetry import rref
 
 from helpers import gauge_start
-from oracles import kron_matrix, sector_ground_penalty
+from oracles import kron_matrix, random_hermitian_string, sector_ground_penalty
 
 
 def _random_psd_toeplitz_pencil(m, rng):
@@ -224,6 +225,45 @@ def test_sector_energy_matches_penalty_oracle_on_xz_groups(case):
         return
     want = sector_ground_penalty(h, gens)
     assert abs(sector_ground_energy(h, gens) - want) <= 1e-12 * max(1.0, h.coeff_norm)
+
+
+@st.composite
+def _basis_and_string(draw):
+    """The SectorBasis of random pairwise-commuting X-type and Z-type masks
+    (dependent ones included) and a random Hermitian string, which need not
+    commute with any of them."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs, zs = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        same, other = (xs, zs) if rng.random() < 0.5 else (zs, xs)
+        mask = int(rng.integers(1, 2 ** n))
+        if all((mask & m).bit_count() % 2 == 0 for m in other):
+            same.append(mask)
+    x_rows, x_pivots = rref(xs, n)
+    z_rows, z_pivots = rref(zs, n)
+    basis = SectorBasis.build(n, x_rows[:len(x_pivots)], z_rows[:len(z_pivots)])
+    return basis, random_hermitian_string(n, rng), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_and_string())
+def test_sector_basis_image_is_the_string_action(case):
+    basis, p, rng = case
+    sectors, k = basis.reps.shape
+    characters = 2 ** len(basis.pivots)
+    shape = (characters * sectors, k)
+    coords = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = basis.to_sectors(kron_matrix(p) @ basis.to_amplitudes(coords))
+    delta, target, signs = basis.image(p, range(characters))
+    got = np.zeros_like(coords)
+    for c in range(characters):
+        for flat in range(sectors * k):
+            zeta, j = divmod(flat, k)
+            to_sector, row = divmod(int(target[flat]), k)
+            source = coords[c * sectors + zeta, j]
+            got[(c ^ delta) * sectors + to_sector, row] += signs[c, flat] * source
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(coords))
 
 
 def test_sector_energy_rejects_noncommuting_generator_pair():

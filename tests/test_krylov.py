@@ -1,14 +1,15 @@
 """Overlap-pencil routes against dense oracles."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ktr.cli import parse_config, run
-from ktr.errors import NotTimeReversalError
+from ktr.errors import InternalInconsistencyError, NotTimeReversalError
 from ktr.gevp import solve
 from ktr.initial import ProjectorSpec, enumerate_local_projectors, project, project_array
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
@@ -16,8 +17,11 @@ from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_
                         reconstruct_a_from_b, reconstruct_b_from_a,
                         sample_expectation_curves)
 from ktr.models import PARAM_KEYS, ModelSpec, build, known_time_reversal
-from ktr.paulis import PauliString, PauliSum, dense_matrix
-from ktr.states import EvolutionPlan, StateVector, evolve, expectation, inner, plus_state
+from ktr.paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
+                        symplectic_product)
+from ktr.states import (CURVE_CHUNK_BYTES, EvolutionPlan, StateVector, _check_involution,
+                        apply_pauli, evolve, expectation, inner, plus_state, reversal_curves)
+from ktr.symmetry import commutant, solve_time_reversal
 
 from helpers import random_state
 from oracles import dense_evolution, dense_projector, overlap_matrices_direct
@@ -378,3 +382,162 @@ def test_every_route_gives_the_first_rows_of_the_overlap_matrices(chain, m, dt, 
     local = extended_local_pencil(phi, specs, h, t, grid, plan, len(specs))
     assert np.max(np.abs(local.row_a - sum(1j * a[0].imag for a, _ in parts))) <= 1e-10
     assert np.max(np.abs(local.row_b - sum(b[0].real for _, b in parts))) <= 1e-10
+
+
+def _sampled_curves(plan, h, t, starts, step, count):
+    """The curves of :func:`reversal_curves` from amplitudes: one ``evolve``
+    and two ``expectation`` calls per start state and sample."""
+    t_obs = PauliSum(h.n, ((1.0, t),))
+    iht = build_iht_observable(h, t)
+    a = np.zeros((len(starts), count))
+    b = np.zeros((len(starts), count))
+    for i, s in enumerate(starts):
+        for k in range(count):
+            w = evolve(plan, k * step, s)
+            a[i, k] = expectation(w, iht)
+            b[i, k] = expectation(w, t_obs)
+    return a, b
+
+
+def _reflected_states(t, n, rng, stabilized):
+    """Random unit states; a True entry of ``stabilized`` projects its state
+    onto the +1 or the -1 eigenspace of T."""
+    starts = []
+    for keep in stabilized:
+        s = random_state(n, rng)
+        if keep:
+            amps = s.amps + rng.choice([-1.0, 1.0]) * apply_pauli(s, t).amps
+            s = StateVector(n, amps / np.linalg.norm(amps))
+        starts.append(s)
+    return starts
+
+
+@st.composite
+def _reversal_case(draw):
+    """A random sum that commutes with random pairwise-commuting X-type and
+    Z-type strings and anticommutes with a random string, one involution of
+    its ``solve_time_reversal`` space, and start states, stabilized by it or
+    not.  Some draws add a term with an odd number of Y factors; a ``dense``
+    draw takes no generators and adds terms until H has no X/Z symmetry."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = draw(st.booleans())
+    xs, zs = [], []
+    for _ in range(0 if dense else draw(st.integers(0, 4))):
+        same, other = (xs, zs) if rng.random() < 0.5 else (zs, xs)
+        mask = int(rng.integers(1, 2 ** n))
+        if all((mask & m).bit_count() % 2 == 0 for m in other):
+            same.append(mask)
+    group = ([PauliString.from_xz(n, x, 0) for x in xs]
+             + [PauliString.from_xz(n, 0, z) for z in zs])
+
+    def term(anti, odd_y):
+        for _ in range(200):
+            p = PauliString.from_xz(n, int(rng.integers(2 ** n)), int(rng.integers(2 ** n)))
+            if (symplectic_product(p, anti) and not any(symplectic_product(p, g) for g in group)
+                    and (p.x & p.z).bit_count() % 2 == odd_y):
+                return [(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)), p)]
+        return []
+
+    # no term fits a string in the group; draw another
+    for _ in range(20):
+        anti = PauliString.from_xz(n, int(rng.integers(2 ** n)), int(rng.integers(2 ** n)))
+        terms = [pair for _ in range(draw(st.integers(1, 6))) for pair in term(anti, 0)]
+        if terms:
+            break
+    assume(terms)
+    if draw(st.booleans()):
+        terms += term(anti, 1)
+    for _ in range(4 * n if dense else 0):
+        if commutant(PauliSum(n, tuple(terms))) == ((), ()):
+            break
+        terms += term(anti, draw(st.integers(0, 1)))
+    h = PauliSum(n, tuple(terms))
+    space = solve_time_reversal(h)
+    pick = draw(st.integers(0, min(space.count, 64) - 1))
+    t = list(space.solutions(limit=pick + 1))[-1]
+    starts = _reflected_states(t, n, rng, draw(st.lists(st.booleans(), min_size=1, max_size=3)))
+    return h, t, starts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reversal_case(), st.floats(0.05, 0.7), st.integers(1, 12))
+def test_eigenbasis_curves_match_sampled_expectations(case, step, count):
+    h, t, starts = case
+    plan = EvolutionPlan.exact(h)
+    got = reversal_curves(plan, t, starts, step, count)
+    want = _sampled_curves(plan, h, t, starts, step, count)
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
+
+
+_DENSE = PauliSum(2, tuple((1.0, PauliString.from_label(label))
+                           for label in ("XI", "ZI", "IX", "IZ")))
+_ODD_Y_TERM = PauliSum(3, ((0.5, PauliString.from_label("XYI")),
+                           (0.8, PauliString.from_label("ZZI")),
+                           (1.1, PauliString.from_label("IZZ"))))
+_ODD_Y_INVOLUTION = PauliSum(1, ((0.7, PauliString.from_label("X")),
+                                 (-0.4, PauliString.from_label("Z"))))
+
+
+@pytest.mark.parametrize("h, t, blocks, moved", [
+    # no X/Z symmetry: one dense block
+    (_DENSE, PauliString.from_label("YY"), 1, 0),
+    # an odd-Y term: complex blocks, 4 of them, every one moved by T = IXI
+    (_ODD_Y_TERM, PauliString.from_label("IXI"), 4, 4),
+    # T = Y carries the phase i: a complex M_T on one dense block
+    (_ODD_Y_INVOLUTION, PauliString.from_label("Y"), 1, 0),
+    # every block of the gauge model moves: pi has no fixed point
+    (build(ModelSpec("z2higgs", 10, {"mu": 0.9, "g": 1.1})),
+     known_time_reversal(ModelSpec("z2higgs", 10, {"mu": 0.9, "g": 1.1})), 64, 64),
+], ids=["dense", "odd-y-term", "odd-y-involution", "z2higgs-10"])
+def test_eigenbasis_curves_on_fixed_cases(h, t, blocks, moved):
+    plan = EvolutionPlan.exact(h)
+    perm, m_t = plan.reversal(t)
+    assert perm.size == blocks
+    assert np.count_nonzero(perm != np.arange(perm.size)) == moved
+    assert plan.reversal(t)[1] is m_t and not m_t.flags.writeable
+    starts = _reflected_states(t, h.n, np.random.default_rng(h.n), (False, True))
+    # 40 samples span three chunks at n = 10
+    got = reversal_curves(plan, t, starts, 0.3, 40)
+    want = _sampled_curves(plan, h, t, starts, 0.3, 40)
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
+
+
+def test_involution_self_check_refuses_a_wrong_m_t():
+    spec = ModelSpec("z2higgs", 6, {"mu": 0.9, "g": 1.1})
+    plan = EvolutionPlan.exact(build(spec))
+    perm, m_t = plan.reversal(known_time_reversal(spec))
+    _check_involution(perm, m_t)
+    bad = m_t.copy()
+    bad[0, 0, 0] += 1e-8
+    with pytest.raises(InternalInconsistencyError, match="square to the identity"):
+        _check_involution(perm, bad)
+    # the right blocks under a permutation that is no involution
+    with pytest.raises(InternalInconsistencyError, match="square to the identity"):
+        _check_involution(np.roll(perm, 1), m_t)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("z2higgs", {"mu": 1.0, "g": 1.0}),  # 64 blocks of 16
+    ("tfim", {"gamma": 0.5}),            # 2 blocks of 512
+])
+def test_eigenbasis_curves_memory_is_bounded_by_the_chunk(kind, params):
+    spec = ModelSpec(kind, 10, params)
+    h, t = build(spec), known_time_reversal(spec)
+    plan = EvolutionPlan.exact(h)
+    v0 = project(plus_state(10), ProjectorSpec.blocks_of(t, (0,)))
+    # the plan's caches, built once per run
+    plan.reversal(t)
+    plan.coefficients(v0)
+    dim, count = 2 ** 10, 4096
+    tracemalloc.start()
+    try:
+        reversal_curves(plan, t, [v0], 0.01, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the work arrays of one chunk, then the two output rows (16 B per
+    # sample) and O(2**n) for the weights and the chunk's time grid
+    assert peak <= CURVE_CHUNK_BYTES + 16 * count + 64 * dim, f"peak {peak} B"

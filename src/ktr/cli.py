@@ -37,7 +37,8 @@ from .initial import ProjectorSpec, build_block_product, enumerate_local_project
 from .krylov import (SAMPLES_PER_STEP, TimeGrid, ToeplitzPencil, build_kqd,
                      build_ktr, default_dt, extended_local_pencil,
                      implicit_hadamard_rows, reconstruct_a_from_b,
-                     reconstruct_b_from_a, sample_expectation_curves)
+                     reconstruct_b_from_a, sample_expectation_curves,
+                     stencil_indices)
 from .models import MODEL_KINDS, PARAM_KEYS, ModelSpec, build, gauss_generators, known_time_reversal
 from .paulis import PauliSum, pauli_sum_from_text
 from .states import EvolutionPlan, StateVector, plus_state
@@ -256,6 +257,11 @@ def parse_config(text: str) -> ExperimentConfig:
                                   table.get("samples_per_step", str(SAMPLES_PER_STEP)))
     if samples_per_step < 2 or samples_per_step % 2 != 0:
         raise ConfigError("samples_per_step must be a positive even number")
+    if "derivative" in methods and (m - 1) * samples_per_step + 1 < 5:
+        raise ConfigError(
+            f"grid too coarse for a five-point stencil: grid.m = {m} at "
+            f"samples_per_step = {samples_per_step} gives {(m - 1) * samples_per_step + 1} "
+            f"fine samples, the derivative route needs 5")
 
     return ExperimentConfig(
         model=model, methods=methods, init=init, dt=dt, m=m,
@@ -305,9 +311,11 @@ def _build_pencil(method: str, config: ExperimentConfig, h: PauliSum, t,
         projector_set = enumerate_local_projectors(
             ProjectorSpec.blocks_of(t, (0,) * n_blocks).t_blocks)
         return extended_local_pencil(phi, projector_set, h, t, grid, plan, int(arg))
-    # reconstruction routes: one row direct, the other from fine samples
+    # reconstruction routes: one row direct, the other from fine samples;
+    # the derivative reads only its stencil, so only that is sampled
+    indices = stencil_indices(grid, config.samples_per_step) if name == "derivative" else None
     a_fine, b_fine = sample_expectation_curves(
-        h, t, v0, grid, plan, samples_per_step=config.samples_per_step)
+        h, t, v0, grid, plan, samples_per_step=config.samples_per_step, indices=indices)
     targets = np.arange(grid.m) * config.samples_per_step
     if name == "derivative":
         row_a = reconstruct_a_from_b(b_fine, grid, config.samples_per_step)

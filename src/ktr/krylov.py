@@ -29,19 +29,29 @@ and differs only in its branch list and its times:
   c-weighted curves, whose samples at h_j are the ``ktr`` rows, and from
   which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b`` rebuild one
   row (quadrature and finite differences) from fine samples of the other.
+  The quadrature reads every fine sample; the derivative reads only the
+  five-point windows of ``stencil_indices``, at most 5 m samples, and the
+  ``derivative`` route evaluates just those.
+
+Every route asks the kernel for a sorted array of grid indices k, tau =
+k * step: ``np.arange(m)`` for the half-time routes, the whole fine grid
+or the stencil for the reconstruction routes.
 
 In ``trotter2`` mode each sample advances the previous state by the grid
 increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
 samples_per_step) on the fine grid.  A pencil then sees powers of one
 Trotter step unitary and B is a Gram matrix; ``kqd`` and the half-time
 routes differ when ceil(dt * spu) != 2 ceil(dt / 2 * spu) for
-steps_per_unit spu.  Exact samples are taken at the full time from the
+steps_per_unit spu.  ``trotter2`` still steps through every grid point up
+to the last requested index and takes the two expectations only at the
+requested ones.  Exact samples are taken at the full time from the
 start state's block eigen-coefficients Q_b+ v0 on the symmetry sectors of
 H, which the plan computes once per start state and caches, so rounding
 does not build up along the grid.  ``build_kqd`` evolves amplitudes from
 them (:func:`ktr.states.evolve`); ``_signed_curves`` builds no amplitudes
 at all and reads both expectations in the block eigenbasis, where T is a
-signed block permutation (:func:`ktr.states.reversal_curves`).
+signed block permutation (:func:`ktr.states.reversal_curves`), at the
+requested indices alone.
 """
 
 from __future__ import annotations
@@ -114,6 +124,11 @@ class ToeplitzPencil:
         row_b = np.array(self.row_b, dtype=complex, copy=True)
         if row_a.shape != (self.grid.m,) or row_b.shape != (self.grid.m,):
             raise ValueError("rows must have one entry per Krylov vector")
+        for name, row in (("row_a", row_a), ("row_b", row_b)):
+            finite = np.isfinite(row)
+            if not finite.all():
+                raise ValueError(
+                    f"{name} has a non-finite entry at index {int(np.argmin(finite))}")
         row_a.flags.writeable = False
         row_b.flags.writeable = False
         object.__setattr__(self, "row_a", row_a)
@@ -176,14 +191,16 @@ _Branches = list[tuple[float, StateVector]]
 
 
 def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float,
-                   count: int, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The one pencil kernel: curves (a, b) of iHT and T at tau_k = k * step, k < count.
+                   indices: np.ndarray, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The one pencil kernel: curves (a, b) of iHT and T at tau = k * step
+    for each k of the sorted, distinct int array ``indices``.
 
-    a[k] = sum_b w_b <v_b(tau_k)| iHT |v_b(tau_k)>, and b[k] likewise with
-    T, over the (w_b, v_b) ``branches``, where v_b(tau) = exp(-i tau H)|v_b>.
-    Exact mode reads every branch's curves in the plan's block eigenbasis
-    (:func:`ktr.states.reversal_curves`); ``trotter2`` steps amplitude
-    vectors along the grid and takes two expectations per sample.
+    a[i] = sum_b w_b <v_b(tau)| iHT |v_b(tau)> at tau = indices[i] * step,
+    and b[i] likewise with T, over the (w_b, v_b) ``branches``, where
+    v_b(tau) = exp(-i tau H)|v_b>.  Exact mode reads every branch's curves
+    in the plan's block eigenbasis (:func:`ktr.states.reversal_curves`);
+    ``trotter2`` steps amplitude vectors along every grid point up to the
+    last index and takes two expectations at each requested one.
     """
     # looked up in ktr.symmetry per call, where the benchmark tracer wraps it
     from .symmetry import verify_time_reversal
@@ -194,17 +211,21 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
     starts = [state for _, state in branches]
     if plan.mode == "exact":
         weights = np.array([weight for weight, _ in branches])
-        a, b = reversal_curves(plan, t, starts, step, count)
+        a, b = reversal_curves(plan, t, starts, step, indices)
         return weights @ a, weights @ b
     t_obs = PauliSum(h.n, ((1.0, t),))
     iht = build_iht_observable(h, t)
     plan.prepare()
-    a = np.zeros(count)
-    b = np.zeros(count)
-    for k, states in enumerate(_sample_states(plan, step, count, starts)):
+    a = np.zeros(indices.size)
+    b = np.zeros(indices.size)
+    slots = {int(k): i for i, k in enumerate(indices)}
+    for k, states in enumerate(_sample_states(plan, step, int(indices[-1]) + 1, starts)):
+        i = slots.get(k)
+        if i is None:
+            continue
         for (weight, _), w in zip(branches, states):
-            b[k] += weight * expectation(w, t_obs)
-            a[k] += weight * expectation(w, iht)
+            b[i] += weight * expectation(w, t_obs)
+            a[i] += weight * expectation(w, iht)
     return a, b
 
 
@@ -244,7 +265,7 @@ def build_ktr(h: PauliSum, t: PauliString, v0: StateVector,
 
     where T|v0> = c|v0>; v0 must be stabilized by T with either sign.
     """
-    a, b = _signed_curves(h, t, _stabilized(t, v0), 0.5 * grid.dt, grid.m, plan)
+    a, b = _signed_curves(h, t, _stabilized(t, v0), 0.5 * grid.dt, np.arange(grid.m), plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
@@ -279,13 +300,14 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
         raise ValueError("subset size out of range")
     _check_unit_norm(phi)
     a, b = _signed_curves(h, t, _ranked_branches(phi, projector_set, subset_size),
-                          0.5 * grid.dt, grid.m, plan)
+                          0.5 * grid.dt, np.arange(grid.m), plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
 def sample_expectation_curves(h: PauliSum, t: PauliString, v0: StateVector,
                               grid: TimeGrid, plan: EvolutionPlan,
                               samples_per_step: int = SAMPLES_PER_STEP,
+                              indices: np.ndarray | None = None,
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Fine-grid curves a(tau) = c <v|iHT|v> and b(tau) = c <v|T|v>.
 
@@ -293,9 +315,23 @@ def sample_expectation_curves(h: PauliSum, t: PauliString, v0: StateVector,
     samples at h_j are the ``build_ktr`` rows (b, and a up to the factor i).
     The grid covers [0, (m-1) dt / 2] with ``samples_per_step`` points per
     Krylov step, matching the spacing the reconstruction routes expect.
+    ``indices`` (sorted, distinct fine-grid indices; default all) picks the
+    samples to evaluate, such as :func:`stencil_indices`.  The curves keep
+    the fine-grid length and are NaN at every other sample, so a
+    reconstruction that reads one of those gives a NaN row, which
+    :class:`ToeplitzPencil` refuses.
     """
     total, delta = _fine_grid(grid, samples_per_step)
-    return _signed_curves(h, t, _stabilized(t, v0), delta, total, plan)
+    indices = np.arange(total) if indices is None else np.asarray(indices)
+    if (indices.size == 0 or indices[0] < 0 or indices[-1] >= total
+            or np.any(np.diff(indices) <= 0)):
+        raise ValueError(f"sample indices must be sorted, distinct and in [0, {total})")
+    a, b = _signed_curves(h, t, _stabilized(t, v0), delta, indices, plan)
+    a_fine = np.full(total, np.nan)
+    b_fine = np.full(total, np.nan)
+    a_fine[indices] = a
+    b_fine[indices] = b
+    return a_fine, b_fine
 
 
 def _simpson_prefix(y: np.ndarray, k: int, step: float) -> float:
@@ -316,9 +352,14 @@ _FD_WEIGHTS = {
 }
 
 
+def _window_start(k: int, last: int) -> int:
+    """First index of the five-point window that differentiates sample k of
+    a curve whose last index is ``last``: centred, one-sided at the ends."""
+    return min(max(k - 2, 0), last - 4)
+
+
 def _derivative4(y: np.ndarray, k: int, step: float) -> float:
-    last = y.shape[0] - 1
-    start = min(max(k - 2, 0), last - 4)
+    start = _window_start(k, y.shape[0] - 1)
     weights = _FD_WEIGHTS[k - start]
     window = y[start:start + 5]
     return float(np.dot(weights, window) / (12.0 * step))
@@ -328,16 +369,27 @@ def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None
                five_point: bool = False) -> tuple[int, float]:
     """Size and spacing (total, delta) of the fine tau grid over
     [0, (m-1) dt / 2], after validating the inputs of a fine-grid route:
-    ``samples`` given samples and, for the derivative stencil, at least
-    five samples."""
+    ``samples`` given samples (default the grid's own total) and, for the
+    derivative stencil, at least five of them."""
     if samples_per_step < 2 or samples_per_step % 2 != 0:
         raise ValueError("samples_per_step must be a positive even number")
     total = (grid.m - 1) * samples_per_step + 1
-    if samples is not None and samples < total:
+    if samples is None:
+        samples = total
+    if samples < total:
         raise ValueError(f"need at least {total} samples, got {samples}")
     if five_point and samples < 5:
         raise ValueError("grid too coarse for a five-point stencil")
     return total, (0.5 * grid.dt) / samples_per_step
+
+
+def stencil_indices(grid: TimeGrid, samples_per_step: int = SAMPLES_PER_STEP) -> np.ndarray:
+    """The sorted fine-grid indices that :func:`reconstruct_a_from_b` reads
+    from a curve of the grid's own length: the union of the five-point
+    windows at the Krylov points j * samples_per_step, at most 5 m."""
+    total, _ = _fine_grid(grid, samples_per_step, five_point=True)
+    starts = [_window_start(j * samples_per_step, total - 1) for j in range(grid.m)]
+    return np.unique(np.add.outer(starts, np.arange(5)))
 
 
 def reconstruct_b_from_a(a_fine: np.ndarray, grid: TimeGrid,

@@ -35,7 +35,10 @@ involution by :meth:`EvolutionPlan.reversal`.  :func:`reversal_curves`
 reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for v(tau) = exp(-i tau
 H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v, they are
 sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi), and
-no amplitude vector is built.
+no amplitude vector is built.  It evaluates only the grid indices k (tau =
+k * step) a route asks for, and takes their phases from one table
+exp(-i L r step) per call, r below the chunk size K, times one shift
+exp(-i L q K step) per chunk q = k // K that holds a requested index.
 
 All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across
@@ -68,9 +71,10 @@ EXPECTATION_IMAG_TOL = 1e-12
 #: eigenfactorization, and of M_T[pi] M_T = I (T**2 = I) in the block eigenbasis
 FACTORIZATION_TOL = 1e-10
 
-#: bound on the work arrays of one chunk of :func:`reversal_curves`: four
-#: complex (2**n, K) arrays, K = CURVE_CHUNK_BYTES // (64 * 2**n) samples
-#: (at least one), so memory does not grow with the number of samples
+#: bound on the work arrays of one chunk of :func:`reversal_curves`: five
+#: complex (2**n, K) arrays, the phase table of at most K columns among them,
+#: K = CURVE_CHUNK_BYTES // (80 * 2**n) samples (at least one), so memory
+#: does not grow with the number of samples
 CURVE_CHUNK_BYTES = 2 ** 20
 
 
@@ -322,43 +326,61 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
 
 
 def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVector],
-                    step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """<v(tau)| iHT |v(tau)> and <v(tau)| T |v(tau)> at tau_k = k * step,
-    k < count, for each v in ``starts``: two (len(starts), count) arrays.
+                    step: float, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<v(tau)| iHT |v(tau)> and <v(tau)| T |v(tau)> at tau = k * step for
+    each k of the sorted int array ``indices``, for each v in ``starts``:
+    two (len(starts), len(indices)) arrays.
 
     The exact curves, for an involution T that anticommutes with H.  Both
     are read in the block eigenbasis from the memoized coefficients
-    c0 = Q+ v, with no amplitude vector: phi = exp(-i L tau) c0 at the full
-    tau, then sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) .
-    (M_T phi), with pi and M_T from :meth:`EvolutionPlan.reversal`.  The tau
-    grid runs in chunks of at most :data:`CURVE_CHUNK_BYTES` of work arrays.
-    The imaginary residue of each value is checked against
-    :data:`EXPECTATION_IMAG_TOL`, as :func:`expectation` checks it.
+    c0 = Q+ v, with no amplitude vector: phi = exp(-i L tau) c0, then
+    sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi),
+    with pi and M_T from :meth:`EvolutionPlan.reversal`.  The indices run in
+    groups of one q = k // K for a chunk of K samples, whose work arrays
+    take at most :data:`CURVE_CHUNK_BYTES`.  The phases come from one table
+    exp(-i L r step) per call, over the residues r = k - q K that occur, and
+    one shift exp(-i L q K step) per group, so a call takes
+    2**n * (min(K, len(indices)) + groups) complex exponentials, not
+    2**n * len(indices).  The imaginary residue of each value is checked
+    against :data:`EXPECTATION_IMAG_TOL`, as :func:`expectation` checks it.
     """
     evals, _ = plan.factorization()
     perm, m_t = plan.reversal(t)
     dim = evals.size
     # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
     weights = np.stack((np.ones(dim), evals[perm].ravel()))
-    chunk = max(1, CURVE_CHUNK_BYTES // (64 * dim))
-    coeffs = [plan.coefficients(s)[..., None] for s in starts]
-    a = np.empty((len(starts), count))
-    b = np.empty((len(starts), count))
-    for lo in range(0, count, chunk):
-        taus = step * np.arange(lo, min(lo + chunk, count))
-        # the phases exp(-i L tau), shared by every start state
-        phases = np.zeros(evals.shape + taus.shape, dtype=complex)
-        np.multiply.outer(evals, -taus, out=phases.imag)
-        np.exp(phases, out=phases)
+    chunk = max(1, CURVE_CHUNK_BYTES // (80 * dim))
+    coeffs = [plan.coefficients(s) for s in starts]
+    seen = np.zeros(chunk, dtype=bool)
+    seen[indices % chunk] = True
+    residues = np.flatnonzero(seen)
+    table = _phases(evals, step * residues)
+    a = np.empty((len(starts), indices.size))
+    b = np.empty((len(starts), indices.size))
+    cuts = np.flatnonzero(np.diff(indices // chunk)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, indices.size]):
+        group = indices[lo:hi]
+        base = group[0] - group[0] % chunk
+        shift = _phases(evals, step * base)
+        # the table's columns for this group, shared by every start state
+        phases = np.take(table, np.searchsorted(residues, group - base), axis=-1)
         for i, c0 in enumerate(coeffs):
-            sums = _reversal_sums(perm, m_t, weights, phases * c0)
+            sums = _reversal_sums(perm, m_t, weights, phases * (shift * c0)[..., None])
             residue = max(np.max(np.abs(sums[0].imag)), np.max(np.abs(sums[1].real)))
             if residue > EXPECTATION_IMAG_TOL:
                 raise InternalInconsistencyError(
                     f"Hermitian expectation has imaginary residue {residue:.3e}")
-            b[i, lo:lo + taus.size] = sums[0].real
-            a[i, lo:lo + taus.size] = -sums[1].imag
+            b[i, lo:hi] = sums[0].real
+            a[i, lo:hi] = -sums[1].imag
     return a, b
+
+
+def _phases(evals: np.ndarray, taus) -> np.ndarray:
+    """exp(-i L tau) for every eigenvalue and each tau: shape evals.shape +
+    np.shape(taus)."""
+    phases = np.zeros(evals.shape + np.shape(taus), dtype=complex)
+    np.multiply.outer(evals, -taus, out=phases.imag)
+    return np.exp(phases, out=phases)
 
 
 def _reversal_sums(perm: np.ndarray, m_t: np.ndarray, weights: np.ndarray,
@@ -366,7 +388,8 @@ def _reversal_sums(perm: np.ndarray, m_t: np.ndarray, weights: np.ndarray,
     """sum_j w_j conj(phi_pi)_j (M_T phi)_j for each row w of ``weights``
     (over the 2**n block-eigenbasis entries) and each column of a complex
     (2**r, k, K) array ``phi``: a complex (len(weights), K) array.  Its two
-    work arrays go on return, so a chunk never holds more than four."""
+    work arrays go on return, so a chunk never holds more than five: these
+    two, ``phi``, its phases and the phase table of :func:`reversal_curves`."""
     pair = phi[perm]
     np.conjugate(pair, out=pair)
     pair *= _apply_blocks(m_t, phi)

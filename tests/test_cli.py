@@ -270,6 +270,25 @@ grid.m = 4
     capsys.readouterr()
 
 
+def test_derivative_on_a_grid_below_five_samples_is_a_config_error(tmp_path, capsys):
+    # m = 2 at 2 samples per step gives 3 fine samples: the five-point
+    # stencil is refused at parse time, before any pencil is built
+    coarse = TFIM_CONFIG.replace("grid.m = 8", "grid.m = 2") + "samples_per_step = 2\n"
+    with pytest.raises(ConfigError, match="five-point stencil"):
+        parse_config(coarse.replace("method = ktr", "method = kqd,derivative"))
+    path = tmp_path / "coarse.cfg"
+    path.write_text(coarse.replace("method = ktr", "method = kqd,derivative"))
+    assert main(["run", str(path)]) == 2
+    assert "five-point stencil" in capsys.readouterr().err
+    # Simpson quadrature needs no five samples, and one more step is enough
+    path.write_text(coarse.replace("method = ktr", "method = integral"))
+    assert main(["run", str(path)]) == 0
+    path.write_text(coarse.replace("method = ktr", "method = derivative")
+                    .replace("grid.m = 2", "grid.m = 3"))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_find_symmetry(tmp_path, capsys):
     h = build(ModelSpec("cluster", 4, {"g_x": 1.0, "g_zz": 1.0, "g_zxz": 1.0}))
     path = tmp_path / "cluster.txt"

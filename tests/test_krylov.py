@@ -2,6 +2,7 @@
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from ktr.cli import parse_config, run
 from ktr.errors import InternalInconsistencyError, NotTimeReversalError
 from ktr.gevp import solve
 from ktr.initial import ProjectorSpec, enumerate_local_projectors, project, project_array
-from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
-                        extended_local_pencil, implicit_hadamard_rows,
-                        reconstruct_a_from_b, reconstruct_b_from_a,
-                        sample_expectation_curves)
+from ktr import states
+from ktr.krylov import (TimeGrid, ToeplitzPencil, _fine_grid, _signed_curves, _stabilized,
+                        build_kqd, build_ktr, default_dt, extended_local_pencil,
+                        implicit_hadamard_rows, reconstruct_a_from_b, reconstruct_b_from_a,
+                        sample_expectation_curves, stencil_indices)
 from ktr.models import PARAM_KEYS, ModelSpec, build, known_time_reversal
 from ktr.paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
                         symplectic_product)
@@ -58,6 +60,19 @@ def test_toeplitz_assembly():
     assert np.allclose(np.diag(a), 0.0)
     assert a[0, 2] == 1j * 0.3 and a[2, 0] == -1j * 0.3
     assert b[1, 2] == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_toeplitz_pencil_refuses_non_finite_rows(bad):
+    # a NaN passes the Hermiticity check of the solve (NaN > tol is False)
+    # and surfaces there only as a failed eigensolver, so the pencil names it
+    grid = TimeGrid(0.5, 3)
+    row_a = np.array([0.0, 1j * 0.2, 1j * 0.3])
+    row_b = np.array([1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="row_a has a non-finite entry at index 2"):
+        ToeplitzPencil(np.where(np.arange(3) == 2, bad, row_a), row_b, grid)
+    with pytest.raises(ValueError, match="row_b has a non-finite entry at index 1"):
+        ToeplitzPencil(row_a, np.where(np.arange(3) == 1, bad, row_b), grid)
 
 
 def test_kqd_single_qubit_closed_form():
@@ -265,6 +280,60 @@ def test_reconstruction_input_validation():
     for sps in (0, 7):
         with pytest.raises(ValueError, match="positive even"):
             sample_expectation_curves(h, t, prep, grid, plan, sps)
+    for indices in ([3, 2], [1, 1], [-1, 2], [0, 61], []):
+        with pytest.raises(ValueError, match="sorted, distinct"):
+            sample_expectation_curves(h, t, prep, grid, plan, 20, np.array(indices, dtype=int))
+
+
+def test_fine_grid_without_a_sample_count_checks_its_own_total():
+    # m = 2 at 2 samples per step has 3 fine samples, m = 3 has 5
+    assert _fine_grid(TimeGrid(0.2, 3), 2, five_point=True) == (5, 0.05)
+    with pytest.raises(ValueError, match="five-point"):
+        _fine_grid(TimeGrid(0.2, 2), 2, five_point=True)
+    with pytest.raises(ValueError, match="five-point"):
+        stencil_indices(TimeGrid(0.2, 2), 2)
+
+
+def test_stencil_indices_are_the_derivative_windows():
+    # centred windows inside, one-sided ones at both ends, merged where they meet
+    assert stencil_indices(TimeGrid(0.2, 4), 20).tolist() == [
+        0, 1, 2, 3, 4, 18, 19, 20, 21, 22, 38, 39, 40, 41, 42, 56, 57, 58, 59, 60]
+    assert stencil_indices(TimeGrid(0.2, 3), 2).tolist() == [0, 1, 2, 3, 4]
+    assert stencil_indices(TimeGrid(0.2, 4), 4).tolist() == list(range(13))
+    assert stencil_indices(TimeGrid(0.2, 32)).size == 5 * 32
+
+
+def test_derivative_reads_only_its_stencil():
+    h, t, plan, grid, prep = _tfim_setup(6, m=10)
+    a_full, b_full = sample_expectation_curves(h, t, prep, grid, plan, 20)
+    stencil = stencil_indices(grid, 20)
+    a_part, b_part = sample_expectation_curves(h, t, prep, grid, plan, 20, stencil)
+    off = np.setdiff1d(np.arange(b_full.size), stencil)
+    assert np.isnan(a_part[off]).all() and np.isnan(b_part[off]).all()
+    assert np.max(np.abs(b_part[stencil] - b_full[stencil])) <= 1e-14
+    assert np.max(np.abs(a_part[stencil] - a_full[stencil])) <= 1e-14 * h.coeff_norm
+    # the A row from a curve that is NaN off the stencil is the full-curve row
+    masked = b_full.copy()
+    masked[off] = np.nan
+    assert np.array_equal(reconstruct_a_from_b(masked, grid, 20),
+                          reconstruct_a_from_b(b_full, grid, 20))
+    # a read outside the sampled set cannot pass silently
+    masked[stencil[-1]] = np.nan
+    row_a = reconstruct_a_from_b(masked, grid, 20)
+    with pytest.raises(ValueError, match="row_a has a non-finite entry"):
+        ToeplitzPencil(row_a, b_full[np.arange(grid.m) * 20], grid)
+
+
+def test_trotter_curves_on_a_subset_match_the_full_grid_bit_for_bit():
+    h, t, _, grid, prep = _tfim_setup(6, m=6)
+    plan = EvolutionPlan.trotter2(h, 40)
+    branches = _stabilized(t, prep)
+    step = 0.5 * grid.dt / 4
+    count = (grid.m - 1) * 4 + 1
+    a_full, b_full = _signed_curves(h, t, branches, step, np.arange(count), plan)
+    for subset in (stencil_indices(grid, 4), np.array([0, 7, 8, count - 1]), np.array([5])):
+        a, b = _signed_curves(h, t, branches, step, subset, plan)
+        assert np.array_equal(a, a_full[subset]) and np.array_equal(b, b_full[subset])
 
 
 def test_phi_routes_require_unit_norm():
@@ -384,18 +453,18 @@ def test_every_route_gives_the_first_rows_of_the_overlap_matrices(chain, m, dt, 
     assert np.max(np.abs(local.row_b - sum(b[0].real for _, b in parts))) <= 1e-10
 
 
-def _sampled_curves(plan, h, t, starts, step, count):
+def _sampled_curves(plan, h, t, starts, step, indices):
     """The curves of :func:`reversal_curves` from amplitudes: one ``evolve``
-    and two ``expectation`` calls per start state and sample."""
+    and two ``expectation`` calls per start state and sample index."""
     t_obs = PauliSum(h.n, ((1.0, t),))
     iht = build_iht_observable(h, t)
-    a = np.zeros((len(starts), count))
-    b = np.zeros((len(starts), count))
+    a = np.zeros((len(starts), len(indices)))
+    b = np.zeros((len(starts), len(indices)))
     for i, s in enumerate(starts):
-        for k in range(count):
+        for j, k in enumerate(indices):
             w = evolve(plan, k * step, s)
-            a[i, k] = expectation(w, iht)
-            b[i, k] = expectation(w, t_obs)
+            a[i, j] = expectation(w, iht)
+            b[i, j] = expectation(w, t_obs)
     return a, b
 
 
@@ -465,8 +534,24 @@ def _reversal_case(draw):
 def test_eigenbasis_curves_match_sampled_expectations(case, step, count):
     h, t, starts = case
     plan = EvolutionPlan.exact(h)
-    got = reversal_curves(plan, t, starts, step, count)
-    want = _sampled_curves(plan, h, t, starts, step, count)
+    got = reversal_curves(plan, t, starts, step, np.arange(count))
+    want = _sampled_curves(plan, h, t, starts, step, np.arange(count))
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reversal_case(), st.floats(0.05, 0.7), st.integers(1, 5),
+       st.sets(st.integers(0, 40), min_size=1, max_size=12))
+def test_eigenbasis_curves_at_scattered_indices(case, step, chunk, picked):
+    # a chunk of 1 to 5 samples puts the indices into many groups, each with
+    # its own phase shift, and leaves gaps and empty groups between them
+    h, t, starts = case
+    plan = EvolutionPlan.exact(h)
+    indices = np.array(sorted(picked))
+    with mock.patch.object(states, "CURVE_CHUNK_BYTES", chunk * 80 * 2 ** h.n):
+        got = reversal_curves(plan, t, starts, step, indices)
+    want = _sampled_curves(plan, h, t, starts, step, indices)
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
 
@@ -499,8 +584,8 @@ def test_eigenbasis_curves_on_fixed_cases(h, t, blocks, moved):
     assert plan.reversal(t)[1] is m_t and not m_t.flags.writeable
     starts = _reflected_states(t, h.n, np.random.default_rng(h.n), (False, True))
     # 40 samples span three chunks at n = 10
-    got = reversal_curves(plan, t, starts, 0.3, 40)
-    want = _sampled_curves(plan, h, t, starts, 0.3, 40)
+    got = reversal_curves(plan, t, starts, 0.3, np.arange(40))
+    want = _sampled_curves(plan, h, t, starts, 0.3, np.arange(40))
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
 
@@ -534,10 +619,29 @@ def test_eigenbasis_curves_memory_is_bounded_by_the_chunk(kind, params):
     dim, count = 2 ** 10, 4096
     tracemalloc.start()
     try:
-        reversal_curves(plan, t, [v0], 0.01, count)
+        reversal_curves(plan, t, [v0], 0.01, np.arange(count))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the work arrays of one chunk, then the two output rows (16 B per
     # sample) and O(2**n) for the weights and the chunk's time grid
     assert peak <= CURVE_CHUNK_BYTES + 16 * count + 64 * dim, f"peak {peak} B"
+
+
+def test_eigenbasis_curves_on_the_stencil_match_the_full_grid():
+    spec = ModelSpec("z2higgs", 10, {"mu": 0.9, "g": 1.1})
+    h, t = build(spec), known_time_reversal(spec)
+    plan = EvolutionPlan.exact(h)
+    starts = _reflected_states(t, h.n, np.random.default_rng(7), (True, False))
+    grid = TimeGrid(default_dt(h), 32)
+    total, delta = _fine_grid(grid, 20)
+    stencil = stencil_indices(grid, 20)
+    # the stencil spans many chunks, and some of its windows cross a boundary
+    chunk = CURVE_CHUNK_BYTES // (80 * 2 ** h.n)
+    groups = stencil // chunk
+    assert np.unique(groups).size > 10
+    assert np.any((np.diff(stencil) == 1) & (np.diff(groups) == 1))
+    a_full, b_full = reversal_curves(plan, t, starts, delta, np.arange(total))
+    a, b = reversal_curves(plan, t, starts, delta, stencil)
+    assert np.max(np.abs(b - b_full[:, stencil])) <= 1e-14
+    assert np.max(np.abs(a - a_full[:, stencil])) <= 1e-14 * h.coeff_norm

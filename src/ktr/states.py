@@ -36,9 +36,10 @@ reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for v(tau) = exp(-i tau
 H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v, they are
 sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi), and
 no amplitude vector is built.  It evaluates only the grid indices k (tau =
-k * step) a route asks for, and takes their phases from one table
-exp(-i L r step) per call, r below the chunk size K, times one shift
-exp(-i L q K step) per chunk q = k // K that holds a requested index.
+k * step) a route asks for, in groups of fewer than K consecutive grid
+indices (the chunk size), each starting at its own first index k0, and
+takes their phases from one table exp(-i L r step) per call, r = k - k0
+below K, times one shift exp(-i L k0 step) per group.
 
 All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across
@@ -336,13 +337,18 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     c0 = Q+ v, with no amplitude vector: phi = exp(-i L tau) c0, then
     sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi),
     with pi and M_T from :meth:`EvolutionPlan.reversal`.  The indices run in
-    groups of one q = k // K for a chunk of K samples, whose work arrays
-    take at most :data:`CURVE_CHUNK_BYTES`.  The phases come from one table
-    exp(-i L r step) per call, over the residues r = k - q K that occur, and
-    one shift exp(-i L q K step) per group, so a call takes
+    groups for a chunk of K samples, whose work arrays take at most
+    :data:`CURVE_CHUNK_BYTES`: a group starts at its first index k0 and
+    holds every later index below k0 + K.  The phases come from one table
+    exp(-i L r step) per call, over the offsets r = k - k0 that occur, and
+    one shift exp(-i L k0 step) per group, so a call takes
     2**n * (min(K, len(indices)) + groups) complex exponentials, not
-    2**n * len(indices).  The imaginary residue of each value is checked
-    against :data:`EXPECTATION_IMAG_TOL`, as :func:`expectation` checks it.
+    2**n * len(indices).  On ``np.arange(m)`` and on the whole fine grid the
+    groups are the chunks q = k // K.  Where the five-point windows of a
+    derivative stencil lie at least K apart (20 samples per step at n = 10),
+    each makes one group and all share five table columns.  The imaginary
+    residue of each value is checked against :data:`EXPECTATION_IMAG_TOL`,
+    as :func:`expectation` checks it.
     """
     evals, _ = plan.factorization()
     perm, m_t = plan.reversal(t)
@@ -351,16 +357,20 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     weights = np.stack((np.ones(dim), evals[perm].ravel()))
     chunk = max(1, CURVE_CHUNK_BYTES // (80 * dim))
     coeffs = [plan.coefficients(s) for s in starts]
+    # each group starts at its first index and spans fewer than K grid indices
+    cuts = [0]
     seen = np.zeros(chunk, dtype=bool)
-    seen[indices % chunk] = True
+    while cuts[-1] < indices.size:
+        lo = cuts[-1]
+        cuts.append(int(np.searchsorted(indices, indices[lo] + chunk)))
+        seen[indices[lo:cuts[-1]] - indices[lo]] = True
     residues = np.flatnonzero(seen)
     table = _phases(evals, step * residues)
     a = np.empty((len(starts), indices.size))
     b = np.empty((len(starts), indices.size))
-    cuts = np.flatnonzero(np.diff(indices // chunk)) + 1
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, indices.size]):
+    for lo, hi in zip(cuts, cuts[1:]):
         group = indices[lo:hi]
-        base = group[0] - group[0] % chunk
+        base = group[0]
         shift = _phases(evals, step * base)
         # the table's columns for this group, shared by every start state
         phases = np.take(table, np.searchsorted(residues, group - base), axis=-1)

@@ -131,6 +131,30 @@ def brute_force_reversals_dense(h: PauliSum) -> set:
     return found
 
 
+def rref_by_columns(rows, width: int):
+    """Reduced row echelon form over GF(2) by a scan over the columns: for
+    each column, the whole row list is rebuilt with the pivot row XORed into
+    every row that holds the column.  Rows are ints of ``width`` bits,
+    column 0 the most significant; returns (reduced rows, pivot columns)."""
+    a = list(rows)
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == len(a):
+            break
+        bit = 1 << (width - 1 - c)
+        p = next((i for i in range(r, len(a)) if a[i] & bit), None)
+        if p is None:
+            continue
+        pivot = a[p]
+        a[p] = a[r]
+        a = [row ^ pivot if row & bit else row for row in a]
+        a[r] = pivot
+        pivots.append(c)
+        r += 1
+    return tuple(a), tuple(pivots)
+
+
 def random_hermitian_string(n: int, rng: np.random.Generator) -> PauliString:
     x = bits_to_mask(rng.integers(0, 2, size=n))
     z = bits_to_mask(rng.integers(0, 2, size=n))

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from ktr.models import ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, commutes, dense_matrix
-from ktr.symmetry import (Infeasible, SymmetrySolution, build_parity_matrix, commutant, rref,
-                          solve_time_reversal, verify_time_reversal)
+from ktr.symmetry import (Infeasible, SymmetrySolution, _nullspace, build_parity_matrix,
+                          commutant, rref, solve_time_reversal, verify_time_reversal)
 
 from oracles import (all_pauli_strings, bits_to_mask, brute_force_reversals_dense,
-                     random_pauli_sum)
+                     random_pauli_sum, rref_by_columns)
 
 
 def _chain(n, letters, start):
@@ -74,6 +74,44 @@ def test_rref_idempotent_and_cancels_duplicates():
         assert again == reduced and pivots2 == pivots
         assert not any(reduced[len(pivots):])
         assert list(pivots) == sorted(pivots)
+
+
+@pytest.mark.parametrize("row, width", [(-1, 4), (0b10000, 4), (1, 0)])
+def test_rref_refuses_rows_outside_the_width(row, width):
+    with pytest.raises(ValueError, match="row 1 "):
+        rref([0, row], width)
+
+
+@st.composite
+def _gf2_rows(draw):
+    """A width of 1 to 80 bits and up to 60 rows, with zero, sparse and
+    duplicate rows among them."""
+    width = draw(st.integers(1, 80))
+    sparse = st.sets(st.integers(0, width - 1), max_size=3).map(
+        lambda bits: sum(1 << b for b in bits))
+    row = st.one_of(st.just(0), sparse, st.integers(0, (1 << width) - 1))
+    rows = draw(st.lists(row, max_size=50))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))]
+    return draw(st.permutations(rows)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gf2_rows())
+def test_rref_matches_the_column_scan(case):
+    rows, width = case
+    assert rref(rows, width) == rref_by_columns(rows, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gf2_rows())
+def test_nullspace_is_a_basis_of_the_even_overlap_space(case):
+    rows, width = case
+    reduced, pivots = rref(rows, width)
+    basis = _nullspace(reduced, pivots, width)
+    assert len(basis) == width - len(pivots)
+    assert all((row & t).bit_count() % 2 == 0 for row in reduced for t in basis)
+    assert len(rref_by_columns(basis, width)[1]) == len(basis)  # independent
 
 
 def test_heisenberg_augmented_system_is_inconsistent():
@@ -281,3 +319,22 @@ def test_commutant_takes_identity_terms_without_warning():
         # every X string commutes with the identity; Z strings then cannot
         only = PauliSum(3, ((2.0, PauliString.from_label("III")),))
         assert commutant(only) == ((0b100, 0b010, 0b001), ())
+
+
+@pytest.mark.parametrize("kind", sorted(_CHAIN_PARAMS))
+def test_solver_on_the_n256_chains_matches_the_column_scan(kind):
+    h = build(ModelSpec(kind, 256, _CHAIN_PARAMS[kind]))
+    parity = build_parity_matrix(h)
+    width = 2 * h.n
+    augmented = [row << 1 | 1 for row in parity]
+    want = rref_by_columns(augmented, width + 1)
+    assert rref(augmented, width + 1) == want
+    outcome = solve_time_reversal(h)
+    if kind == "heisenberg":
+        assert want[1][-1] == width
+        assert outcome == Infeasible(witness_row=len(want[1]) - 1)
+        return
+    assert all((row & outcome.particular).bit_count() % 2 == 1 for row in parity)
+    assert outcome.nullspace_basis
+    for t in outcome.nullspace_basis:
+        assert all((row & t).bit_count() % 2 == 0 for row in parity)

@@ -34,7 +34,7 @@ from . import __version__
 from .errors import ConfigError, KtrError
 from .gevp import DEFAULT_EPSILON, exact_reference, sector_ground_energy, solve
 from .initial import ProjectorSpec, build_block_product, enumerate_local_projectors, project
-from .krylov import (SAMPLES_PER_STEP, TimeGrid, ToeplitzPencil, build_kqd,
+from .krylov import (SAMPLES_PER_STEP, TimeGrid, ToeplitzPencil, _fine_grid, build_kqd,
                      build_ktr, default_dt, extended_local_pencil,
                      implicit_hadamard_rows, reconstruct_a_from_b,
                      reconstruct_b_from_a, sample_expectation_curves,
@@ -255,13 +255,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("epsilon must lie in [0, 1)")
     samples_per_step = _parse_int("samples_per_step",
                                   table.get("samples_per_step", str(SAMPLES_PER_STEP)))
-    if samples_per_step < 2 or samples_per_step % 2 != 0:
-        raise ConfigError("samples_per_step must be a positive even number")
-    if "derivative" in methods and (m - 1) * samples_per_step + 1 < 5:
-        raise ConfigError(
-            f"grid too coarse for a five-point stencil: grid.m = {m} at "
-            f"samples_per_step = {samples_per_step} gives {(m - 1) * samples_per_step + 1} "
-            f"fine samples, the derivative route needs 5")
+    try:
+        # the fine grid's own checks, which its spacing plays no part in
+        _fine_grid(TimeGrid(1.0, m), samples_per_step, five_point="derivative" in methods)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     return ExperimentConfig(
         model=model, methods=methods, init=init, dt=dt, m=m,
@@ -316,12 +314,12 @@ def _build_pencil(method: str, config: ExperimentConfig, h: PauliSum, t,
     indices = stencil_indices(grid, config.samples_per_step) if name == "derivative" else None
     a_fine, b_fine = sample_expectation_curves(
         h, t, v0, grid, plan, samples_per_step=config.samples_per_step, indices=indices)
-    targets = np.arange(grid.m) * config.samples_per_step
+    # the curves keep the fine-grid length: every samples_per_step-th sample is a Krylov point
     if name == "derivative":
         row_a = reconstruct_a_from_b(b_fine, grid, config.samples_per_step)
-        return ToeplitzPencil(row_a, b_fine[targets], grid)
+        return ToeplitzPencil(row_a, b_fine[::config.samples_per_step], grid)
     row_b = reconstruct_b_from_a(a_fine, grid, config.samples_per_step)
-    return ToeplitzPencil(1j * a_fine[targets], row_b, grid)
+    return ToeplitzPencil(1j * a_fine[::config.samples_per_step], row_b, grid)
 
 
 def _prefix_sizes(m: int) -> list[int]:

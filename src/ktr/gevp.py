@@ -13,11 +13,13 @@ s_i carry the orbit S(a) = XOR of the s_i picked by the bits of a; a
 representative b is zero in every X pivot column, and its Z parities name
 its Z sector.  The basis vector of b and the character c sums
 2**(-r_x/2) (-1)**popcount(a & c) |b ^ S(a)> over the 2**r_x orbit
-elements.  A string P = (x, z) maps it to diag[b ^ x]
-(-1)**popcount(a0 & (c ^ delta)) times the vector of rep(b ^ x) =
-b ^ x ^ S(a0) and the character c ^ delta, where delta_i =
-parity(z & s_i); rep(b ^ x) lies in the Z sector of b flipped at the bits
-eps_j = parity(x & r_j) of the Z rows r_j (:meth:`SectorBasis.image`).  A
+elements.  A string P = (x, z) maps it to i**phase (-1)**popcount(b & z)
+(:meth:`ktr.paulis.PauliString.signs`) (-1)**popcount(a0 & (c ^ delta))
+times the vector of rep(b ^ x) = b ^ x ^ S(a0) and the character c ^ delta,
+where delta_i = parity(z & s_i); rep(b ^ x) lies in the Z sector of b
+flipped at the bits eps_j = parity(x & r_j) of the Z rows r_j.
+:meth:`SectorBasis.image` hands this out in whole blocks: the block P
+maps each to, and per column the row there and the sign.  A
 term of H commutes with the group (delta = eps = 0), so H is assembled
 block by block on the representatives alone: one k x k block per
 character and Z sector, k = 2**(n - r).  An involution T that
@@ -185,37 +187,42 @@ class SectorBasis:
         return (low @ arr).reshape(coords.shape[0], -1).view(complex)
 
     def image(self, p: PauliString, characters: Sequence[int]
-              ) -> tuple[int, np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where the string P sends the basis vectors of the given characters:
         P|b, c> = sign * |b', c ^ delta>; see the module docstring.
 
-        Returns delta, the flat index ``slot[b']`` for each representative b
-        of ``reps`` flattened, and the signs, shape (len(characters),
-        reps.size)."""
-        src, diag = p.action()
-        v = src[self.reps.ravel()]  # b ^ x
+        Returns, for each block c * 2**r_z + zeta of those characters (B of
+        them, characters in the given order), the block P maps it to, shape
+        (B,), and for each of its columns the row there and the sign, both
+        shape (B, k)."""
+        sectors, k = self.reps.shape
+        v = self.reps ^ p.x
         a0 = np.zeros_like(v)
         delta = 0
         for i, bit in enumerate(self.pivots):
             a0[(v & bit) != 0] |= 1 << i
             delta |= (p.z & int(self.orbit[1 << i])).bit_count() % 2 << i
         characters = np.asarray(characters, dtype=np.int64)[:, None] ^ delta
-        signs = diag[v] * (1.0 - 2.0 * _parity(a0 & characters))
-        return delta, self.slot[v ^ self.orbit[a0]], signs
+        signs = p.signs(self.reps) * (1.0 - 2.0 * _parity(a0 & characters[..., None]))
+        to_sector, rows = np.divmod(self.slot[v ^ self.orbit[a0]], k)
+        # every representative of one Z sector lands in the same sector
+        targets = (characters * sectors + to_sector[:, 0]).ravel()
+        return targets, np.tile(rows, (characters.size, 1)), signs.reshape(-1, k)
 
     def blocks(self, h: PauliSum, characters: Sequence[int]) -> np.ndarray:
-        """H on the sectors of the given characters, shape
-        (len(characters), 2**r_z, k, k); float64 unless some term has an odd
-        phase.  Every term must commute with the group."""
+        """H on the blocks of the given characters, shape
+        (len(characters) * 2**r_z, k, k) in the block order of :meth:`image`;
+        float64 unless some term has an odd phase.  Every term must commute
+        with the group."""
         sectors, k = self.reps.shape
-        column = np.arange(self.reps.size) % k
-        out = np.zeros((len(characters), sectors * k, k),
-                       np.result_type(float, *(diag for _, (_, diag) in h.compiled())))
+        odd = any(p.phase_exp % 2 for _, p in h.terms)
+        out = np.zeros((len(characters) * sectors, k, k), complex if odd else float)
+        block = np.arange(out.shape[0])[:, None]
         for coeff, p in h.terms:
-            # a commuting term keeps the sector, so rows sector * k + slot stay in it
-            _, target, signs = self.image(p, characters)
-            out[:, target, column] += coeff * signs
-        return out.reshape(len(characters), sectors, k, k)
+            # a commuting term keeps every block in place
+            _, rows, signs = self.image(p, characters)
+            out[block, rows, np.arange(k)] += coeff * signs
+        return out
 
 
 def symmetry_blocks(h: PauliSum) -> tuple[SectorBasis, np.ndarray]:
@@ -224,8 +231,7 @@ def symmetry_blocks(h: PauliSum) -> tuple[SectorBasis, np.ndarray]:
     character c and Z sector zeta."""
     x_rows, z_rows = commutant(h)
     basis = SectorBasis.build(h.n, x_rows, z_rows)
-    blocks = basis.blocks(h, range(2 ** len(x_rows)))
-    return basis, blocks.reshape(-1, *blocks.shape[2:])
+    return basis, basis.blocks(h, range(2 ** len(x_rows)))
 
 
 def exact_reference(h: PauliSum) -> np.ndarray:
@@ -272,4 +278,4 @@ def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
     # the +1 sector: character bit i and Z parity j equal the sign of row i and j
     character = sum((row & 1) << i for i, row in enumerate(x_reduced))
     sector = sum((row & 1) << j for j, row in enumerate(z_reduced))
-    return float(np.linalg.eigvalsh(basis.blocks(h, [character])[0, sector])[0])
+    return float(np.linalg.eigvalsh(basis.blocks(h, [character])[sector])[0])

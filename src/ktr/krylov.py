@@ -29,9 +29,10 @@ and differs only in its branch list and its times:
   c-weighted curves, whose samples at h_j are the ``ktr`` rows, and from
   which ``reconstruct_b_from_a`` / ``reconstruct_a_from_b`` rebuild one
   row (quadrature and finite differences) from fine samples of the other.
-  The quadrature reads every fine sample; the derivative reads only the
-  five-point windows of ``stencil_indices``, at most 5 m samples, and the
-  ``derivative`` route evaluates just those.
+  The quadrature is one cumulative Simpson sum; the derivative weights the
+  five-point windows of the Krylov points, clipped at the curve's own end,
+  and reads only them (``stencil_indices``, at most 5 m samples), which is
+  all the ``derivative`` route evaluates.
 
 Every route asks the kernel for a sorted array of grid indices k, tau =
 k * step: ``np.arange(m)`` for the half-time routes, the whole fine grid
@@ -178,7 +179,6 @@ def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
               plan: EvolutionPlan) -> ToeplitzPencil:
     """Canonical first-row construction; entries are complex in general."""
     _check_unit_norm(v0)
-    plan.prepare()
     row_a = np.zeros(grid.m, dtype=complex)
     row_b = np.zeros(grid.m, dtype=complex)
     for j, (vt,) in enumerate(_sample_states(plan, grid.dt, grid.m, [v0])):
@@ -215,7 +215,6 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
         return weights @ a, weights @ b
     t_obs = PauliSum(h.n, ((1.0, t),))
     iht = build_iht_observable(h, t)
-    plan.prepare()
     a = np.zeros(indices.size)
     b = np.zeros(indices.size)
     slots = {int(k): i for i, k in enumerate(indices)}
@@ -334,35 +333,14 @@ def sample_expectation_curves(h: PauliSum, t: PauliString, v0: StateVector,
     return a_fine, b_fine
 
 
-def _simpson_prefix(y: np.ndarray, k: int, step: float) -> float:
-    """Composite Simpson integral of the first k panels (k even)."""
-    if k == 0:
-        return 0.0
-    acc = y[0] + y[k] + 4.0 * np.sum(y[1:k:2]) + 2.0 * np.sum(y[2:k:2])
-    return float(acc * step / 3.0)
-
-
-# 4th-order 5-point derivative stencils, by position inside the window
-_FD_WEIGHTS = {
-    0: (-25.0, 48.0, -36.0, 16.0, -3.0),
-    1: (-3.0, -10.0, 18.0, -6.0, 1.0),
-    2: (1.0, -8.0, 0.0, 8.0, -1.0),
-    3: (-1.0, 6.0, -18.0, 10.0, 3.0),
-    4: (3.0, -16.0, 36.0, -48.0, 25.0),
-}
-
-
-def _window_start(k: int, last: int) -> int:
-    """First index of the five-point window that differentiates sample k of
-    a curve whose last index is ``last``: centred, one-sided at the ends."""
-    return min(max(k - 2, 0), last - 4)
-
-
-def _derivative4(y: np.ndarray, k: int, step: float) -> float:
-    start = _window_start(k, y.shape[0] - 1)
-    weights = _FD_WEIGHTS[k - start]
-    window = y[start:start + 5]
-    return float(np.dot(weights, window) / (12.0 * step))
+# 4th-order 5-point derivative stencils, row by position inside the window
+_FD_WEIGHTS = np.array([
+    (-25.0, 48.0, -36.0, 16.0, -3.0),
+    (-3.0, -10.0, 18.0, -6.0, 1.0),
+    (1.0, -8.0, 0.0, 8.0, -1.0),
+    (-1.0, 6.0, -18.0, 10.0, 3.0),
+    (3.0, -16.0, 36.0, -48.0, 25.0),
+])
 
 
 def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None,
@@ -379,8 +357,21 @@ def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None
     if samples < total:
         raise ValueError(f"need at least {total} samples, got {samples}")
     if five_point and samples < 5:
-        raise ValueError("grid too coarse for a five-point stencil")
+        raise ValueError(f"grid too coarse for a five-point stencil: grid.m = {grid.m} at "
+                         f"samples_per_step = {samples_per_step} gives {samples} fine "
+                         f"samples, the derivative route needs 5")
     return total, (0.5 * grid.dt) / samples_per_step
+
+
+def _five_point_windows(grid: TimeGrid, samples_per_step: int,
+                        samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The five-point windows that differentiate the Krylov points j *
+    samples_per_step of a curve of ``samples`` samples, centred and
+    one-sided at the curve's ends: their fine-grid indices, shape (m, 5),
+    and each point's position inside its window."""
+    points = np.arange(grid.m) * samples_per_step
+    starts = np.clip(points - 2, 0, samples - 5)
+    return starts[:, None] + np.arange(5), points - starts
 
 
 def stencil_indices(grid: TimeGrid, samples_per_step: int = SAMPLES_PER_STEP) -> np.ndarray:
@@ -388,8 +379,7 @@ def stencil_indices(grid: TimeGrid, samples_per_step: int = SAMPLES_PER_STEP) ->
     from a curve of the grid's own length: the union of the five-point
     windows at the Krylov points j * samples_per_step, at most 5 m."""
     total, _ = _fine_grid(grid, samples_per_step, five_point=True)
-    starts = [_window_start(j * samples_per_step, total - 1) for j in range(grid.m)]
-    return np.unique(np.add.outer(starts, np.arange(5)))
+    return np.unique(_five_point_windows(grid, samples_per_step, total)[0])
 
 
 def reconstruct_b_from_a(a_fine: np.ndarray, grid: TimeGrid,
@@ -402,11 +392,11 @@ def reconstruct_b_from_a(a_fine: np.ndarray, grid: TimeGrid,
     h_j = (j - 1) dt / 2.
     """
     a_fine = np.asarray(a_fine, dtype=float)
-    _, delta = _fine_grid(grid, samples_per_step, a_fine.shape[0])
-    row_b = np.zeros(grid.m, dtype=float)
-    for j in range(grid.m):
-        row_b[j] = 2.0 * _simpson_prefix(a_fine, j * samples_per_step, delta) + 1.0
-    return row_b
+    total, delta = _fine_grid(grid, samples_per_step, a_fine.shape[0])
+    # Simpson's rule on each double panel, summed once from tau = 0
+    panels = a_fine[:total - 2:2] + 4.0 * a_fine[1:total - 1:2] + a_fine[2:total:2]
+    prefix = np.concatenate(([0.0], np.cumsum(panels) * (delta / 3.0)))
+    return 2.0 * prefix[::samples_per_step // 2] + 1.0
 
 
 def reconstruct_a_from_b(b_fine: np.ndarray, grid: TimeGrid,
@@ -420,7 +410,7 @@ def reconstruct_a_from_b(b_fine: np.ndarray, grid: TimeGrid,
     """
     b_fine = np.asarray(b_fine, dtype=float)
     _, delta = _fine_grid(grid, samples_per_step, b_fine.shape[0], five_point=True)
-    row_a = np.zeros(grid.m, dtype=complex)
-    for j in range(grid.m):
-        row_a[j] = 0.5j * _derivative4(b_fine, j * samples_per_step, delta)
-    return row_a
+    windows, position = _five_point_windows(grid, samples_per_step, b_fine.shape[0])
+    # one (1 x 5) @ (5 x 1) product per Krylov point
+    slope = (_FD_WEIGHTS[position][:, None] @ b_fine[windows][..., None]).ravel()
+    return 0.5j * (slope / (12.0 * delta))

@@ -25,14 +25,15 @@ compiles, on first use, into a read-only pair ``(src, diag)`` with
     (P v)[i] = diag[i] * v[src[i]],
 
 where ``src = i ^ x`` and ``diag`` holds the phase times the sign
-``(-1)**popcount(src & z)``.  ``diag`` is float64 when the phase is
+``(-1)**popcount(src & z)``, the rule :meth:`PauliString.signs` evaluates
+for any set of source indices.  ``diag`` is float64 when the phase is
 +-1 (``phase_exp`` 0 or 2, which covers every canonical string with an even
 number of Y factors) and complex128 only for an odd phase.  The pair takes
 16 B * 2**n for a real string (an int64 index and a float64 entry per basis
 state), 24 B * 2**n for a complex one, and is cached on the string; a
 :class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
-Nothing compiles until a statevector operation, a dense matrix or the
-Gauss-sector reference asks for it.
+Nothing compiles until a statevector operation or a dense matrix asks for
+it; the symmetry blocks of :mod:`ktr.gevp` read the sign rule from the masks.
 :func:`apply_action` acts on the leading axis of 1-D and 2-D arrays, and
 :func:`dense_matrix` scatters the same pairs into a matrix.  Both take
 their dtype from their inputs, so a sum of real strings assembles a
@@ -153,12 +154,17 @@ class PauliString:
         if self._action is None:
             check_state_qubits(self.n)
             src = np.arange(2 ** self.n) ^ self.x
-            # float64 for phase +-1, complex128 for +-i
-            diag = _PHASES[self.phase_exp] * (1.0 - 2.0 * _parity(src & self.z))
+            diag = self.signs(src)
             src.flags.writeable = False
             diag.flags.writeable = False
             object.__setattr__(self, "_action", (src, diag))
         return self._action
+
+    def signs(self, sources: np.ndarray) -> np.ndarray:
+        """The factor i**phase_exp * (-1)**popcount(source & z) by which the
+        string sends each basis index ``source`` to ``source ^ x``: float64
+        for phase +-1, complex128 for +-i."""
+        return _PHASES[self.phase_exp] * (1.0 - 2.0 * _parity(sources & self.z))
 
     def __repr__(self) -> str:
         letters = self._letters()

@@ -29,15 +29,16 @@ qubits are refused with :class:`ResourceLimitError` before anything is
 allocated.
 
 An involution T that anticommutes with H maps each symmetry block onto
-another (:meth:`ktr.gevp.SectorBasis.image`), so in the block eigenbasis
-it is M_T[b] = Q_pi(b)+ P_T Q_b for a block permutation pi, cached per
-involution by :meth:`EvolutionPlan.reversal`.  :func:`reversal_curves`
-reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for v(tau) = exp(-i tau
-H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v, they are
-sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi), and
-no amplitude vector is built.  It evaluates only the grid indices k (tau =
-k * step) a route asks for, in groups of fewer than K consecutive grid
-indices (the chunk size), each starting at its own first index k0, and
+another, so in the block eigenbasis it is M_T[b] = Q_pi(b)+ P_T Q_b for a
+block permutation pi, cached per involution by
+:meth:`EvolutionPlan.reversal` from :meth:`ktr.gevp.SectorBasis.image`:
+pi(b), and per column of block b its row in pi(b) and its sign.
+:func:`reversal_curves` reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for
+v(tau) = exp(-i tau H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v,
+they are sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T
+phi), and no amplitude vector is built.  It evaluates only the grid indices
+k (tau = k * step) a route asks for, in groups of fewer than K consecutive
+grid indices (the chunk size), each starting at its own first index k0, and
 takes their phases from one table exp(-i L r step) per call, r = k - k0
 below K, times one shift exp(-i L k0 step) per group.
 
@@ -170,8 +171,9 @@ class EvolutionPlan:
         if mode not in ("exact", "trotter2"):
             raise ValueError(f"unknown evolution mode {mode!r}")
         if mode == "trotter2":
-            if steps_per_unit is None or int(steps_per_unit) < 1:
-                raise ValueError("trotter2 mode needs steps_per_unit >= 1")
+            if (steps_per_unit is None or not float(steps_per_unit).is_integer()
+                    or steps_per_unit < 1):
+                raise ValueError("trotter2 mode needs an integral steps_per_unit >= 1")
             steps_per_unit = int(steps_per_unit)
         self.h = h
         self.mode = mode
@@ -236,16 +238,10 @@ class EvolutionPlan:
         cached = self._reversals.get(t)
         if cached is None:
             evals, evecs = self.factorization()
-            blocks, k = evals.shape
-            sectors = self._basis.reps.shape[0]
-            characters = np.arange(blocks // sectors)
-            delta, target, signs = self._basis.image(t, characters)
-            to_sector, row = np.divmod(target, k)
-            # every representative of one Z sector lands in the same sector
-            perm = ((characters[:, None] ^ delta) * sectors + to_sector[::k]).ravel()
+            perm, rows, signs = self._basis.image(t, range(2 ** len(self._basis.pivots)))
+            # P_T Q_b, its rows placed in block pi(b)
             moved = np.empty(evecs.shape, np.result_type(evecs, signs))
-            rows = np.tile(row.reshape(sectors, k), (characters.size, 1))
-            moved[np.arange(blocks)[:, None], rows] = signs.reshape(blocks, k)[..., None] * evecs
+            moved[np.arange(perm.size)[:, None], rows] = signs[..., None] * evecs
             m_t = self._adjoint[perm] @ moved
             _check_involution(perm, m_t)
             for arr in (perm, m_t):

@@ -194,3 +194,52 @@ def controlled_not(n: int, control: int, target: int) -> np.ndarray:
             image = basis
         mat[image, basis] = 1.0
     return mat
+
+
+def _simpson_prefix(y: np.ndarray, k: int, step: float) -> float:
+    """Composite Simpson integral of the first k panels (k even)."""
+    if k == 0:
+        return 0.0
+    acc = y[0] + y[k] + 4.0 * np.sum(y[1:k:2]) + 2.0 * np.sum(y[2:k:2])
+    return float(acc * step / 3.0)
+
+
+# 4th-order 5-point derivative stencils, by position inside the window
+_FD_WEIGHTS = {
+    0: (-25.0, 48.0, -36.0, 16.0, -3.0),
+    1: (-3.0, -10.0, 18.0, -6.0, 1.0),
+    2: (1.0, -8.0, 0.0, 8.0, -1.0),
+    3: (-1.0, 6.0, -18.0, 10.0, 3.0),
+    4: (3.0, -16.0, 36.0, -48.0, 25.0),
+}
+
+
+def _window_start(k: int, last: int) -> int:
+    """First index of the five-point window that differentiates sample k of
+    a curve whose last index is ``last``: centred, one-sided at the ends."""
+    return min(max(k - 2, 0), last - 4)
+
+
+def _derivative4(y: np.ndarray, k: int, step: float) -> float:
+    start = _window_start(k, y.shape[0] - 1)
+    weights = _FD_WEIGHTS[k - start]
+    window = y[start:start + 5]
+    return float(np.dot(weights, window) / (12.0 * step))
+
+
+def b_row_by_rows(a_fine: np.ndarray, m: int, samples_per_step: int, delta: float) -> np.ndarray:
+    """B row from a fine curve a(tau), one composite Simpson integral from 0
+    per Krylov point: B[j] = 2 int_0^{h_j} a + 1."""
+    row_b = np.zeros(m, dtype=float)
+    for j in range(m):
+        row_b[j] = 2.0 * _simpson_prefix(a_fine, j * samples_per_step, delta) + 1.0
+    return row_b
+
+
+def a_row_by_rows(b_fine: np.ndarray, m: int, samples_per_step: int, delta: float) -> np.ndarray:
+    """A row from a fine curve b(tau), one five-point derivative per Krylov
+    point: A[j] = (i / 2) db/dtau at h_j."""
+    row_a = np.zeros(m, dtype=complex)
+    for j in range(m):
+        row_a[j] = 0.5j * _derivative4(b_fine, j * samples_per_step, delta)
+    return row_a

@@ -31,7 +31,7 @@ from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_
                         extended_local_pencil, implicit_hadamard_rows, reconstruct_a_from_b,
                         reconstruct_b_from_a, sample_expectation_curves)
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
-from ktr.paulis import PauliString, PauliSum, build_iht_observable, dense_matrix
+from ktr.paulis import PauliString, PauliSum, build_iht_observable
 from ktr.states import (EvolutionPlan, apply_pauli, evolve, expectation, inner,
                         matrix_element, plus_state)
 from ktr.symmetry import Infeasible, solve_time_reversal, verify_time_reversal
@@ -39,7 +39,7 @@ from ktr.symmetry import Infeasible, solve_time_reversal, verify_time_reversal
 from helpers import basis_state, gauge_start, random_state
 from oracles import (HADAMARD, IDENTITY2, brute_force_reversals_dense,
                      controlled_not, dense_evolution, dense_projector, krylov_ritz_grounds,
-                     kron_chain)
+                     kron_chain, kron_matrix)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -152,7 +152,7 @@ epsilon = 1e-10
     assert [rec.m_used for rec in report.records] == sizes
 
     _, h, t = _tfim8()
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     e0 = float(np.linalg.eigvalsh(hd)[0])
     v0 = build_block_product(4, 2)
     oracle = krylov_ritz_grounds(hd, v0.amps, dt, sizes)
@@ -232,11 +232,11 @@ def test_criterion_06_xorsat_solver():
             if isinstance(outcome, Infeasible):
                 part_c = False
                 continue
-            hd = dense_matrix(h) if n == 4 else None
+            hd = kron_matrix(h) if n == 4 else None
             for t in outcome.solutions(limit=64):
                 part_c = part_c and verify_time_reversal(t, h)
                 if n == 4:
-                    td = dense_matrix(t)
+                    td = kron_matrix(t)
                     part_c = part_c and np.max(np.abs(td @ hd + hd @ td)) == 0.0
     ok = part_a and part_b and part_c
     _verdict(6, "GF(2) solver: solutions, certificates, soundness", ok,
@@ -247,7 +247,7 @@ def test_criterion_06_xorsat_solver():
 def test_criterion_07_implicit_overlap_identities():
     _, h, t = _tfim8()
     plan = EvolutionPlan.exact(h)
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     rng = np.random.default_rng(707)
     phi = random_state(8, rng)
     prep_p = project(phi, ProjectorSpec((t,), (0,)))
@@ -277,7 +277,7 @@ def test_criterion_07_implicit_overlap_identities():
 def test_criterion_08_blockwise_projector_identity():
     _, h, t = _tfim8()
     plan = EvolutionPlan.exact(h)
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     rng = np.random.default_rng(808)
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks

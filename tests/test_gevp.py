@@ -255,14 +255,11 @@ def test_sector_basis_image_is_the_string_action(case):
     shape = (characters * sectors, k)
     coords = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     want = basis.to_sectors(kron_matrix(p) @ basis.to_amplitudes(coords))
-    delta, target, signs = basis.image(p, range(characters))
+    targets, rows, signs = basis.image(p, range(characters))
     got = np.zeros_like(coords)
-    for c in range(characters):
-        for flat in range(sectors * k):
-            zeta, j = divmod(flat, k)
-            to_sector, row = divmod(int(target[flat]), k)
-            source = coords[c * sectors + zeta, j]
-            got[(c ^ delta) * sectors + to_sector, row] += signs[c, flat] * source
+    for block in range(characters * sectors):
+        for j in range(k):
+            got[targets[block], rows[block, j]] += signs[block, j] * coords[block, j]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(coords))
 
 

@@ -10,11 +10,12 @@ from ktr.initial import (ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project,
                          project_array)
 from ktr.models import ModelSpec, build, gauss_generators
-from ktr.paulis import PauliString, PauliSum, dense_matrix, multiply
+from ktr.paulis import PauliString, PauliSum, multiply
 from ktr.states import StateVector, apply_pauli, expectation, inner, plus_state
 
 from helpers import basis_state, gauge_start, product_state, random_state
-from oracles import HADAMARD, IDENTITY2, controlled_not, dense_projector, kron_chain
+from oracles import (HADAMARD, IDENTITY2, controlled_not, dense_projector, kron_chain,
+                     kron_matrix)
 
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -231,7 +232,7 @@ def test_lgt_sectors_of_the_two_components():
     # G phi = phi while G (T phi) = -(T phi); the projected state mixes both
     spec = ModelSpec("z2higgs", 8, {"mu": 1.0, "g": 1.0})
     gens = gauss_generators(spec)
-    g_avg = sum(dense_matrix(g) for g in gens) / len(gens)
+    g_avg = sum(kron_matrix(g) for g in gens) / len(gens)
     phi = plus_state(8)
     t_phi = apply_pauli(phi, PauliString.from_label("Y" * 8))
     assert np.max(np.abs(g_avg @ phi.amps - phi.amps)) <= 1e-12

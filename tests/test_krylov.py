@@ -19,14 +19,14 @@ from ktr.krylov import (TimeGrid, ToeplitzPencil, _fine_grid, _signed_curves, _s
                         implicit_hadamard_rows, reconstruct_a_from_b, reconstruct_b_from_a,
                         sample_expectation_curves, stencil_indices)
 from ktr.models import PARAM_KEYS, ModelSpec, build, known_time_reversal
-from ktr.paulis import (PauliString, PauliSum, build_iht_observable, dense_matrix,
-                        symplectic_product)
+from ktr.paulis import PauliString, PauliSum, build_iht_observable, symplectic_product
 from ktr.states import (CURVE_CHUNK_BYTES, EvolutionPlan, StateVector, _check_involution,
                         apply_pauli, evolve, expectation, inner, plus_state, reversal_curves)
 from ktr.symmetry import commutant, solve_time_reversal
 
 from helpers import random_state
-from oracles import dense_evolution, dense_projector, overlap_matrices_direct
+from oracles import (a_row_by_rows, b_row_by_rows, dense_evolution, dense_projector,
+                     kron_matrix, overlap_matrices_direct)
 
 
 def _tfim_setup(n, gamma=0.5, m=8, dt=None):
@@ -138,7 +138,7 @@ def test_implicit_rows_match_dense_oracle():
     rng = np.random.default_rng(23)
     phi = random_state(6, rng)
     pen = implicit_hadamard_rows(phi, h, t, grid, plan)
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         u = dense_evolution(hd, float(tj))
         re = (phi.amps.conj() @ u @ phi.amps).real
@@ -165,7 +165,7 @@ def test_magnitude_closes_the_re_im_identity():
     for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         mag = abs(inner(phi, evolve(plan, float(tj), phi))) ** 2
         re = pen.row_b[j].real
-        hd = dense_matrix(h)
+        hd = kron_matrix(h)
         u = dense_evolution(hd, float(tj))
         im = (phi.amps.conj() @ u @ phi.amps).imag
         assert abs(re ** 2 + im ** 2 - mag) <= 1e-10
@@ -179,7 +179,7 @@ def test_extended_local_full_set_matches_dense():
     specs = enumerate_local_projectors(blocks)
     row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
     dense = [dense_projector(s) for s in specs]
-    hd = dense_matrix(h)
+    hd = kron_matrix(h)
     for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         u = dense_evolution(hd, float(tj))
         rhs = sum(phi.amps.conj() @ dp @ u @ dp @ phi.amps for dp in dense).real
@@ -285,6 +285,36 @@ def test_reconstruction_input_validation():
             sample_expectation_curves(h, t, prep, grid, plan, 20, np.array(indices, dtype=int))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 20), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_reconstructed_rows_match_the_per_row_loops(m, half_sps, extra, seed):
+    # curves a few samples longer than the grid, which the windows clip at
+    sps = 2 * half_sps
+    grid = TimeGrid(0.3, m)
+    total, delta = _fine_grid(grid, sps)
+    rng = np.random.default_rng(seed)
+    curve = rng.normal(size=total + extra) * 10.0 ** rng.uniform(-3, 3)
+    eps = np.finfo(float).eps
+    # one sum of up to k_j + 1 terms in another order: a few ulps per term
+    # of the row's scale 1 + (2 delta / 3) sum_i w_i |a_i|, Simpson weights w
+    weights = np.where(np.arange(total) % 2, 4.0, 2.0)
+    weights[0] = 1.0
+    scale = 1.0 + (2.0 * delta / 3.0) * np.cumsum(weights * np.abs(curve[:total]))[::sps]
+    span = np.arange(m) * sps + 20
+    got_b = reconstruct_b_from_a(curve, grid, sps)
+    assert np.all(np.abs(got_b - b_row_by_rows(curve, m, sps, delta)) <= 2 * span * eps * scale)
+    if curve.size < 5:
+        with pytest.raises(ValueError, match="five-point"):
+            reconstruct_a_from_b(curve, grid, sps)
+        return
+    # five products summed in another order: 8 ulps of the summed magnitudes
+    want_a = a_row_by_rows(curve, m, sps, delta)
+    windows = np.add.outer(np.minimum(np.maximum(np.arange(m) * sps - 2, 0), curve.size - 5),
+                           np.arange(5))
+    magnitude = 48.0 * np.sum(np.abs(curve[windows]), axis=1) / (24.0 * delta)
+    assert np.all(np.abs(reconstruct_a_from_b(curve, grid, sps) - want_a) <= 8 * eps * magnitude)
+
+
 def test_fine_grid_without_a_sample_count_checks_its_own_total():
     # m = 2 at 2 samples per step has 3 fine samples, m = 3 has 5
     assert _fine_grid(TimeGrid(0.2, 3), 2, five_point=True) == (5, 0.05)
@@ -383,7 +413,7 @@ def test_pencil_prefix():
 
 def test_row_entries_independent_across_threads():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    plan.prepare()
+    plan.factorization()
     t_obs = PauliSum(h.n, ((1.0, t),))
     c = ProjectorSpec((t,), (0,)).parity
 

@@ -5,10 +5,12 @@ import pytest
 
 from ktr.errors import ModelConsistencyError
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
-from ktr.paulis import PauliString, dense_matrix
+from ktr.paulis import PauliString
 from ktr.states import apply_pauli, plus_state
 from ktr.symmetry import Infeasible, solve_time_reversal, verify_time_reversal
 from ktr.gevp import exact_reference
+
+from oracles import kron_matrix
 
 
 def test_tfim_term_counts():
@@ -71,9 +73,9 @@ def test_heisenberg_solver_agrees_infeasible():
 
 def test_gauss_generators_commute_exactly():
     spec = ModelSpec("z2higgs", 8, {"mu": 1.0, "g": 1.0})
-    hd = dense_matrix(build(spec))
+    hd = kron_matrix(build(spec))
     for g in gauss_generators(spec):
-        gd = dense_matrix(g)
+        gd = kron_matrix(g)
         assert np.array_equal(gd @ hd, hd @ gd)  # exact zero commutator
         assert np.array_equal(gd @ gd, np.eye(256))
 
@@ -81,7 +83,7 @@ def test_gauss_generators_commute_exactly():
 def test_gauss_average_flips_the_reflected_state():
     spec = ModelSpec("z2higgs", 8, {"mu": 1.0, "g": 1.0})
     gens = gauss_generators(spec)
-    g_avg = sum(dense_matrix(g) for g in gens) / len(gens)
+    g_avg = sum(kron_matrix(g) for g in gens) / len(gens)
     phi = plus_state(8)
     t_phi = apply_pauli(phi, PauliString.from_label("Y" * 8))
     assert np.max(np.abs(g_avg @ phi.amps - phi.amps)) <= 1e-12
@@ -93,7 +95,7 @@ def test_gauss_generators_anticommute_with_reversal():
     t = known_time_reversal(spec)
     for g in gauss_generators(spec):
         string = g.terms[0][1]
-        td, gd = dense_matrix(t), dense_matrix(string)
+        td, gd = kron_matrix(t), kron_matrix(string)
         assert np.max(np.abs(td @ gd + gd @ td)) == 0.0
 
 

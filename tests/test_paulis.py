@@ -246,6 +246,7 @@ def test_every_dense_entry_point_refuses_above_the_cap_before_allocating():
         "dense_matrix": lambda: dense_matrix(h),
         "exact_reference": lambda: exact_reference(h),
         "sector_ground_energy": lambda: sector_ground_energy(h, [parity]),
+        "EvolutionPlan.factorization": lambda: EvolutionPlan.exact(h).factorization(),
         "EvolutionPlan.prepare": lambda: EvolutionPlan.exact(h).prepare(),
     }
     for name, call in calls.items():

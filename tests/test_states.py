@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.errors import InternalInconsistencyError, ResourceLimitError
-from ktr.gevp import exact_reference
-from ktr.models import ModelSpec, build
+from ktr.gevp import exact_reference, sector_ground_energy
+from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, symplectic_product
 from ktr.states import (EvolutionPlan, StateVector, _apply_blocks, apply_pauli,
                         apply_pauli_to_array, evolve, expectation, inner, matrix_element,
@@ -176,6 +176,28 @@ def test_trotter_global_order_two():
     assert 1.9 <= slope <= 2.1
 
 
+def test_trotter_plan_refuses_a_non_integral_step_count():
+    h = build(ModelSpec("tfim", 4, {"gamma": 0.5}))
+    # int() would have run 2.5 as 2 and 1.9 as 1 steps per unit
+    for bad in (2.5, 1.9, 0.5, 0, -3, None, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="integral steps_per_unit >= 1"):
+            EvolutionPlan.trotter2(h, bad)
+    assert EvolutionPlan.trotter2(h, 3.0).steps_per_unit == 3
+
+
+def test_exact_paths_compile_no_string():
+    spec = ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1})
+    h, t = build(spec), known_time_reversal(spec)
+    exact_reference(h)
+    sector_ground_energy(h, gauss_generators(spec))
+    plan = EvolutionPlan.exact(h)
+    plan.factorization()
+    plan.reversal(t)
+    # the sector layout reads signs from the string masks alone
+    assert h._compiled is None
+    assert t._action is None and all(p._action is None for _, p in h.terms)
+
+
 def test_time_translation_identity():
     h = build(ModelSpec("tfim", 4, {"gamma": 0.9}))
     plan = EvolutionPlan.exact(h)
@@ -302,7 +324,8 @@ def test_expectation_flags_imaginary_residue():
 
 def test_concurrent_evolutions_share_factorization():
     h = build(ModelSpec("tfim", 6, {"gamma": 0.5}))
-    plan = EvolutionPlan.exact(h).prepare()
+    plan = EvolutionPlan.exact(h)
+    plan.factorization()
     rng = np.random.default_rng(60)
     states = [random_state(6, rng) for _ in range(8)]
     times = list(rng.uniform(-2, 2, size=8))
@@ -404,7 +427,8 @@ def test_plain_x_field_stays_linear_in_memory():
     s = random_state(n, np.random.default_rng(75))
     tracemalloc.start()
     try:
-        plan = EvolutionPlan.exact(h).prepare()
+        plan = EvolutionPlan.exact(h)
+        plan.factorization()
         got = evolve(plan, 0.6, s).amps
         _, peak = tracemalloc.get_traced_memory()
     finally:

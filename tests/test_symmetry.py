@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.models import ModelSpec, build, known_time_reversal
-from ktr.paulis import PauliString, PauliSum, commutes, dense_matrix
+from ktr.paulis import PauliString, PauliSum, commutes
 from ktr.symmetry import (Infeasible, SymmetrySolution, _nullspace, build_parity_matrix,
                           commutant, rref, solve_time_reversal, verify_time_reversal)
 
 from oracles import (all_pauli_strings, bits_to_mask, brute_force_reversals_dense,
-                     random_pauli_sum, rref_by_columns)
+                     kron_matrix, random_pauli_sum, rref_by_columns)
 
 
 def _chain(n, letters, start):
@@ -145,7 +145,7 @@ def test_decode_trivial_and_hermitian_phase():
     assert t_all_x.label() == "XX"
     (t_all_y,) = SymmetrySolution(0b11_11, (), 2).solutions()
     assert t_all_y.label() == "YY"
-    td = dense_matrix(t_all_y)
+    td = kron_matrix(t_all_y)
     assert np.allclose(td, td.conj().T)
     assert np.allclose(td @ td, np.eye(4))
 
@@ -160,9 +160,9 @@ def test_verify_agrees_with_dense_anticommutator():
     rng = np.random.default_rng(13)
     for _ in range(10):
         h = random_pauli_sum(3, 4, rng)
-        hd = dense_matrix(h)
+        hd = kron_matrix(h)
         for p in (PauliString.from_label("YYY"), PauliString.from_label("ZXZ")):
-            dense_anti = np.max(np.abs(dense_matrix(p) @ hd + hd @ dense_matrix(p))) == 0.0
+            dense_anti = np.max(np.abs(kron_matrix(p) @ hd + hd @ kron_matrix(p))) == 0.0
             assert verify_time_reversal(p, h) == dense_anti
 
 

@@ -32,10 +32,12 @@ transform over each orbit, and leave by the same transform and a scatter.
 :func:`ktr.symmetry.commutant` and returns the sorted union of the block
 spectra, which :class:`ktr.states.EvolutionPlan` factorizes the same way.
 :func:`sector_ground_energy` reads one block, the joint +1 sector of
-generators that are +-1 times one X-type or Z-type string: GF(2)
-elimination of the signed rows finds their group, a pivot in the sign
-column puts -I in it and empties the sector, and the signs of the reduced
-rows name the character and the Z sector.
+generators that are Hermitian X-type or Z-type strings, +-1 times the
+literal product: each must commute with every term of H and with every
+other generator, which :func:`ktr.paulis.symplectic_product` decides.
+GF(2) elimination of the signed rows finds their group, a pivot in the
+sign column puts -I in it and empties the sector, and the signs of the
+reduced rows name the character and the Z sector.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DegeneratePencilError, ResourceLimitError
-from .paulis import DENSE_QUBIT_CAP, PauliString, PauliSum, _parity, commutes
+from .paulis import DENSE_QUBIT_CAP, PauliString, PauliSum, _parity, symplectic_product
 # no caller here, but the benchmark tracer wraps ktr.gevp.dense_matrix
 from .paulis import dense_matrix  # noqa: F401
 from .symmetry import commutant, rref
@@ -86,6 +88,10 @@ def solve_dense(a: np.ndarray, b: np.ndarray,
     """Threshold-and-whiten solve on assembled Hermitian matrices."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    # NaN fails every comparison below, so it would pass them unnoticed
+    for name, mat in (("A", a), ("B", b)):
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"{name} has a non-finite entry")
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and B must be square matrices of equal size")
     if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL:
@@ -241,32 +247,32 @@ def exact_reference(h: PauliSum) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(symmetry_blocks(h)[1]), axis=None)
 
 
-def sector_ground_energy(h: PauliSum, generators: list[PauliSum]) -> float:
+def sector_ground_energy(h: PauliSum, generators: Sequence[PauliString]) -> float:
     """Ground energy of H on the joint +1 eigenspace of the generators.
 
-    Commutation is checked first, in the Pauli algebra
-    (:func:`ktr.paulis.commutes`).  Generators other than +-1 times one
-    X-type or Z-type string, an empty sector and more than
-    :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are refused before anything is
-    allocated.  H is restricted to one block of the generators'
-    :class:`SectorBasis`, float64 for a real H.  With no generators the
-    block is the dense H.
+    Each generator must be a Hermitian X-type or Z-type string on the qubits
+    of H, phase +1 or -1, that commutes with every term of H and with every
+    earlier generator; commutation is the symplectic product of the masks
+    (:func:`ktr.paulis.symplectic_product`).  Other generators, an empty
+    sector and more than :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are
+    refused before anything is allocated.  H is restricted to one block of
+    the generators' :class:`SectorBasis`, float64 for a real H.  With no
+    generators the block is the dense H.
     """
-    for i, g in enumerate(generators):
-        if not commutes(g, h):
-            raise ValueError(f"generator {i} does not commute with the Hamiltonian")
-        for j in range(i):
-            if not commutes(generators[j], g):
-                raise ValueError(f"generators {i} and {j} do not commute")
     x_rows, z_rows = [], []
     for i, g in enumerate(generators):
-        coeff, p = g.terms[0] if len(g) == 1 else (0.0, None)
-        if abs(coeff) != 1.0 or (p.x and p.z):
+        if g.n != h.n:
+            raise ValueError(f"qubit counts differ: generator {i} has {g.n}, H has {h.n}")
+        if not g.hermitian() or (g.x and g.z):
             raise ValueError(f"generator {i} does not define a supported projector: "
                              f"need +-1 times one X-type or Z-type Pauli string")
-        # a Hermitian X- or Z-type string carries the phase +1 or -1
-        negative = (coeff < 0) != (p.phase_exp == 2)
-        (z_rows if p.z else x_rows).append((p.x | p.z) << 1 | negative)
+        if any(symplectic_product(g, p) for _, p in h.terms):
+            raise ValueError(f"generator {i} does not commute with the Hamiltonian")
+        for j in range(i):
+            if symplectic_product(generators[j], g):
+                raise ValueError(f"generators {i} and {j} do not commute")
+        # a Hermitian X- or Z-type string has phase_exp 0 (+1) or 2 (-1)
+        (z_rows if g.z else x_rows).append((g.x | g.z) << 1 | (g.phase_exp == 2))
     n = h.n
     # column n is the sign; each reduced row is a group element with its sign
     x_reduced, x_pivots = rref(x_rows, n + 1)

@@ -154,7 +154,8 @@ def default_dt(h: PauliSum) -> float:
 
 
 def _check_unit_norm(phi: StateVector) -> None:
-    if abs(phi.norm - 1.0) > UNIT_NORM_TOL:
+    # written so that a NaN norm fails too
+    if not abs(phi.norm - 1.0) <= UNIT_NORM_TOL:
         raise ValueError("initial state must be unit norm")
 
 

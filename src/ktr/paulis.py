@@ -38,7 +38,6 @@ it; the symmetry blocks of :mod:`ktr.gevp` read the sign rule from the masks.
 :func:`dense_matrix` scatters the same pairs into a matrix.  Both take
 their dtype from their inputs, so a sum of real strings assembles a
 float64 matrix and stays real through everything built on it.
-:func:`commutes` decides [A, B] = 0 in the algebra, without any matrix.
 """
 
 from __future__ import annotations
@@ -58,15 +57,6 @@ DENSE_QUBIT_CAP = 14
 #: 16 MiB (24 MiB for an odd phase), so a compiled 40-term Hamiltonian (the
 #: tfim chain at n = 20 has 39 terms) stays under 1 GiB.
 STATE_QUBIT_CAP = 20
-
-#: relative tolerance of :func:`commutes`, against ||a||_1 * ||b||_1.  Each
-#: coefficient c_k of [A, B] / 2 sums at most len(a) * len(b) products
-#: a_i * b_j * i**m, each rounded once, so for sums that commute exactly
-#: rounding leaves |c_k| <= len(a) * len(b) * 1.1e-16 * ||a||_1 * ||b||_1:
-#: 4.5e-13 relative for two 64-term sums, the largest pair in the tests.
-#: Every entry of [A, B] is at most 2 * sum_k |c_k|, so a pass also bounds
-#: the commutator entrywise.
-COMMUTATOR_TOL = 1e-12
 
 # i**k with the real powers real, so that even-phase actions stay float64
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)
@@ -238,28 +228,6 @@ def apply_action(action: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.n
     if arr.ndim == 2:
         diag = diag[:, None]
     return diag * arr[src]
-
-
-def commutes(a: PauliSum, b: PauliSum) -> bool:
-    """[A, B] = 0, decided in the Pauli algebra.
-
-    Only anticommuting term pairs contribute, [P, Q] = 2 P Q; their
-    products are merged by support ``(x, z)`` with their phases, so
-    contributions that cancel do cancel.  Distinct supports are linearly
-    independent, hence [A, B] vanishes exactly when every merged
-    coefficient does, here within :data:`COMMUTATOR_TOL`.
-    """
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    merged: dict[tuple, complex] = {}
-    for ca, p in a.terms:
-        for cb, q in b.terms:
-            if symplectic_product(p, q):
-                prod = multiply(p, q)
-                key = (prod.x, prod.z)
-                merged[key] = merged.get(key, 0.0) + ca * cb * _PHASES[prod.phase_exp]
-    bound = COMMUTATOR_TOL * a.coeff_norm * b.coeff_norm
-    return all(abs(c) <= bound for c in merged.values())
 
 
 def build_iht_observable(h: PauliSum, t: PauliString) -> PauliSum:

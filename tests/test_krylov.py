@@ -379,6 +379,22 @@ def test_phi_routes_require_unit_norm():
         extended_local_pencil(doubled, specs, h, t, grid, plan, 2)
 
 
+def test_phi_routes_refuse_a_nan_state():
+    # a NaN norm passes a check written as |norm - 1| > tol; the implicit
+    # route then dropped every branch and failed later with "no positive spectrum"
+    h, t, plan, grid, _ = _tfim_setup(4, m=4)
+    amps = random_state(4, np.random.default_rng(53)).amps.copy()
+    amps[3] = np.nan
+    phi = StateVector(4, amps)
+    specs = enumerate_local_projectors([t])
+    with pytest.raises(ValueError, match="unit norm"):
+        build_kqd(h, phi, grid, plan)
+    with pytest.raises(ValueError, match="unit norm"):
+        implicit_hadamard_rows(phi, h, t, grid, plan)
+    with pytest.raises(ValueError, match="unit norm"):
+        extended_local_pencil(phi, specs, h, t, grid, plan, 2)
+
+
 def test_trotter_pencils_step_along_the_grid():
     # every sample of a trotter2 pencil comes from powers of one Trotter step,
     # so B is the Gram matrix of one Krylov space and the default epsilon

@@ -94,8 +94,7 @@ def test_gauss_generators_anticommute_with_reversal():
     spec = ModelSpec("z2higgs", 8, {"mu": 0.4, "g": 1.3})
     t = known_time_reversal(spec)
     for g in gauss_generators(spec):
-        string = g.terms[0][1]
-        td, gd = kron_matrix(t), kron_matrix(string)
+        td, gd = kron_matrix(t), kron_matrix(g)
         assert np.max(np.abs(td @ gd + gd @ td)) == 0.0
 
 

@@ -7,6 +7,10 @@ alias, or (in the benchmark, which looks names up by string) as a dotted
 part of a string such as ``"EvolutionPlan.factorization"``.  The package
 ``__init__`` re-exports names and is neither scanned nor counted, so a
 definition that only tests reach is flagged.
+
+Every name a ``src/ktr`` module imports must also be referenced in that
+module, except on a line marked ``# noqa: F401``: the re-exports that the
+benchmark tracer wraps.  ``from __future__`` imports bind no name.
 """
 
 import ast
@@ -62,3 +66,27 @@ def test_every_definition_is_referenced():
               for name in _definitions(ast.parse(path.read_text()))
               if name.rsplit(".", 1)[-1] not in used]
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _unreferenced_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".", 1)[0]
+            if bound not in loaded:
+                unused.append(f"{node.lineno}:{bound}")
+    return unused
+
+
+def test_every_import_is_referenced():
+    unused = [f"{path.name}:{name}" for path in SOURCES
+              for name in _unreferenced_imports(path.read_text())]
+    assert not unused, f"imported but never referenced: {unused}"

@@ -4,13 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ktr.errors import NotTimeReversalError, ResourceLimitError
 from ktr.gevp import exact_reference, sector_ground_energy
 from ktr.paulis import (DENSE_QUBIT_CAP, PauliString, PauliSum, apply_action,
-                        build_iht_observable, commutes, dense_matrix, multiply,
+                        build_iht_observable, dense_matrix, multiply,
                         pauli_sum_from_text, symplectic_product)
 from ktr.states import EvolutionPlan
 
@@ -193,42 +191,6 @@ def test_parsing_keeps_every_validation_error():
         assert got == want and got.label() == "XYZ"
 
 
-def test_commutes_on_known_pairs():
-    def s(*terms):
-        return PauliSum(len(terms[0][1]),
-                        tuple((c, PauliString.from_label(lab)) for c, lab in terms))
-    # every term of X1 + X2 anticommutes with YY and with ZZ, and the
-    # products cancel in pairs: total X spin commutes with the XX-free part
-    assert commutes(s((1.0, "XI"), (1.0, "IX")), s((0.7, "YY"), (0.7, "ZZ")))
-    assert not commutes(s((1.0, "XI"), (1.0, "IX")), s((0.7, "YY"), (0.6, "ZZ")))
-    assert commutes(s((1.0, "ZZ")), PauliSum(2, ()))
-    assert not commutes(s((1.0, "XX")), s((1.0, "ZI")))
-    with pytest.raises(ValueError, match="qubit counts differ"):
-        commutes(s((1.0, "X")), s((1.0, "XX")))
-
-
-def _square(a: PauliSum) -> PauliSum:
-    """A @ A as a Pauli sum: anticommuting pairs cancel, commuting ones stay."""
-    return PauliSum(a.n, tuple((ci * cj, multiply(p, q)) for ci, p in a.terms
-                               for cj, q in a.terms if not symplectic_product(p, q)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
-       st.sampled_from(["random", "self", "square"]), st.integers(0, 2 ** 32 - 1))
-def test_commutes_agrees_with_the_dense_commutator(n, k_a, k_b, pairing, seed):
-    rng = np.random.default_rng(seed)
-    a = random_pauli_sum(n, k_a, rng)
-    b = {"random": lambda: random_pauli_sum(n, k_b, rng), "self": lambda: a,
-         "square": lambda: _square(a)}[pairing]()
-    ka, kb = kron_matrix(a), kron_matrix(b)
-    dense_norm = np.max(np.abs(ka @ kb - kb @ ka))
-    # commuting pairs leave only rounding; the others leave O(a_i * b_j)
-    assert commutes(a, b) == (dense_norm <= 1e-10)
-    if pairing != "random":
-        assert commutes(a, b)
-
-
 def test_dense_cap():
     with pytest.raises(ResourceLimitError):
         dense_matrix(PauliString.from_label("I" * 15))
@@ -241,7 +203,7 @@ def test_every_dense_entry_point_refuses_above_the_cap_before_allocating():
                               "I" * i + label + "I" * (n - i - len(label))))
                           for label, sites in (("Z", n), ("XX", n - 1))
                           for i in range(sites)))
-    parity = PauliSum(n, ((1.0, PauliString.from_label("Z" * n)),))
+    parity = PauliString.from_label("Z" * n)
     calls = {
         "dense_matrix": lambda: dense_matrix(h),
         "exact_reference": lambda: exact_reference(h),

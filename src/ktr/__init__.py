@@ -28,7 +28,7 @@ from .krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
                      extended_local_pencil, implicit_hadamard_rows,
                      reconstruct_a_from_b, reconstruct_b_from_a,
                      sample_expectation_curves)
-from .gevp import SpectrumResult, exact_reference, sector_ground_energy, solve_dense
+from .gevp import SpectrumResult, exact_reference, sector_ground_energy, solve
 from .models import ModelSpec, gauss_generators, known_time_reversal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

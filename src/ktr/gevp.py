@@ -4,7 +4,9 @@ The pencil A x = lambda B x is solved by eigendecomposing the Gram matrix
 B, discarding the eigenspace below a relative threshold (B is positive
 semidefinite in exact arithmetic, so negative eigenvalues are numerical
 noise and always dropped), whitening A into the kept subspace and solving
-the ordinary Hermitian problem there.
+the ordinary Hermitian problem there.  :func:`solve` takes a
+:class:`ktr.krylov.ToeplitzPencil`, whose A and B are finite and exactly
+Hermitian by construction, and neither checks nor rebuilds them.
 
 :class:`SectorBasis` is the orbit x character basis of an abelian group of
 X-type and Z-type Pauli strings, the case of qubit tapering that needs no
@@ -58,8 +60,6 @@ if TYPE_CHECKING:  # krylov imports states, which imports this module
 
 DEFAULT_EPSILON = 1e-8
 
-_HERMITICITY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -83,24 +83,14 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
-def solve_dense(a: np.ndarray, b: np.ndarray,
-                epsilon: float = DEFAULT_EPSILON) -> SpectrumResult:
-    """Threshold-and-whiten solve on assembled Hermitian matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    # NaN fails every comparison below, so it would pass them unnoticed
-    for name, mat in (("A", a), ("B", b)):
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{name} has a non-finite entry")
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A and B must be square matrices of equal size")
-    if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL:
-        raise ValueError("A is not Hermitian within tolerance")
-    if np.max(np.abs(b - b.conj().T)) > _HERMITICITY_TOL:
-        raise ValueError("B is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    b = 0.5 * (b + b.conj().T)
-    b_evals, b_evecs = np.linalg.eigh(b)
+def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumResult:
+    """Threshold-and-whiten solve of the pencil A x = lambda B x.
+
+    It relies on the pencil's invariant (:class:`ktr.krylov.ToeplitzPencil`):
+    A and B are finite and exactly Hermitian, so they are neither checked
+    nor symmetrized here.  The reduced matrix W+ A W is symmetrized, because
+    rounding leaves it not quite Hermitian."""
+    b_evals, b_evecs = np.linalg.eigh(pencil.matrix_b())
     b_max = float(b_evals[-1])
     if b_max <= 0.0:
         raise DegeneratePencilError("Gram matrix has no positive spectrum")
@@ -110,16 +100,11 @@ def solve_dense(a: np.ndarray, b: np.ndarray,
         raise DegeneratePencilError(
             f"no Gram eigenvalue survives the threshold {epsilon:g}")
     whitener = b_evecs[:, keep] / np.sqrt(b_evals[keep])
-    reduced = whitener.conj().T @ a @ whitener
+    reduced = whitener.conj().T @ pencil.matrix_a() @ whitener
     reduced = 0.5 * (reduced + reduced.conj().T)
-    eigenvalues = np.linalg.eigvalsh(reduced)
-    return SpectrumResult(eigenvalues=np.sort(eigenvalues), kept_dim=kept_dim,
+    # eigvalsh returns them in ascending order
+    return SpectrumResult(eigenvalues=np.linalg.eigvalsh(reduced), kept_dim=kept_dim,
                           threshold=epsilon, b_eigenvalues=b_evals)
-
-
-def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumResult:
-    """Solve the assembled pencil; see :func:`solve_dense`."""
-    return solve_dense(pencil.matrix_a(), pencil.matrix_b(), epsilon)
 
 
 def _hadamard(r: int) -> np.ndarray:

@@ -58,7 +58,7 @@ requested indices alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -109,16 +109,28 @@ def _toeplitz_from_row(row: np.ndarray) -> np.ndarray:
     # leading entry is residue (machine noise, or boundary noise from the
     # finite-difference reconstruction route)
     np.fill_diagonal(mat, row[0].real)
+    # exactly Hermitian, as floating-point addition commutes; it also sets the
+    # signed zeros that the eigensolvers read the way a solve always saw them
+    mat = 0.5 * (mat + mat.conj().T)
+    mat.flags.writeable = False
     return mat
 
 
 @dataclass(frozen=True)
 class ToeplitzPencil:
-    """First rows of the Hermitian-Toeplitz pair (A, B) on a time grid."""
+    """First rows of the Hermitian-Toeplitz pair (A, B) on a time grid.
+
+    The rows are refused if any entry is not finite.  A and B are assembled
+    once, on first use, symmetrized there as 0.5 (M + M+), so exactly
+    Hermitian, and cached read-only.  A prefix reads their leading blocks as
+    views and assembles nothing; assembly is elementwise, so these are the
+    matrices it would assemble from its own rows, bit for bit."""
 
     row_a: np.ndarray
     row_b: np.ndarray
     grid: TimeGrid
+    _matrices: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row_a = np.array(self.row_a, dtype=complex, copy=True)
@@ -135,17 +147,26 @@ class ToeplitzPencil:
         object.__setattr__(self, "row_a", row_a)
         object.__setattr__(self, "row_b", row_b)
 
+    def _assembled(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._matrices is None:
+            object.__setattr__(self, "_matrices", (_toeplitz_from_row(self.row_a),
+                                                   _toeplitz_from_row(self.row_b)))
+        return self._matrices
+
     def matrix_a(self) -> np.ndarray:
-        return _toeplitz_from_row(self.row_a)
+        return self._assembled()[0]
 
     def matrix_b(self) -> np.ndarray:
-        return _toeplitz_from_row(self.row_b)
+        return self._assembled()[1]
 
     def prefix(self, m: int) -> "ToeplitzPencil":
-        """Leading m x m sub-pencil on the same grid spacing."""
+        """Leading m x m sub-pencil on the same grid spacing, its matrices
+        views of this pencil's."""
         if not 2 <= m <= self.grid.m:
             raise ValueError(f"prefix size must be in [2, {self.grid.m}]")
-        return ToeplitzPencil(self.row_a[:m], self.row_b[:m], TimeGrid(self.grid.dt, m))
+        sub = ToeplitzPencil(self.row_a[:m], self.row_b[:m], TimeGrid(self.grid.dt, m))
+        object.__setattr__(sub, "_matrices", tuple(mat[:m, :m] for mat in self._assembled()))
+        return sub
 
 
 def default_dt(h: PauliSum) -> float:

@@ -9,7 +9,11 @@ built once per string on first use, read-only, 16 B * 2**n each (24 B for
 an odd phase).  Time evolution under exp(-i t H) runs either exactly or
 with a symmetric second-order Trotter splitting built from closed-form
 single-string exponentials exp(-i theta P) = cos(theta) I - i sin(theta) P,
-which reuses the Hamiltonian's compiled terms across all steps.
+which reuse each term's compiled ``src`` across all steps.  Z-type strings
+are diagonal and commute, so each maximal run of adjacent Z-type terms in
+a step's forward-then-backward sequence is merged into one phase vector
+exp(-i sum theta_j s_j): the same unitary for one multiply instead of a
+gather per term.
 
 Exact mode splits H on its X/Z symmetry sectors
 (:func:`ktr.gevp.symmetry_blocks`): the abelian group of
@@ -44,17 +48,20 @@ below K, times one shift exp(-i L k0 step) per group.
 
 All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across
-threads.  Three caches fill on first use, each with read-only arrays that
+threads.  Four caches fill on first use, each with read-only arrays that
 any thread computes bit for bit the same: the compiled actions, as in
 :meth:`ktr.paulis.PauliSum.compiled`; an exact plan's memo of the block
 eigen-coefficients Q_b+ s of each start state s, so that a later
 evolution of s costs one phase, one batched block product, the inverse
-transform and a scatter; and its M_T per involution T.  The memo holds
-its states weakly and keeps nothing alive that the caller has dropped.
+transform and a scatter; its M_T per involution T; and a ``trotter2``
+plan's merged step per step size dt (one entry per grid increment, 16 B *
+2**n per off-diagonal term and per Z run).  The memo holds its states
+weakly and keeps nothing alive that the caller has dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -160,10 +167,9 @@ class EvolutionPlan:
     state is collected.  For each anticommuting involution T it caches the
     block permutation and M_T of :meth:`reversal`, read-only too, so
     threads may share them as they share the factorization.  ``trotter2``
-    mode applies the symmetric second-order splitting (term exponentials
-    in stored order forward, then backward, with half steps): one
-    ``evolve`` over an increment dtau takes ceil(|dtau| * steps_per_unit)
-    equal steps.
+    mode applies the symmetric second-order splitting of
+    :meth:`merged_step`: one ``evolve`` over an increment dtau takes
+    ceil(|dtau| * steps_per_unit) equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
@@ -186,6 +192,8 @@ class EvolutionPlan:
         self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # (pi, M_T) per involution T (exact mode)
         self._reversals: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
+        # the operations of one step per step size dt (trotter2 mode)
+        self._steps: dict[float, tuple] = {}
 
     @classmethod
     def exact(cls, h: PauliSum) -> "EvolutionPlan":
@@ -249,6 +257,38 @@ class EvolutionPlan:
             cached = self._reversals[t] = (perm, m_t)
         return cached
 
+    def merged_step(self, dt: float) -> tuple:
+        """One symmetric step of size dt (trotter2 mode, cached per dt, arrays
+        read-only): exp(-i theta P), theta = dt c / 2, per term in stored
+        order forward, then backward.  A term with the action (src, diag) of
+        :meth:`ktr.paulis.PauliString.action` is (cos theta, -i sin theta
+        diag, src), one tuple for both directions; each maximal run of
+        adjacent Z-type terms, which commute, is one phase vector
+        exp(-i sum theta_j s_j), s_j from :meth:`ktr.paulis.PauliString.signs`."""
+        ops = self._steps.get(dt)
+        if ops is None:
+            index = np.arange(2 ** self.h.n)
+            half = []
+            for coeff, string in self.h.terms:
+                theta = 0.5 * dt * coeff
+                if string.x == 0:
+                    half.append((True, theta * string.signs(index)))
+                    continue
+                src, diag = string.action()
+                coef = -1j * math.sin(theta) * diag
+                coef.flags.writeable = False
+                half.append((False, (math.cos(theta), coef, src)))
+            ops = []
+            for diagonal, run in itertools.groupby(half + half[::-1], lambda term: term[0]):
+                if diagonal:
+                    phase = np.exp(-1j * sum(angle for _, angle in run))
+                    phase.flags.writeable = False
+                    ops.append(phase)
+                else:
+                    ops += [rotation for _, rotation in run]
+            ops = self._steps[dt] = tuple(ops)
+        return ops
+
     def prepare(self) -> "EvolutionPlan":
         """Force the caches to exist (useful before fanning out threads):
         the factorization in exact mode, the compiled terms in trotter2 mode."""
@@ -284,11 +324,18 @@ def _apply_blocks(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mats @ columns).reshape(vecs.shape)
 
 
-def _trotter_step(amps: np.ndarray, rotations: list) -> np.ndarray:
-    """One symmetric step; ``rotations`` holds (cos theta, i sin theta, action)
-    per half-step exponential, forward terms then backward."""
-    for cos_t, i_sin_t, (src, diag) in rotations:
-        amps = cos_t * amps - i_sin_t * (diag * amps[src])
+def _trotter_step(amps: np.ndarray, ops: tuple) -> np.ndarray:
+    """One symmetric step of :meth:`EvolutionPlan.merged_step`: a phase
+    vector multiplies, a (cos theta, -i sin theta diag, src) rotates."""
+    for op in ops:
+        if isinstance(op, np.ndarray):
+            amps = op * amps
+        else:
+            cos_t, coef, src = op
+            rotated = amps[src]  # a new array: in place from here on
+            rotated *= coef
+            rotated += cos_t * amps
+            amps = rotated
     return amps
 
 
@@ -310,15 +357,10 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         phased = np.exp(-1j * t * evals) * plan.coefficients(s)
         return StateVector(s.n, plan._basis.to_amplitudes(_apply_blocks(evecs, phased)))
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
-    dt = t / steps
-    rotations = []
-    for coeff, action in plan.h.compiled():
-        theta = 0.5 * dt * coeff
-        rotations.append((math.cos(theta), 1j * math.sin(theta), action))
-    rotations += rotations[::-1]
-    amps = s.amps.copy()
+    ops = plan.merged_step(t / steps)
+    amps = s.amps
     for _ in range(steps):
-        amps = _trotter_step(amps, rotations)
+        amps = _trotter_step(amps, ops)
     return StateVector(s.n, amps)
 
 

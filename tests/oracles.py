@@ -7,9 +7,13 @@ a Kronecker-product loop that shares nothing with the library's compiled
 Pauli action.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
+from ktr.errors import DegeneratePencilError
+from ktr.gevp import SpectrumResult
 from ktr.paulis import PauliString, PauliSum
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -62,6 +66,57 @@ def krylov_ritz_grounds(hd: np.ndarray, v0_amps: np.ndarray, dt: float, sizes) -
         ritz = q.conj().T @ hd @ q
         grounds.append(np.linalg.eigvalsh(0.5 * (ritz + ritz.conj().T))[0])
     return np.array(grounds)
+
+
+def trotter2_stored_order(h: PauliSum, t: float, amps: np.ndarray,
+                          steps_per_unit: int) -> np.ndarray:
+    """exp(-i t H) amps by the symmetric second-order splitting with no term
+    merged: ceil(|t| spu) steps, each the dense half-step exponentials
+    cos(theta) I - i sin(theta) P, theta = dt c / 2, of the terms in stored
+    order forward, then backward."""
+    steps = max(1, math.ceil(abs(t) * steps_per_unit))
+    dt = t / steps
+    identity = np.eye(2 ** h.n)
+    half = [np.cos(0.5 * dt * c) * identity - 1j * np.sin(0.5 * dt * c) * kron_matrix(p)
+            for c, p in h.terms]
+    for _ in range(steps):
+        for u in half + half[::-1]:
+            amps = u @ amps
+    return amps
+
+
+def checked_dense_solve(a: np.ndarray, b: np.ndarray, epsilon: float) -> SpectrumResult:
+    """Threshold-and-whiten solve on assembled matrices that checks its input:
+    both finite and Hermitian within 1e-10, then symmetrized, then solved as
+    :func:`ktr.gevp.solve` solves a pencil."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    for name, mat in (("A", a), ("B", b)):
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"{name} has a non-finite entry")
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("A and B must be square matrices of equal size")
+    if np.max(np.abs(a - a.conj().T)) > 1e-10:
+        raise ValueError("A is not Hermitian within tolerance")
+    if np.max(np.abs(b - b.conj().T)) > 1e-10:
+        raise ValueError("B is not Hermitian within tolerance")
+    a = 0.5 * (a + a.conj().T)
+    b = 0.5 * (b + b.conj().T)
+    b_evals, b_evecs = np.linalg.eigh(b)
+    b_max = float(b_evals[-1])
+    if b_max <= 0.0:
+        raise DegeneratePencilError("Gram matrix has no positive spectrum")
+    keep = (b_evals > 0.0) & (b_evals >= epsilon * b_max)
+    kept_dim = int(np.count_nonzero(keep))
+    if kept_dim == 0:
+        raise DegeneratePencilError(
+            f"no Gram eigenvalue survives the threshold {epsilon:g}")
+    whitener = b_evecs[:, keep] / np.sqrt(b_evals[keep])
+    reduced = whitener.conj().T @ a @ whitener
+    reduced = 0.5 * (reduced + reduced.conj().T)
+    eigenvalues = np.linalg.eigvalsh(reduced)
+    return SpectrumResult(eigenvalues=np.sort(eigenvalues), kept_dim=kept_dim,
+                          threshold=epsilon, b_eigenvalues=b_evals)
 
 
 def overlap_matrices_direct(h: PauliSum, v0_amps: np.ndarray, grid):

@@ -20,7 +20,6 @@ product of all Z.
 import time
 
 import numpy as np
-import pytest
 
 from ktr.cli import parse_config, run
 from ktr.gevp import exact_reference, sector_ground_energy, solve
@@ -28,12 +27,12 @@ from ktr.initial import (ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project,
                          project_array)
 from ktr.krylov import (TimeGrid, ToeplitzPencil, build_kqd, build_ktr, default_dt,
-                        extended_local_pencil, implicit_hadamard_rows, reconstruct_a_from_b,
-                        reconstruct_b_from_a, sample_expectation_curves)
+                        extended_local_pencil, reconstruct_a_from_b, reconstruct_b_from_a,
+                        sample_expectation_curves)
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, build_iht_observable
-from ktr.states import (EvolutionPlan, apply_pauli, evolve, expectation, inner,
-                        matrix_element, plus_state)
+from ktr.states import (EvolutionPlan, evolve, expectation, inner, matrix_element,
+                        plus_state)
 from ktr.symmetry import Infeasible, solve_time_reversal, verify_time_reversal
 
 from helpers import basis_state, gauge_start, random_state

@@ -5,12 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ktr
-from ktr.cli import (CSV_HEADER, ExperimentConfig, emit, load_config, main,
-                     parse_config, report_table, run)
+from ktr.cli import CSV_HEADER, emit, main, parse_config, report_table, run
 from ktr.errors import ConfigError
 from ktr.gevp import exact_reference
 from ktr.krylov import default_dt

@@ -10,7 +10,7 @@ from ktr.initial import (ProjectorSpec, build_block_product,
                          build_block_state_w0, enumerate_local_projectors, project,
                          project_array)
 from ktr.models import ModelSpec, build, gauss_generators
-from ktr.paulis import PauliString, PauliSum, multiply
+from ktr.paulis import PauliString, multiply
 from ktr.states import StateVector, apply_pauli, expectation, inner, plus_state
 
 from helpers import basis_state, gauge_start, product_state, random_state

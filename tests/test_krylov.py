@@ -64,8 +64,8 @@ def test_toeplitz_assembly():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_toeplitz_pencil_refuses_non_finite_rows(bad):
-    # a NaN passes the Hermiticity check of the solve (NaN > tol is False)
-    # and surfaces there only as a failed eigensolver, so the pencil names it
+    # the solve checks nothing and relies on finite rows; a NaN would
+    # surface there only as a failed eigensolver, so the pencil names it
     grid = TimeGrid(0.5, 3)
     row_a = np.array([0.0, 1j * 0.2, 1j * 0.3])
     row_b = np.array([1.0, 0.5, 0.25])

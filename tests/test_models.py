@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ktr.errors import ModelConsistencyError
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString
 from ktr.states import apply_pauli, plus_state

@@ -8,9 +8,10 @@ part of a string such as ``"EvolutionPlan.factorization"``.  The package
 ``__init__`` re-exports names and is neither scanned nor counted, so a
 definition that only tests reach is flagged.
 
-Every name a ``src/ktr`` module imports must also be referenced in that
-module, except on a line marked ``# noqa: F401``: the re-exports that the
-benchmark tracer wraps.  ``from __future__`` imports bind no name.
+Every name a ``src/ktr`` module or a test module imports must also be
+referenced in that module, except on a line marked ``# noqa: F401``: the
+re-exports that the benchmark tracer wraps.  ``from __future__`` imports
+bind no name.
 """
 
 import ast
@@ -19,6 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for p in (ROOT / "src" / "ktr").glob("*.py") if p.name != "__init__.py")
 BENCHMARK = sorted((ROOT / "ktrbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _is_dunder(name: str) -> bool:
@@ -87,6 +89,7 @@ def _unreferenced_imports(source: str) -> list[str]:
 
 
 def test_every_import_is_referenced():
-    unused = [f"{path.name}:{name}" for path in SOURCES
+    assert TESTS
+    unused = [f"{path.parent.name}/{path.name}:{name}" for path in SOURCES + TESTS
               for name in _unreferenced_imports(path.read_text())]
     assert not unused, f"imported but never referenced: {unused}"

@@ -24,7 +24,7 @@ from ktr.symmetry import Infeasible, solve_time_reversal
 from ktr.initial import ProjectorSpec, build_block_product, project
 
 from helpers import basis_state, product_state, random_state
-from oracles import dense_evolution, kron_matrix, random_hermitian_string
+from oracles import dense_evolution, kron_matrix, random_hermitian_string, trotter2_stored_order
 
 
 def test_apply_pauli_trivial():
@@ -174,6 +174,37 @@ def test_trotter_global_order_two():
             for spu in spus]
     slope = np.polyfit(np.log([1.0 / spu for spu in spus]), np.log(errs), 1)[0]
     assert 1.9 <= slope <= 2.1
+
+
+@st.composite
+def _sum_with_diagonal_runs(draw):
+    n = draw(st.integers(1, 5))
+    masks = st.integers(0, 2 ** n - 1)
+    # a False draw makes the string Z-type, so runs of diagonal terms are common
+    terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.booleans(), masks, masks),
+                          min_size=1, max_size=8))
+    return PauliSum(n, tuple((c, PauliString.from_xz(n, x if off_diagonal else 0, z))
+                             for c, off_diagonal, x, z in terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sum_with_diagonal_runs(), st.floats(-2.0, 2.0), st.integers(1, 8))
+def test_merged_trotter_step_matches_the_stored_order_step(h, t, spu):
+    s = random_state(h.n, np.random.default_rng(h.n))
+    got = evolve(EvolutionPlan.trotter2(h, spu), t, s).amps
+    assert np.max(np.abs(got - trotter2_stored_order(h, t, s.amps, spu))) <= 1e-13
+
+
+def test_tfim_step_merges_its_z_terms_into_one_phase():
+    h = build(ModelSpec("tfim", 10, {"gamma": 0.5}))
+    plan = EvolutionPlan.trotter2(h, 4)
+    ops = plan.merged_step(0.1)
+    assert plan.merged_step(0.1) is ops
+    phases = [op for op in ops if isinstance(op, np.ndarray)]
+    # 9 XX terms forward and backward around one merged run of 2 * 10 Z terms
+    assert len(ops) == 19 and len(phases) == 1 and ops[9] is phases[0]
+    assert ops[0] is ops[-1]  # one rotation serves both directions
+    assert not phases[0].flags.writeable
 
 
 def test_trotter_plan_refuses_a_non_integral_step_count():

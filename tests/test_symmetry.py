@@ -8,7 +8,7 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktr.models import ModelSpec, build, known_time_reversal
+from ktr.models import ModelSpec, build
 from ktr.paulis import PauliString, PauliSum
 from ktr.symmetry import (Infeasible, SymmetrySolution, _nullspace, build_parity_matrix,
                           commutant, rref, solve_time_reversal, verify_time_reversal)

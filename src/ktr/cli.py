@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -367,6 +368,9 @@ def run(config: ExperimentConfig) -> RunReport:
     provenance = [(f"config.{k}", v) for k, v in config.raw]
     provenance.append(("resolved.dt", repr(dt)))
     provenance.append(("resolved.reference", repr(reference)))
+    if plan.mode == "exact":
+        # the largest weight of one state in the symmetry blocks dropped as unreached
+        provenance.append(("exact.dropped_weight", repr(plan.dropped_weight)))
     provenance.append(("version.ktr", __version__))
     provenance.append(("version.numpy", np.__version__))
     provenance.append(("version.python", sys.version.split()[0]))
@@ -449,7 +453,10 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``ktr`` argument parser, built once per process: parsing leaves it
+    unchanged, and each call gets its own namespace of defaults."""
     parser = argparse.ArgumentParser(
         prog="ktr",
         description="Krylov diagonalization experiments on spin chains")
@@ -470,8 +477,11 @@ def main(argv: list[str] | None = None) -> int:
     p_spec = sub.add_parser("spectrum", help="dump the exact spectrum of a Hamiltonian file")
     p_spec.add_argument("hamiltonian", help="Pauli-sum text file")
     p_spec.set_defaults(handler=_cmd_spectrum)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -206,8 +206,7 @@ class SectorBasis:
         float64 unless some term has an odd phase.  Every term must commute
         with the group."""
         sectors, k = self.reps.shape
-        odd = any(p.phase_exp % 2 for _, p in h.terms)
-        out = np.zeros((len(characters) * sectors, k, k), complex if odd else float)
+        out = np.zeros((len(characters) * sectors, k, k), block_dtype(h))
         block = np.arange(out.shape[0])[:, None]
         for coeff, p in h.terms:
             # a commuting term keeps every block in place
@@ -216,13 +215,24 @@ class SectorBasis:
         return out
 
 
+def block_dtype(h: PauliSum) -> type:
+    """float64 for H on a :class:`SectorBasis`, complex128 if some term has
+    an odd phase (an odd number of Y factors)."""
+    return complex if any(p.phase_exp % 2 for _, p in h.terms) else float
+
+
+def sector_basis(h: PauliSum) -> SectorBasis:
+    """The :class:`SectorBasis` of the group of :func:`ktr.symmetry.commutant`."""
+    x_rows, z_rows = commutant(h)
+    return SectorBasis.build(h.n, x_rows, z_rows)
+
+
 def symmetry_blocks(h: PauliSum) -> tuple[SectorBasis, np.ndarray]:
     """H split on the group of :func:`ktr.symmetry.commutant`: the basis and
     the 2**r blocks, shape (2**r, k, k), block c * 2**r_z + zeta holding
     character c and Z sector zeta."""
-    x_rows, z_rows = commutant(h)
-    basis = SectorBasis.build(h.n, x_rows, z_rows)
-    return basis, basis.blocks(h, range(2 ** len(x_rows)))
+    basis = sector_basis(h)
+    return basis, basis.blocks(h, range(2 ** len(basis.pivots)))
 
 
 def exact_reference(h: PauliSum) -> np.ndarray:

@@ -122,8 +122,9 @@ class ToeplitzPencil:
 
     The rows are refused if any entry is not finite.  A and B are assembled
     once, on first use, symmetrized there as 0.5 (M + M+), so exactly
-    Hermitian, and cached read-only.  A prefix reads their leading blocks as
-    views and assembles nothing; assembly is elementwise, so these are the
+    Hermitian, and cached read-only.  A prefix reads the leading entries of
+    both rows and the leading blocks of both matrices as views, and neither
+    copies nor checks them again; assembly is elementwise, so these are the
     matrices it would assemble from its own rows, bit for bit."""
 
     row_a: np.ndarray
@@ -164,8 +165,13 @@ class ToeplitzPencil:
         views of this pencil's."""
         if not 2 <= m <= self.grid.m:
             raise ValueError(f"prefix size must be in [2, {self.grid.m}]")
-        sub = ToeplitzPencil(self.row_a[:m], self.row_b[:m], TimeGrid(self.grid.dt, m))
-        object.__setattr__(sub, "_matrices", tuple(mat[:m, :m] for mat in self._assembled()))
+        # the rows are read-only slices of rows already checked, so the
+        # sub-pencil skips the copy and the check of __post_init__
+        sub = object.__new__(ToeplitzPencil)
+        for name, value in (("row_a", self.row_a[:m]), ("row_b", self.row_b[:m]),
+                            ("grid", TimeGrid(self.grid.dt, m)),
+                            ("_matrices", tuple(mat[:m, :m] for mat in self._assembled()))):
+            object.__setattr__(sub, name, value)
         return sub
 
 

@@ -61,7 +61,8 @@ STATE_QUBIT_CAP = 20
 # i**k with the real powers real, so that even-phase actions stay float64
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)
 
-_LETTERS = frozenset("IXYZ")
+# deletes the Pauli letters: what a label keeps is its bad letters, in order
+_NOT_LETTERS = str.maketrans("", "", "IXYZ")
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
@@ -112,9 +113,9 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse a literal label over {I, X, Y, Z}, qubit 0 leftmost."""
-        if not _LETTERS.issuperset(label):
-            bad = next(ch for ch in label if ch not in _LETTERS)
-            raise ValueError(f"invalid Pauli letter {bad!r}")
+        bad = label.translate(_NOT_LETTERS)
+        if bad:
+            raise ValueError(f"invalid Pauli letter {bad[0]!r}")
         return cls(len(label), int("0" + label.translate(_X_DIGITS), 2),
                    int("0" + label.translate(_Z_DIGITS), 2), label.count("Y") % 4)
 
@@ -195,7 +196,7 @@ class PauliSum:
         norm_terms = []
         for coeff, string in self.terms:
             coeff = float(coeff)
-            if not np.isfinite(coeff):
+            if not math.isfinite(coeff):
                 raise ValueError("coefficients must be finite reals")
             if string.n != self.n:
                 raise ValueError("all terms must share the same qubit count")

@@ -23,7 +23,13 @@ k = 2**(n - r), and each block has its own cached eigenfactorization
 H_b = Q_b L_b Q_b+.  A state enters that basis by a gather into orbits and
 an orthonormal Walsh-Hadamard transform over each orbit, applied as two
 small factors, so no matrix above O(2**n) entries is built; it leaves by
-the same transform and a scatter.  A group with no generators is one
+the same transform and a scatter.  Its reach is the set of blocks where
+its coordinates are nonzero beyond the rounding of that transform
+(:func:`_reach_bound`); a symmetry-projected start state reaches only some
+(the plus state one, gauge-exact's projected start state 32 of 64), and
+the plan factorizes a block only when a state reaches it, in one batched
+``eigh`` per fill.  Evolution and the curves below touch reached blocks
+alone, and the weight dropped with the unreached ones is reported.  A group with no generators is one
 block of 2**n, the dense eigenfactorization.  Real H (every string with an
 even number of Y factors, as in every model chain) gives float64 blocks and
 eigenvectors, which act on the real and the imaginary part of the
@@ -40,7 +46,9 @@ pi(b), and per column of block b its row in pi(b) and its sign.
 :func:`reversal_curves` reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for
 v(tau) = exp(-i tau H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v,
 they are sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T
-phi), and no amplitude vector is built.  It evaluates only the grid indices
+phi), and no amplitude vector is built.  A block b adds to them only if
+phi is nonzero on b or on pi(b), so the sums run over the blocks its start
+states reach and their images, and M_T is built on those alone.  It evaluates only the grid indices
 k (tau = k * step) a route asks for, in groups of fewer than K consecutive
 grid indices (the chunk size), each starting at its own first index k0, and
 takes their phases from one table exp(-i L r step) per call, r = k - k0
@@ -50,10 +58,12 @@ All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across
 threads.  Four caches fill on first use, each with read-only arrays that
 any thread computes bit for bit the same: the compiled actions, as in
-:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's memo of the block
-eigen-coefficients Q_b+ s of each start state s, so that a later
-evolution of s costs one phase, one batched block product, the inverse
-transform and a scatter; its M_T per involution T; and a ``trotter2``
+:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's factorization and
+its M_T per involution T, filled block by block under a lock and handed
+out as read-only views, a filled block never written again; its memo of
+the reach and the block eigen-coefficients Q_b+ s of each start state s,
+so that a later evolution of s costs one phase, one batched product over
+the reached blocks, the inverse transform and a scatter; and a ``trotter2``
 plan's merged step per step size dt (one entry per grid increment, 16 B *
 2**n per off-diagonal term and per Z run).  The memo holds its states
 weakly and keeps nothing alive that the caller has dropped.
@@ -63,12 +73,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .gevp import SectorBasis, symmetry_blocks
+from .gevp import SectorBasis, block_dtype, sector_basis
 from .paulis import PauliString, PauliSum, apply_action, check_state_qubits
 # no caller here, but the benchmark tracer wraps ktr.states.dense_matrix
 from .paulis import dense_matrix  # noqa: F401
@@ -81,9 +92,10 @@ EXPECTATION_IMAG_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
 
 #: bound on the work arrays of one chunk of :func:`reversal_curves`: five
-#: complex (2**n, K) arrays, the phase table of at most K columns among them,
-#: K = CURVE_CHUNK_BYTES // (80 * 2**n) samples (at least one), so memory
-#: does not grow with the number of samples
+#: complex (d, K) arrays for the d <= 2**n block entries it reads, the phase
+#: table of at most K columns among them, K = CURVE_CHUNK_BYTES // (80 * 2**n)
+#: samples (at least one, and fewer if the blocks it copies leave less room),
+#: so memory does not grow with the number of samples
 CURVE_CHUNK_BYTES = 2 ** 20
 
 
@@ -158,18 +170,22 @@ def expectation(s: StateVector, o: PauliSum) -> float:
 class EvolutionPlan:
     """Reusable strategy for evolving states under one Hamiltonian.
 
-    ``exact`` mode finds the symmetry sectors of H and factorizes each block
-    once (H_b = Q_b L_b Q_b+); the factorization is cached and read-only,
-    so concurrent evolutions may share it.  The plan also memoizes the
-    block eigen-coefficients Q_b+ s of each state s it evolves, keyed weakly
-    by the state object, so evolving one start state to many times pays for
-    the basis change and Q_b+ once; an entry is read-only and goes when its
-    state is collected.  For each anticommuting involution T it caches the
-    block permutation and M_T of :meth:`reversal`, read-only too, so
-    threads may share them as they share the factorization.  ``trotter2``
-    mode applies the symmetric second-order splitting of
-    :meth:`merged_step`: one ``evolve`` over an increment dtau takes
-    ceil(|dtau| * steps_per_unit) equal steps.
+    ``exact`` mode splits H on its symmetry sectors and factorizes a block
+    (H_b = Q_b L_b Q_b+) only when some state reaches it: the plan memoizes,
+    keyed weakly by the state object, the reach of each state s it evolves
+    (the blocks where the sector coordinates of s are nonzero beyond
+    :func:`_reach_bound`) and its eigen-coefficients Q_b+ s on those blocks,
+    so evolving one start state to many times pays for the basis change and
+    Q_b+ once; an entry is read-only and goes when its state is collected.
+    The blocks a state does not reach are dropped, and the largest weight
+    so dropped is :attr:`dropped_weight`.  For each anticommuting involution
+    T it caches the block permutation pi and M_T of :meth:`reversal`, filled
+    on the blocks asked for and their images.  Filled blocks never change:
+    fills run under one lock and write blocks no reader has been handed, and
+    the arrays handed out are read-only views, so concurrent evolutions may
+    share them.  ``trotter2`` mode applies the symmetric second-order
+    splitting of :meth:`merged_step`: one ``evolve`` over an increment dtau
+    takes ceil(|dtau| * steps_per_unit) equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
@@ -184,14 +200,17 @@ class EvolutionPlan:
         self.h = h
         self.mode = mode
         self.steps_per_unit = steps_per_unit
-        self._factorization: tuple[np.ndarray, np.ndarray] | None = None
-        # Q_b+ per block (a view of the eigenvectors when H is real)
-        self._adjoint: np.ndarray | None = None
+        # guards every fill of the exact-mode caches below
+        self._lock = threading.RLock()
         self._basis: SectorBasis | None = None
-        # Q_b+ s per evolved state s (exact mode), dropped with s
+        # read-only views (evals, evecs) of every block, zero where not filled
+        self._factorization: tuple[np.ndarray, np.ndarray] | None = None
+        self._filled: np.ndarray | None = None
+        # (reach, Q_b+ s on the reached blocks) per evolved state s, dropped with s
         self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        # (pi, M_T) per involution T (exact mode)
-        self._reversals: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
+        self._dropped = 0.0
+        # (pi, rows, signs, M_T, filled) per involution T
+        self._reversals: dict[PauliString, tuple] = {}
         # the operations of one step per step size dt (trotter2 mode)
         self._steps: dict[float, tuple] = {}
 
@@ -203,59 +222,120 @@ class EvolutionPlan:
     def trotter2(cls, h: PauliSum, steps_per_unit: int) -> "EvolutionPlan":
         return cls(h, mode="trotter2", steps_per_unit=steps_per_unit)
 
-    def factorization(self) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def dropped_weight(self) -> float:
+        """The largest squared norm of the sector coordinates dropped from one
+        state as unreached, relative to the state's own, over every state
+        this plan has taken coefficients of (0.0 before any)."""
+        return self._dropped
+
+    def _sectors(self) -> SectorBasis:
+        """The sector basis, built on first use with the factorization arrays,
+        all zero."""
+        with self._lock:
+            if self._basis is None:
+                basis = sector_basis(self.h)
+                shape = (basis.orbit.size * basis.reps.shape[0], basis.reps.shape[1])
+                self._filled = np.zeros(shape[0], dtype=bool)
+                self._factorization = (_read_only(np.zeros(shape)),
+                                       _read_only(np.zeros(shape + shape[1:], block_dtype(self.h))))
+                self._basis = basis
+            return self._basis
+
+    def factorization(self, blocks=None) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (2**r, k) and eigenvectors (2**r, k, k) of the
-        symmetry blocks of H (cached), each block checked to reproduce
-        itself within :data:`FACTORIZATION_TOL`."""
-        if self._factorization is None:
-            basis, blocks = symmetry_blocks(self.h)
-            evals, evecs = np.linalg.eigh(blocks)
-            adjoint = evecs.conj().transpose(0, 2, 1)
-            residual = np.linalg.norm((evecs * evals[:, None, :]) @ adjoint - blocks, axis=(1, 2))
-            scale = np.maximum(np.linalg.norm(blocks, axis=(1, 2)), 1.0)
-            worst = int(np.argmax(residual / scale))
-            if residual[worst] > FACTORIZATION_TOL * scale[worst]:
-                raise InternalInconsistencyError(
-                    f"eigenfactorization residual {residual[worst]:.3e} of block {worst} "
-                    f"exceeds tolerance")
-            for arr in (evals, evecs, adjoint):
-                arr.flags.writeable = False
-            self._adjoint = adjoint
-            self._basis = basis
-            self._factorization = (evals, evecs)
-        return self._factorization
+        symmetry blocks of H, read-only.
 
-    def coefficients(self, s: StateVector) -> np.ndarray:
-        """Block eigen-coefficients Q_b+ s, shape (2**r, k), memoized per state
-        (exact mode) and read-only."""
-        coeffs = self._coefficients.get(s)
-        if coeffs is None:
-            self.factorization()
-            coeffs = _apply_blocks(self._adjoint, self._basis.to_sectors(s.amps))
-            coeffs.flags.writeable = False
-            self._coefficients[s] = coeffs
-        return coeffs
+        ``blocks`` (a slice, int array or boolean mask over the 2**r blocks;
+        default all) are factorized if they are not yet: one batched ``eigh``
+        of the blocks, assembled for their characters alone, each checked to
+        reproduce itself within :data:`FACTORIZATION_TOL`.  Blocks never asked
+        for are zero in both arrays."""
+        with self._lock:
+            basis = self._sectors()
+            sectors = basis.reps.shape[0]
+            wanted = np.arange(self._filled.size)[slice(None) if blocks is None else blocks]
+            wanted = wanted[~self._filled[wanted]]
+            if wanted.size:
+                characters = np.unique(wanted // sectors)
+                assembled = basis.blocks(self.h, characters)[
+                    np.searchsorted(characters, wanted // sectors) * sectors + wanted % sectors]
+                evals, evecs = np.linalg.eigh(assembled)
+                residual = np.linalg.norm(
+                    (evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1) - assembled,
+                    axis=(1, 2))
+                scale = np.maximum(np.linalg.norm(assembled, axis=(1, 2)), 1.0)
+                worst = int(np.argmax(residual / scale))
+                if residual[worst] > FACTORIZATION_TOL * scale[worst]:
+                    raise InternalInconsistencyError(
+                        f"eigenfactorization residual {residual[worst]:.3e} of block "
+                        f"{int(wanted[worst])} exceeds tolerance")
+                # a fill writes the bases of the read-only views handed out
+                for view, values in zip(self._factorization, (evals, evecs)):
+                    view.base[wanted] = values
+                self._filled[wanted] = True
+            return self._factorization
 
-    def reversal(self, t: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    def coefficients(self, s: StateVector) -> tuple[np.ndarray, np.ndarray]:
+        """The reach of s, a read-only boolean mask over the blocks, and its
+        block eigen-coefficients Q_b+ s on the reached blocks, shape
+        (reached blocks, k), read-only (exact mode, memoized per state).
+
+        A block is reached when the norm of its sector coordinates
+        (:meth:`ktr.gevp.SectorBasis.to_sectors`, the same norm as that of
+        Q_b+ s) exceeds :func:`_reach_bound` times the norm of s, so only
+        reached blocks are factorized."""
+        entry = self._coefficients.get(s)
+        if entry is None:
+            basis = self._sectors()
+            coords = basis.to_sectors(s.amps)
+            norms = np.linalg.norm(coords, axis=1)
+            size = s.norm
+            reach = norms > _reach_bound(basis) * size
+            rows = _rows(reach)
+            evecs = self.factorization(rows)[1][rows]
+            coeffs = _apply_blocks(evecs.conj().transpose(0, 2, 1), coords[rows])
+            dropped = float(np.sum(norms[~reach] ** 2)) / size ** 2 if size > 0.0 else 0.0
+            with self._lock:
+                entry = self._coefficients.setdefault(s, (_read_only(reach), _read_only(coeffs)))
+                self._dropped = max(self._dropped, dropped)
+        return entry
+
+    def reversal(self, t: PauliString, blocks=None) -> tuple[np.ndarray, np.ndarray]:
         """An involution T that anticommutes with H in the block eigenbasis
         (exact mode, cached per T): the block permutation pi, block
         c * 2**r_z + zeta going to (c ^ delta) * 2**r_z + (zeta ^ eps), and
-        M_T[b] = Q_pi(b)+ P_T Q_b, shape (2**r, k, k), where P_T is the signed
-        permutation that :meth:`ktr.gevp.SectorBasis.image` gives.  Checked to
-        square to the identity (:func:`_check_involution`)."""
-        cached = self._reversals.get(t)
-        if cached is None:
-            evals, evecs = self.factorization()
-            perm, rows, signs = self._basis.image(t, range(2 ** len(self._basis.pivots)))
-            # P_T Q_b, its rows placed in block pi(b)
-            moved = np.empty(evecs.shape, np.result_type(evecs, signs))
-            moved[np.arange(perm.size)[:, None], rows] = signs[..., None] * evecs
-            m_t = self._adjoint[perm] @ moved
-            _check_involution(perm, m_t)
-            for arr in (perm, m_t):
-                arr.flags.writeable = False
-            cached = self._reversals[t] = (perm, m_t)
-        return cached
+        M_T[b] = Q_pi(b)+ P_T Q_b, shape (2**r, k, k), both read-only, where
+        P_T is the signed permutation that :meth:`ktr.gevp.SectorBasis.image`
+        gives.  M_T is filled on ``blocks`` (an index over the blocks as for
+        :meth:`factorization`; default all) and their images under pi, and is
+        zero on blocks never asked for; each fill is checked to square to the
+        identity (:func:`_check_involution`)."""
+        with self._lock:
+            cached = self._reversals.get(t)
+            if cached is None:
+                basis = self._sectors()
+                perm, rows, signs = basis.image(t, range(basis.orbit.size))
+                shape = self._factorization[1].shape
+                m_t = np.zeros(shape, np.result_type(block_dtype(self.h), signs))
+                cached = self._reversals[t] = (_read_only(perm), rows, signs, _read_only(m_t),
+                                               np.zeros(perm.size, dtype=bool))
+            perm, rows, signs, m_t, filled = cached
+            wanted = np.zeros(perm.size, dtype=bool)
+            wanted[slice(None) if blocks is None else blocks] = True
+            wanted |= wanted[perm]
+            new = np.flatnonzero(wanted & ~filled)
+            if new.size:
+                evecs = self.factorization(wanted)[1]
+                # P_T Q_b, its rows placed in block pi(b)
+                moved = np.zeros((new.size,) + evecs.shape[1:], m_t.dtype)
+                moved[np.arange(new.size)[:, None], rows[new]] = signs[new][..., None] * evecs[new]
+                adjoint = np.ascontiguousarray(evecs[perm[new]].conj().transpose(0, 2, 1))
+                # the read-only view's base, as in factorization
+                m_t.base[new] = adjoint @ moved
+                _check_involution(perm, m_t, new)
+                filled[new] = True
+            return perm, m_t
 
     def merged_step(self, dt: float) -> tuple:
         """One symmetric step of size dt (trotter2 mode, cached per dt, arrays
@@ -299,16 +379,57 @@ class EvolutionPlan:
         return self
 
 
-def _check_involution(perm: np.ndarray, m_t: np.ndarray) -> None:
+def _check_involution(perm: np.ndarray, m_t: np.ndarray, blocks=slice(None)) -> None:
     """Refuse M_T unless pi is an involution and M_T[pi(b)] M_T[b] = I on
-    every block within :data:`FACTORIZATION_TOL` (relative Frobenius)."""
+    ``blocks`` (an index over the blocks; default all) within
+    :data:`FACTORIZATION_TOL` (relative Frobenius)."""
     k = m_t.shape[-1]
-    residual = np.linalg.norm(m_t[perm] @ m_t - np.eye(k), axis=(1, 2)) / math.sqrt(k)
+    residual = np.linalg.norm(m_t[perm[blocks]] @ m_t[blocks] - np.eye(k),
+                              axis=(1, 2)) / math.sqrt(k)
     worst = int(np.argmax(residual))
     if not np.array_equal(perm[perm], np.arange(perm.size)) or residual[worst] > FACTORIZATION_TOL:
         raise InternalInconsistencyError(
             f"involution in the block eigenbasis does not square to the identity "
-            f"(residual {residual[worst]:.3e} at block {worst})")
+            f"(residual {residual[worst]:.3e} at block {np.arange(perm.size)[blocks][worst]})")
+
+
+def _reach_bound(basis: SectorBasis) -> float:
+    """The largest norm, relative to ||v||, that :meth:`ktr.gevp.SectorBasis.to_sectors`
+    can give the coordinates of a block where those of v are zero.
+
+    The gather is exact.  The real factors H_{2**hi} and H_{2**lo} of the
+    transform have entries +-2**(-m/2), so each output entry is a sum of
+    N = 2**m products h_j x_j.  Such a sum is off by at most
+    gamma_{N+1} sum_j |h_j| |x_j|, gamma_j = j u / (1 - j u) with u = 2**-53
+    and the +1 for a rounded entry h_j, in any order of summation, and
+    sum_j |h_j| |x_j| <= ||x|| by Cauchy-Schwarz over N terms of weight
+    2**(-m/2).  Carried through both factors, a coordinate of one
+    representative is off by at most (gamma_{2**hi+1} + gamma_{2**lo+1}
+    (1 + gamma_{2**hi+1})) ||x||, x the representative's orbit amplitudes,
+    real and imaginary parts alike, which is below (2**hi + 2**lo + 2) * 2u.
+    A block holds whole representatives, so its coordinates are off by at
+    most that times ||v||: 4.0e-15 on the gauge model at n = 10 (r_x = 6),
+    where the unreached blocks of its start states measure at most 2.8e-17
+    for ||v|| = 1 and the smallest reached block 0.18."""
+    high, low = basis.hadamards
+    return (high.shape[0] + low.shape[0] + 2) * np.finfo(float).eps
+
+
+def _rows(mask: np.ndarray) -> slice | np.ndarray:
+    """The blocks of a boolean mask as an index: a slice, which takes views,
+    when they are consecutive (all blocks among them), else their indices."""
+    blocks = np.flatnonzero(mask)
+    if blocks.size == 0:
+        return slice(0, 0)
+    first, last = int(blocks[0]), int(blocks[-1])
+    return slice(first, last + 1) if last - first + 1 == blocks.size else blocks
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; the base stays writable for the fills."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _apply_blocks(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -318,7 +439,7 @@ def _apply_blocks(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     A real ``mats`` acts on the float view of ``vecs``, whose (re, im) pairs
     form twice the columns: numpy would otherwise copy it to complex128 on
     every call."""
-    columns = np.ascontiguousarray(vecs).reshape(*vecs.shape[:2], -1)
+    columns = np.ascontiguousarray(vecs).reshape(*vecs.shape[:2], math.prod(vecs.shape[2:]))
     if np.isrealobj(mats):
         return (mats @ columns.view(float)).view(complex).reshape(vecs.shape)
     return (mats @ columns).reshape(vecs.shape)
@@ -343,19 +464,23 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
     """exp(-i t H) |s> under the plan's strategy.
 
     Exact mode takes the phase at the full t, so evolving one start state
-    to many times builds up no rounding; the block eigen-coefficients
-    Q_b+ s come from the plan's memo after the first call on s, and each
-    call then costs the phases, one batched block product, the inverse
-    Walsh-Hadamard transform and a scatter back to amplitudes.
+    to many times builds up no rounding; the reach of s and its block
+    eigen-coefficients Q_b+ s come from the plan's memo after the first
+    call on s, and each call then costs the phases and one batched block
+    product on the reached blocks, the inverse Walsh-Hadamard transform and
+    a scatter back to amplitudes.
     """
     if plan.h.n != s.n:
         raise ValueError(f"qubit counts differ: {plan.h.n} vs {s.n}")
     if t == 0.0:
         return s
     if plan.mode == "exact":
-        evals, evecs = plan.factorization()
-        phased = np.exp(-1j * t * evals) * plan.coefficients(s)
-        return StateVector(s.n, plan._basis.to_amplitudes(_apply_blocks(evecs, phased)))
+        reach, coeffs = plan.coefficients(s)
+        rows = _rows(reach)
+        evals, evecs = plan.factorization(rows)
+        coords = np.zeros(evals.shape, dtype=complex)
+        coords[rows] = _apply_blocks(evecs[rows], np.exp(-1j * t * evals[rows]) * coeffs)
+        return StateVector(s.n, plan._basis.to_amplitudes(coords))
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     ops = plan.merged_step(t / steps)
     amps = s.amps
@@ -374,27 +499,54 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     are read in the block eigenbasis from the memoized coefficients
     c0 = Q+ v, with no amplitude vector: phi = exp(-i L tau) c0, then
     sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi),
-    with pi and M_T from :meth:`EvolutionPlan.reversal`.  The indices run in
-    groups for a chunk of K samples, whose work arrays take at most
-    :data:`CURVE_CHUNK_BYTES`: a group starts at its first index k0 and
-    holds every later index below k0 + K.  The phases come from one table
-    exp(-i L r step) per call, over the offsets r = k - k0 that occur, and
-    one shift exp(-i L k0 step) per group, so a call takes
-    2**n * (min(K, len(indices)) + groups) complex exponentials, not
-    2**n * len(indices).  On ``np.arange(m)`` and on the whole fine grid the
+    with pi and M_T from :meth:`EvolutionPlan.reversal`.  The sums run over
+    the d entries of the blocks that some start reaches, and their images
+    under pi: a block outside them has phi zero on it and on its image for
+    every start.  When those blocks are consecutive (every block, for one)
+    the plan's arrays are read as views; otherwise L and M_T on them are
+    copied once per call, as is the c0 of a start that reaches fewer.  The
+    indices run in groups for a chunk of K samples, whose work arrays and
+    copies take at most :data:`CURVE_CHUNK_BYTES`: a group starts at its
+    first index k0 and holds every later index below k0 + K.  The phases
+    come from one table exp(-i L r step) per call, over the offsets
+    r = k - k0 that occur, and one shift exp(-i L k0 step) per group, so a
+    call takes d * (min(K, len(indices)) + groups) complex exponentials, not
+    d * len(indices).  On ``np.arange(m)`` and on the whole fine grid the
     groups are the chunks q = k // K.  Where the five-point windows of a
     derivative stencil lie at least K apart (20 samples per step at n = 10),
     each makes one group and all share five table columns.  The imaginary
     residue of each value is checked against :data:`EXPECTATION_IMAG_TOL`,
     as :func:`expectation` checks it.
     """
-    evals, _ = plan.factorization()
-    perm, m_t = plan.reversal(t)
+    entries = [plan.coefficients(s) for s in starts]
+    reach = np.logical_or.reduce([reached for reached, _ in entries])
+    perm, m_t = plan.reversal(t, reach)
+    # the blocks read: the union of the reaches and their images, which pi
+    # permutes; from here on pi, L, M_T and each c0 are taken on them alone
+    reach |= reach[perm]
+    rows = _rows(reach)
+    evals = plan.factorization(rows)[0][rows]
+    m_t = m_t[rows]
+    # what is copied (blocks not consecutive, a start that reaches fewer)
+    # counts against the chunk
+    copied = 0 if isinstance(rows, slice) else m_t.nbytes + evals.nbytes
+    blocks = np.flatnonzero(reach)
+    perm = np.searchsorted(blocks, perm[blocks])
+    coeffs = []
+    for reached, c0 in entries:
+        if c0.shape[0] < blocks.size:
+            wide = np.zeros(evals.shape, dtype=complex)
+            wide[reached[blocks]] = c0
+            c0 = wide
+            copied += c0.nbytes
+        coeffs.append(c0)
     dim = evals.size
     # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
     weights = np.stack((np.ones(dim), evals[perm].ravel()))
-    chunk = max(1, CURVE_CHUNK_BYTES // (80 * dim))
-    coeffs = [plan.coefficients(s) for s in starts]
+    # K as for every block, so that the groups do not depend on the reach,
+    # unless the copies leave less room
+    chunk = max(1, min(CURVE_CHUNK_BYTES // (80 * 2 ** plan.h.n),
+                       (CURVE_CHUNK_BYTES - copied) // (80 * max(dim, 1))))
     # each group starts at its first index and spans fewer than K grid indices
     cuts = [0]
     seen = np.zeros(chunk, dtype=bool)
@@ -441,4 +593,4 @@ def _reversal_sums(perm: np.ndarray, m_t: np.ndarray, weights: np.ndarray,
     pair = phi[perm]
     np.conjugate(pair, out=pair)
     pair *= _apply_blocks(m_t, phi)
-    return (weights @ pair.reshape(weights.shape[1], -1).view(float)).view(complex)
+    return (weights @ pair.reshape(weights.shape[1], phi.shape[-1]).view(float)).view(complex)

@@ -4,7 +4,10 @@ Everything here goes through dense matrices and scipy, staying off the
 library's own evolution/expectation code paths so that agreement between
 the two is meaningful.  Dense Pauli matrices come from :func:`kron_matrix`,
 a Kronecker-product loop that shares nothing with the library's compiled
-Pauli action.
+Pauli action.  The all-blocks oracles are the exception: they are the
+exact plan's own kernels as they ran before the plan learnt to skip the
+symmetry blocks a start state does not reach, so they check that skipping
+them changes nothing.
 """
 
 import math
@@ -12,9 +15,11 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from ktr.errors import DegeneratePencilError
+from ktr.errors import DegeneratePencilError, InternalInconsistencyError
 from ktr.gevp import SpectrumResult
 from ktr.paulis import PauliString, PauliSum
+from ktr.states import (CURVE_CHUNK_BYTES, EXPECTATION_IMAG_TOL, _apply_blocks, _phases,
+                        _reversal_sums)
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -298,3 +303,54 @@ def a_row_by_rows(b_fine: np.ndarray, m: int, samples_per_step: int, delta: floa
     for j in range(m):
         row_a[j] = 0.5j * _derivative4(b_fine, j * samples_per_step, delta)
     return row_a
+
+
+def all_blocks_coefficients(plan, amps: np.ndarray) -> np.ndarray:
+    """Q_b+ s on every block of an exact plan, nothing dropped, shape (2**r, k)."""
+    _, evecs = plan.factorization()
+    return _apply_blocks(evecs.conj().transpose(0, 2, 1), plan._basis.to_sectors(amps))
+
+
+def all_blocks_evolve(plan, t: float, amps: np.ndarray) -> np.ndarray:
+    """exp(-i t H) s through every block of an exact plan."""
+    evals, evecs = plan.factorization()
+    phased = np.exp(-1j * t * evals) * all_blocks_coefficients(plan, amps)
+    return plan._basis.to_amplitudes(_apply_blocks(evecs, phased))
+
+
+def all_blocks_curves(plan, t, starts, step, indices):
+    """``ktr.states.reversal_curves`` sampling every block of an exact plan:
+    its body before it read only the blocks its starts reach."""
+    evals, _ = plan.factorization()
+    perm, m_t = plan.reversal(t)
+    dim = evals.size
+    # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
+    weights = np.stack((np.ones(dim), evals[perm].ravel()))
+    chunk = max(1, CURVE_CHUNK_BYTES // (80 * dim))
+    coeffs = [all_blocks_coefficients(plan, s.amps) for s in starts]
+    # each group starts at its first index and spans fewer than K grid indices
+    cuts = [0]
+    seen = np.zeros(chunk, dtype=bool)
+    while cuts[-1] < indices.size:
+        lo = cuts[-1]
+        cuts.append(int(np.searchsorted(indices, indices[lo] + chunk)))
+        seen[indices[lo:cuts[-1]] - indices[lo]] = True
+    residues = np.flatnonzero(seen)
+    table = _phases(evals, step * residues)
+    a = np.empty((len(starts), indices.size))
+    b = np.empty((len(starts), indices.size))
+    for lo, hi in zip(cuts, cuts[1:]):
+        group = indices[lo:hi]
+        base = group[0]
+        shift = _phases(evals, step * base)
+        # the table's columns for this group, shared by every start state
+        phases = np.take(table, np.searchsorted(residues, group - base), axis=-1)
+        for i, c0 in enumerate(coeffs):
+            sums = _reversal_sums(perm, m_t, weights, phases * (shift * c0)[..., None])
+            residue = max(np.max(np.abs(sums[0].imag)), np.max(np.abs(sums[1].real)))
+            if residue > EXPECTATION_IMAG_TOL:
+                raise InternalInconsistencyError(
+                    f"Hermitian expectation has imaginary residue {residue:.3e}")
+            b[i, lo:hi] = sums[0].real
+            a[i, lo:hi] = -sums[1].imag
+    return a, b

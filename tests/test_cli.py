@@ -343,6 +343,24 @@ def test_cli_find_symmetry_enumeration_order(tmp_path, capsys):
     assert captured.err == "# 8 more solution(s) not shown\n"
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; no call sees another's arguments
+    path = tmp_path / "tiny.txt"
+    path.write_text("1.0 XIII\n")
+    assert main(["find-symmetry", str(path), "--max-solutions", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(["find-symmetry", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 16
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TFIM_CONFIG.replace("model.n = 6", "model.n = 4"))
+    assert main(["run", str(cfg), "--init", "project:0"]) == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER)
+    assert main(["find-symmetry", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 16
+    assert captured.err == "# 112 more solution(s) not shown\n"
+
+
 def test_cli_spectrum(tmp_path, capsys):
     path = tmp_path / "z.txt"
     path.write_text("1.0 Z\n")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ktr.cli import parse_config, run
 from ktr.errors import InternalInconsistencyError, NotTimeReversalError
-from ktr.gevp import solve
+from ktr.gevp import sector_basis, solve
 from ktr.initial import ProjectorSpec, enumerate_local_projectors, project, project_array
 from ktr import states
 from ktr.krylov import (TimeGrid, ToeplitzPencil, _fine_grid, _signed_curves, _stabilized,
@@ -25,8 +25,8 @@ from ktr.states import (CURVE_CHUNK_BYTES, EvolutionPlan, StateVector, _check_in
 from ktr.symmetry import commutant, solve_time_reversal
 
 from helpers import random_state
-from oracles import (a_row_by_rows, b_row_by_rows, dense_evolution, dense_projector,
-                     kron_matrix, overlap_matrices_direct)
+from oracles import (a_row_by_rows, all_blocks_curves, all_blocks_evolve, b_row_by_rows,
+                     dense_evolution, dense_projector, kron_matrix, overlap_matrices_direct)
 
 
 def _tfim_setup(n, gamma=0.5, m=8, dt=None):
@@ -427,6 +427,25 @@ def test_pencil_prefix():
     assert np.array_equal(sub.row_b, pen.row_b[:4])
 
 
+def test_prefix_takes_views_and_checks_nothing_again():
+    grid = TimeGrid(0.5, 6)
+    rng = np.random.default_rng(5)
+    row_a = 1j * rng.normal(size=6)
+    row_b = rng.normal(size=6)
+    kept = row_a.copy()
+    pen = ToeplitzPencil(row_a, row_b, grid)
+    # direct construction copies the rows it checks
+    row_a[1] = np.nan
+    assert np.array_equal(pen.row_a, kept)
+    with mock.patch.object(ToeplitzPencil, "__post_init__", side_effect=AssertionError):
+        sub = pen.prefix(4)
+    assert sub.grid == TimeGrid(0.5, 4)
+    for part, whole in ((sub.row_a, pen.row_a), (sub.row_b, pen.row_b),
+                        (sub.matrix_a(), pen.matrix_a()), (sub.matrix_b(), pen.matrix_b())):
+        assert np.shares_memory(part, whole) and not part.flags.writeable
+        assert np.array_equal(part, whole[:4] if part.ndim == 1 else whole[:4, :4])
+
+
 def test_row_entries_independent_across_threads():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
     plan.factorization()
@@ -691,3 +710,103 @@ def test_eigenbasis_curves_on_the_stencil_match_the_full_grid():
     a, b = reversal_curves(plan, t, starts, delta, stencil)
     assert np.max(np.abs(b - b_full[:, stencil])) <= 1e-14
     assert np.max(np.abs(a - a_full[:, stencil])) <= 1e-14 * h.coeff_norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reversal_case(), st.data(), st.floats(0.05, 0.7), st.integers(1, 12))
+def test_reached_blocks_match_the_all_blocks_oracle(case, data, step, count):
+    # start states built in sector coordinates on random block subsets; each
+    # subset holds some block and its image, so that no curve vanishes
+    h, t, _ = case
+    basis = sector_basis(h)
+    perm = basis.image(t, range(basis.orbit.size))[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    starts = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        subset = data.draw(st.sets(st.integers(0, perm.size - 1), min_size=1))
+        subset.add(int(perm[min(subset)]))
+        coords = np.zeros((perm.size, basis.reps.shape[1]), complex)
+        picked = sorted(subset)
+        coords[picked] = rng.normal(size=coords[picked].shape) + 1j * rng.normal(
+            size=coords[picked].shape)
+        amps = basis.to_amplitudes(coords)
+        starts.append(StateVector(h.n, amps / np.linalg.norm(amps)))
+    plan, oracle = EvolutionPlan.exact(h), EvolutionPlan.exact(h)
+    got = reversal_curves(plan, t, starts, step, np.arange(count))
+    want = all_blocks_curves(oracle, t, starts, step, np.arange(count))
+    for curve, exact in zip(got, want):
+        assert np.all(np.abs(curve - exact) <= 1e-13 * np.max(np.abs(exact), axis=1)[:, None])
+    for s in starts:
+        amps = evolve(plan, count * step, s).amps
+        exact = all_blocks_evolve(oracle, count * step, s.amps)
+        assert np.max(np.abs(amps - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+GAUGE_EXACT_CONFIG = """
+model.kind = z2higgs
+model.n = 10
+model.mu = 1.0
+model.g = 1.0
+method = kqd,ktr,implicit,local:8,derivative
+init = project:00000
+grid.m = 32
+evolution = exact
+"""
+
+
+def test_gauge_run_factorizes_and_reads_only_reached_blocks():
+    plans, read = [], []
+    exact, sums = EvolutionPlan.exact.__func__, states._reversal_sums
+
+    def capture(cls, h):
+        plans.append(exact(cls, h))
+        return plans[-1]
+
+    def spy(perm, m_t, weights, phi):
+        read.append(phi.shape[0])
+        return sums(perm, m_t, weights, phi)
+
+    with mock.patch.object(EvolutionPlan, "exact", classmethod(capture)):
+        report = run(parse_config(GAUGE_EXACT_CONFIG))
+    # the start state and every local branch reach 32 of the 64 blocks
+    (plan,) = plans
+    assert plan._filled.size == 64 and np.count_nonzero(plan._filled) == 32
+    assert float(dict(report.provenance)["exact.dropped_weight"]) <= 1e-30
+    # each implicit branch, (I + T) / 2 or (I - T) / 2 of the plus state, reaches 2
+    h, t = plan.h, known_time_reversal(ModelSpec("z2higgs", 10, {"mu": 1.0, "g": 1.0}))
+    with mock.patch.object(states, "_reversal_sums", spy):
+        implicit_hadamard_rows(plus_state(10), h, t, TimeGrid(default_dt(h), 32), plan)
+    assert read and set(read) == {2}
+
+
+@pytest.mark.parametrize("scale, kept", [(0.9, False), (1.1, True)])
+def test_a_block_below_the_reach_bound_is_dropped_and_reported(tmp_path, scale, kept):
+    spec = ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1})
+    h = build(spec)
+    basis = sector_basis(h)
+    bound = states._reach_bound(basis)
+    # a unit block and a second one planted at scale * bound
+    rng = np.random.default_rng(3)
+    coords = np.zeros((basis.orbit.size * basis.reps.shape[0], basis.reps.shape[1]), complex)
+    coords[0] = rng.normal(size=coords.shape[1])
+    coords[0] /= np.linalg.norm(coords[0])
+    coords[5] = rng.normal(size=coords.shape[1])
+    coords[5] *= scale * bound / np.linalg.norm(coords[5])
+    phi = StateVector(h.n, basis.to_amplitudes(coords))
+    plan = EvolutionPlan.exact(h)
+    reach, _ = plan.coefficients(phi)
+    assert reach[0] and reach[5] == kept and np.count_nonzero(reach) == 1 + kept
+    planted = (scale * bound) ** 2 / phi.norm ** 2
+    if kept:
+        assert plan.dropped_weight <= 1e-3 * planted
+    else:
+        assert abs(plan.dropped_weight - planted) <= 0.05 * planted
+    # a run reports the weight in its provenance
+    config = parse_config("model.kind = z2higgs\nmodel.n = 8\nmodel.mu = 0.9\nmodel.g = 1.1\n"
+                          "method = kqd\ninit = plus\ngrid.m = 4\nevolution = exact\n")
+    with mock.patch("ktr.cli._resolve_init", return_value=(phi, None, 1)):
+        provenance = dict(run(config).provenance)
+    assert float(provenance["exact.dropped_weight"]) == pytest.approx(plan.dropped_weight, rel=1e-3)
+    trotter = parse_config("model.kind = z2higgs\nmodel.n = 8\nmodel.mu = 0.9\nmodel.g = 1.1\n"
+                           "method = kqd\ninit = plus\ngrid.m = 4\nevolution = trotter2:10\n")
+    assert "exact.dropped_weight" not in dict(run(trotter).provenance)

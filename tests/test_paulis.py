@@ -1,5 +1,6 @@
 """Symplectic algebra against dense-matrix oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,21 @@ def test_real_diag_acts_like_its_complex_copy_bit_for_bit():
             got, want = apply_action((src, diag), arr), apply_action(as_complex, arr)
             assert got.dtype == want.dtype == np.complex128
             assert got.tobytes() == want.tobytes()
+
+
+def test_parse_errors_name_the_line_and_the_first_bad_letter():
+    long = "XZ" * 128
+    for text, message in ((f"1.0 {long}\n0.5 {long[:-2]}qa\n", "line 2: invalid Pauli letter 'q'"),
+                          (f"1.0 {long}\n# note\n0.5 Xb{long}c\n",
+                           "line 3: invalid Pauli letter 'b'"),
+                          ("1.0 XX\n-inf ZZ\n", "line 2: coefficients must be finite reals")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pauli_sum_from_text(text)
+    with pytest.raises(ValueError, match="^invalid Pauli letter 'i'$"):
+        PauliString.from_label("XiZi")
+    for bad in (np.nan, np.float32(np.inf), -math.inf):
+        with pytest.raises(ValueError, match="^coefficients must be finite reals$"):
+            PauliSum(1, ((bad, PauliString.from_label("Z")),))
 
 
 def test_parsing_keeps_every_validation_error():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktr.errors import InternalInconsistencyError, ResourceLimitError
-from ktr.gevp import exact_reference, sector_ground_energy
+from ktr.gevp import exact_reference, sector_basis, sector_ground_energy
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, symplectic_product
 from ktr.states import (EvolutionPlan, StateVector, _apply_blocks, apply_pauli,
@@ -317,8 +317,11 @@ def test_exact_evolution_reuses_start_coefficients(h):
         assert np.array_equal(got, want)
         assert np.max(np.abs(got - dense_evolution(hd, t) @ s.amps)) <= 1e-12
         memo.append(plan._coefficients[s])
-    assert len(plan._coefficients) == 1 and all(c is memo[0] for c in memo)
-    assert not memo[0].flags.writeable
+    assert len(plan._coefficients) == 1 and all(entry is memo[0] for entry in memo)
+    # a random state reaches every block
+    reach, coeffs = memo[0]
+    assert reach.all() and coeffs.shape == evals.shape
+    assert not reach.flags.writeable and not coeffs.flags.writeable
 
 
 def test_coefficient_memo_keeps_nothing_alive():
@@ -382,6 +385,49 @@ def test_concurrent_evolutions_share_factorization():
     sequential = [evolve(plan, t, shared).amps for t in times]
     for seq, par in zip(sequential, parallel):
         assert np.array_equal(seq, par)
+
+
+def test_plus_state_evolution_factorizes_one_block():
+    spec = ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1})
+    h = build(spec)
+    plan = EvolutionPlan.exact(h)
+    s = plus_state(8)
+    got = evolve(plan, 0.7, s).amps
+    # the plus state is +1 on every X-type symmetry: one character, one block
+    assert plan._filled.size == 32 and np.count_nonzero(plan._filled) == 1
+    assert np.max(np.abs(got - dense_evolution(kron_matrix(h), 0.7) @ s.amps)) <= 1e-12
+    evals, evecs = plan.factorization()
+    assert plan._filled.all() and not evals.flags.writeable and not evecs.flags.writeable
+    assert np.array_equal(evolve(plan, 0.7, s).amps, got)
+    # a zero state reaches no block
+    assert not evolve(plan, 0.7, StateVector(8, np.zeros(256))).amps.any()
+
+
+def test_threads_filling_different_blocks_agree():
+    # states that each reach their own few blocks, evolved by racing threads on
+    # a fresh plan, so the fills interleave
+    h = build(ModelSpec("z2higgs", 6, {"mu": 0.8, "g": 1.1}))
+    basis = sector_basis(h)
+    rng = np.random.default_rng(61)
+    states = []
+    for first in range(0, 16, 2):
+        coords = np.zeros((16, basis.reps.shape[1]), complex)
+        coords[[first, (first + 5) % 16]] = rng.normal(size=(2, basis.reps.shape[1]))
+        amps = basis.to_amplitudes(coords)
+        states.append(StateVector(6, amps / np.linalg.norm(amps)))
+    sequential = [evolve(EvolutionPlan.exact(h), 0.9, s).amps for s in states]
+    plan = EvolutionPlan.exact(h)
+    barrier = threading.Barrier(4, timeout=30)
+
+    def evolve_racing(s):
+        barrier.wait()
+        return evolve(plan, 0.9, s).amps
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(evolve_racing, states))
+    for seq, par in zip(sequential, parallel):
+        assert np.array_equal(seq, par)
+    assert np.count_nonzero(plan._filled) == 16
 
 
 @st.composite

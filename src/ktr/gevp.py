@@ -227,19 +227,12 @@ def sector_basis(h: PauliSum) -> SectorBasis:
     return SectorBasis.build(h.n, x_rows, z_rows)
 
 
-def symmetry_blocks(h: PauliSum) -> tuple[SectorBasis, np.ndarray]:
-    """H split on the group of :func:`ktr.symmetry.commutant`: the basis and
-    the 2**r blocks, shape (2**r, k, k), block c * 2**r_z + zeta holding
-    character c and Z sector zeta."""
-    basis = sector_basis(h)
-    return basis, basis.blocks(h, range(2 ** len(basis.pivots)))
-
-
 def exact_reference(h: PauliSum) -> np.ndarray:
     """Full sorted spectrum of H (desk-scale oracle): the union of the
-    spectra of its symmetry blocks, real symmetric ones when every term has
-    an even Y count."""
-    return np.sort(np.linalg.eigvalsh(symmetry_blocks(h)[1]), axis=None)
+    spectra of its 2**r symmetry blocks on :func:`sector_basis`, real
+    symmetric ones when every term has an even Y count."""
+    basis = sector_basis(h)
+    return np.sort(np.linalg.eigvalsh(basis.blocks(h, range(basis.orbit.size))), axis=None)
 
 
 def sector_ground_energy(h: PauliSum, generators: Sequence[PauliString]) -> float:

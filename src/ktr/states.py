@@ -16,7 +16,7 @@ exp(-i sum theta_j s_j): the same unitary for one multiply instead of a
 gather per term.
 
 Exact mode splits H on its X/Z symmetry sectors
-(:func:`ktr.gevp.symmetry_blocks`): the abelian group of
+(:func:`ktr.gevp.sector_basis`): the abelian group of
 :func:`ktr.symmetry.commutant`, r generators, makes H block-diagonal in the
 orbit x character basis of :class:`ktr.gevp.SectorBasis`, 2**r blocks of
 k = 2**(n - r), and each block has its own cached eigenfactorization
@@ -25,18 +25,18 @@ an orthonormal Walsh-Hadamard transform over each orbit, applied as two
 small factors, so no matrix above O(2**n) entries is built; it leaves by
 the same transform and a scatter.  Its reach is the set of blocks where
 its coordinates are nonzero beyond the rounding of that transform
-(:func:`_reach_bound`); a symmetry-projected start state reaches only some
-(the plus state one, gauge-exact's projected start state 32 of 64), and
-the plan factorizes a block only when a state reaches it, in one batched
-``eigh`` per fill.  Evolution and the curves below touch reached blocks
-alone, and the weight dropped with the unreached ones is reported.  A group with no generators is one
-block of 2**n, the dense eigenfactorization.  Real H (every string with an
-even number of Y factors, as in every model chain) gives float64 blocks and
-eigenvectors, which act on the real and the imaginary part of the
-coefficients at once; a term with an odd number of Y factors runs the same
-code in complex128.  States above :data:`ktr.paulis.STATE_QUBIT_CAP`
-qubits are refused with :class:`ResourceLimitError` before anything is
-allocated.
+(:func:`_reach_bound`).  A symmetry-projected start state reaches only
+some (the plus state one, gauge-exact's projected start state 32 of 64),
+and the plan factorizes a block only when a state reaches it, in one
+batched ``eigh`` per fill.  Evolution and the curves below touch reached
+blocks alone, and the weight dropped with the unreached ones is reported.
+A group with no generators is one block of 2**n, the dense
+eigenfactorization.  Real H (every string with an even number of Y
+factors, as in every model chain) gives float64 blocks and eigenvectors,
+which act on the real and the imaginary part of the coefficients at once;
+a term with an odd number of Y factors runs the same code in complex128.
+States above :data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
+:class:`ResourceLimitError` before anything is allocated.
 
 An involution T that anticommutes with H maps each symmetry block onto
 another, so in the block eigenbasis it is M_T[b] = Q_pi(b)+ P_T Q_b for a
@@ -48,11 +48,12 @@ v(tau) = exp(-i tau H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v,
 they are sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T
 phi), and no amplitude vector is built.  A block b adds to them only if
 phi is nonzero on b or on pi(b), so the sums run over the blocks its start
-states reach and their images, and M_T is built on those alone.  It evaluates only the grid indices
-k (tau = k * step) a route asks for, in groups of fewer than K consecutive
-grid indices (the chunk size), each starting at its own first index k0, and
-takes their phases from one table exp(-i L r step) per call, r = k - k0
-below K, times one shift exp(-i L k0 step) per group.
+states reach and their images, and M_T is built on those alone.  It
+evaluates only the grid indices k (tau = k * step) a route asks for, in
+groups of fewer than K consecutive grid indices (the chunk size), each
+starting at its own first index k0, and takes their phases from one table
+exp(-i L r step) per call, r = k - k0 below K, times one shift
+exp(-i L k0 step) per group.
 
 All values are immutable after construction and no operation has a
 visible side effect, so states and plans can be shared freely across
@@ -242,7 +243,7 @@ class EvolutionPlan:
                 self._basis = basis
             return self._basis
 
-    def factorization(self, blocks=None) -> tuple[np.ndarray, np.ndarray]:
+    def factorization(self, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (2**r, k) and eigenvectors (2**r, k, k) of the
         symmetry blocks of H, read-only.
 
@@ -254,7 +255,7 @@ class EvolutionPlan:
         with self._lock:
             basis = self._sectors()
             sectors = basis.reps.shape[0]
-            wanted = np.arange(self._filled.size)[slice(None) if blocks is None else blocks]
+            wanted = np.arange(self._filled.size)[blocks]
             wanted = wanted[~self._filled[wanted]]
             if wanted.size:
                 characters = np.unique(wanted // sectors)
@@ -291,7 +292,8 @@ class EvolutionPlan:
             coords = basis.to_sectors(s.amps)
             norms = np.linalg.norm(coords, axis=1)
             size = s.norm
-            reach = norms > _reach_bound(basis) * size
+            # written so that a NaN block counts as reached and stays visible
+            reach = ~(norms <= _reach_bound(basis) * size)
             rows = _rows(reach)
             evecs = self.factorization(rows)[1][rows]
             coeffs = _apply_blocks(evecs.conj().transpose(0, 2, 1), coords[rows])
@@ -301,7 +303,7 @@ class EvolutionPlan:
                 self._dropped = max(self._dropped, dropped)
         return entry
 
-    def reversal(self, t: PauliString, blocks=None) -> tuple[np.ndarray, np.ndarray]:
+    def reversal(self, t: PauliString, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """An involution T that anticommutes with H in the block eigenbasis
         (exact mode, cached per T): the block permutation pi, block
         c * 2**r_z + zeta going to (c ^ delta) * 2**r_z + (zeta ^ eps), and
@@ -322,7 +324,7 @@ class EvolutionPlan:
                                                np.zeros(perm.size, dtype=bool))
             perm, rows, signs, m_t, filled = cached
             wanted = np.zeros(perm.size, dtype=bool)
-            wanted[slice(None) if blocks is None else blocks] = True
+            wanted[blocks] = True
             wanted |= wanted[perm]
             new = np.flatnonzero(wanted & ~filled)
             if new.size:

@@ -399,8 +399,11 @@ def test_plus_state_evolution_factorizes_one_block():
     evals, evecs = plan.factorization()
     assert plan._filled.all() and not evals.flags.writeable and not evecs.flags.writeable
     assert np.array_equal(evolve(plan, 0.7, s).amps, got)
-    # a zero state reaches no block
+    # a zero state reaches no block; a NaN amplitude is not dropped as unreached
     assert not evolve(plan, 0.7, StateVector(8, np.zeros(256))).amps.any()
+    broken = np.zeros(256)
+    broken[3] = np.nan
+    assert np.isnan(evolve(plan, 0.7, StateVector(8, broken)).amps).any()
 
 
 def test_threads_filling_different_blocks_agree():

@@ -780,7 +780,7 @@ def test_gauge_run_factorizes_and_reads_only_reached_blocks():
 
 
 @pytest.mark.parametrize("scale, kept", [(0.9, False), (1.1, True)])
-def test_a_block_below_the_reach_bound_is_dropped_and_reported(tmp_path, scale, kept):
+def test_a_block_below_the_reach_bound_is_dropped_and_reported(scale, kept):
     spec = ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1})
     h = build(spec)
     basis = sector_basis(h)

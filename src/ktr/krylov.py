@@ -105,12 +105,12 @@ def _toeplitz_from_row(row: np.ndarray) -> np.ndarray:
     diff = np.arange(m)[None, :] - np.arange(m)[:, None]
     mat = row[np.abs(diff)]
     mat = np.where(diff >= 0, mat, np.conj(mat))
-    # a Hermitian diagonal is real by definition; the imaginary part of the
-    # leading entry is residue (machine noise, or boundary noise from the
-    # finite-difference reconstruction route)
-    np.fill_diagonal(mat, row[0].real)
     # exactly Hermitian, as floating-point addition commutes; it also sets the
-    # signed zeros that the eigensolvers read the way a solve always saw them
+    # signed zeros that the eigensolvers read the way a solve always saw them.
+    # The diagonal comes out as Re(row[0]) + 0j, as a Hermitian diagonal must:
+    # the imaginary part of the leading entry is residue (machine noise, or
+    # boundary noise from the finite-difference reconstruction route), and
+    # x + (-x) is +0 in round-to-nearest
     mat = 0.5 * (mat + mat.conj().T)
     mat.flags.writeable = False
     return mat
@@ -375,30 +375,29 @@ def _fine_grid(grid: TimeGrid, samples_per_step: int, samples: int | None = None
                five_point: bool = False) -> tuple[int, float]:
     """Size and spacing (total, delta) of the fine tau grid over
     [0, (m-1) dt / 2], after validating the inputs of a fine-grid route:
-    ``samples`` given samples (default the grid's own total) and, for the
-    derivative stencil, at least five of them."""
+    a curve of ``samples`` given samples (if given) must have exactly the
+    total, as one sampled at another density would be read at the wrong
+    times, and the derivative stencil needs at least five."""
     if samples_per_step < 2 or samples_per_step % 2 != 0:
         raise ValueError("samples_per_step must be a positive even number")
     total = (grid.m - 1) * samples_per_step + 1
-    if samples is None:
-        samples = total
-    if samples < total:
-        raise ValueError(f"need at least {total} samples, got {samples}")
-    if five_point and samples < 5:
+    if samples is not None and samples != total:
+        raise ValueError(f"need exactly {total} samples, got {samples}")
+    if five_point and total < 5:
         raise ValueError(f"grid too coarse for a five-point stencil: grid.m = {grid.m} at "
-                         f"samples_per_step = {samples_per_step} gives {samples} fine "
+                         f"samples_per_step = {samples_per_step} gives {total} fine "
                          f"samples, the derivative route needs 5")
     return total, (0.5 * grid.dt) / samples_per_step
 
 
 def _five_point_windows(grid: TimeGrid, samples_per_step: int,
-                        samples: int) -> tuple[np.ndarray, np.ndarray]:
+                        total: int) -> tuple[np.ndarray, np.ndarray]:
     """The five-point windows that differentiate the Krylov points j *
-    samples_per_step of a curve of ``samples`` samples, centred and
+    samples_per_step of a curve of ``total`` samples, centred and
     one-sided at the curve's ends: their fine-grid indices, shape (m, 5),
     and each point's position inside its window."""
     points = np.arange(grid.m) * samples_per_step
-    starts = np.clip(points - 2, 0, samples - 5)
+    starts = np.clip(points - 2, 0, total - 5)
     return starts[:, None] + np.arange(5), points - starts
 
 
@@ -437,8 +436,8 @@ def reconstruct_a_from_b(b_fine: np.ndarray, grid: TimeGrid,
     (one-sided at the interval ends).
     """
     b_fine = np.asarray(b_fine, dtype=float)
-    _, delta = _fine_grid(grid, samples_per_step, b_fine.shape[0], five_point=True)
-    windows, position = _five_point_windows(grid, samples_per_step, b_fine.shape[0])
+    total, delta = _fine_grid(grid, samples_per_step, b_fine.shape[0], five_point=True)
+    windows, position = _five_point_windows(grid, samples_per_step, total)
     # one (1 x 5) @ (5 x 1) product per Krylov point
     slope = (_FD_WEIGHTS[position][:, None] @ b_fine[windows][..., None]).ravel()
     return 0.5j * (slope / (12.0 * delta))

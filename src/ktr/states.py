@@ -20,22 +20,23 @@ Exact mode splits H on its X/Z symmetry sectors
 :func:`ktr.symmetry.commutant`, r generators, makes H block-diagonal in the
 orbit x character basis of :class:`ktr.gevp.SectorBasis`, 2**r blocks of
 k = 2**(n - r), and each block has its own cached eigenfactorization
-H_b = Q_b L_b Q_b+.  A state enters that basis by a gather into orbits and
-an orthonormal Walsh-Hadamard transform over each orbit, applied as two
-small factors, so no matrix above O(2**n) entries is built; it leaves by
-the same transform and a scatter.  Its reach is the set of blocks where
-its coordinates are nonzero beyond the rounding of that transform
-(:func:`_reach_bound`).  A symmetry-projected start state reaches only
-some (the plus state one, gauge-exact's projected start state 32 of 64),
-and the plan factorizes a block only when a state reaches it, in one
-batched ``eigh`` per fill.  Evolution and the curves below touch reached
-blocks alone, and the weight dropped with the unreached ones is reported.
-A group with no generators is one block of 2**n, the dense
-eigenfactorization.  Real H (every string with an even number of Y
-factors, as in every model chain) gives float64 blocks and eigenvectors,
-which act on the real and the imaginary part of the coefficients at once;
-a term with an odd number of Y factors runs the same code in complex128.
-States above :data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
+H_b = Q_b L_b Q_b+; this module reads only the basis's flat block indices
+and its shape (2**r, k).  A state enters that basis by a gather into
+orbits and an orthonormal Walsh-Hadamard transform over each orbit,
+applied as two small factors, so no matrix above O(2**n) entries is built;
+it leaves by the same transform and a scatter.  Its reach is the set of
+blocks where its coordinates exceed the rounding of that transform
+(:attr:`ktr.gevp.SectorBasis.rounding_bound`).  A symmetry-projected start
+state reaches only some (the plus state one, gauge-exact's projected start
+state 32 of 64), and the plan factorizes a block only when a state reaches
+it, in one batched ``eigh`` per fill.  Evolution and the curves below touch
+reached blocks alone, and the weight dropped with the unreached ones is
+reported.  A group with no generators is one block of 2**n, the dense
+eigenfactorization.  Real H (every string with an even number of Y factors,
+as in every model chain) gives float64 blocks and eigenvectors, which act
+on the real and the imaginary part of the coefficients at once; a term with
+an odd number of Y factors runs the same code in complex128.  States above
+:data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
 :class:`ResourceLimitError` before anything is allocated.
 
 An involution T that anticommutes with H maps each symmetry block onto
@@ -52,22 +53,23 @@ states reach and their images, and M_T is built on those alone.  It
 evaluates only the grid indices k (tau = k * step) a route asks for, in
 groups of fewer than K consecutive grid indices (the chunk size), each
 starting at its own first index k0, and takes their phases from one table
-exp(-i L r step) per call, r = k - k0 below K, times one shift
-exp(-i L k0 step) per group.
+exp(-i L r step) per call over the offsets r = k - k0 below the widest
+group's span, times one shift exp(-i L k0 step) per group.
 
-All values are immutable after construction and no operation has a
-visible side effect, so states and plans can be shared freely across
-threads.  Four caches fill on first use, each with read-only arrays that
-any thread computes bit for bit the same: the compiled actions, as in
-:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's factorization and
-its M_T per involution T, filled block by block under a lock and handed
-out as read-only views, a filled block never written again; its memo of
-the reach and the block eigen-coefficients Q_b+ s of each start state s,
-so that a later evolution of s costs one phase, one batched product over
-the reached blocks, the inverse transform and a scatter; and a ``trotter2``
-plan's merged step per step size dt (one entry per grid increment, 16 B *
-2**n per off-diagonal term and per Z run).  The memo holds its states
-weakly and keeps nothing alive that the caller has dropped.
+All values are immutable after construction and no operation has a visible
+side effect, so states and plans can be shared freely across threads.  Four
+caches fill on first use, each with read-only arrays that any thread
+computes bit for bit the same: the compiled actions, as in
+:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's factorization and its
+M_T per involution T, filled block by block under a lock and handed out as
+read-only views, a filled block never written again; its memo of the reach
+and the block eigen-coefficients Q_b+ s of each start state s, in the block
+shape and zero off the reach, so that a later evolution of s costs one
+phase, one batched product over the reached blocks, the inverse transform
+and a scatter; and a ``trotter2`` plan's merged step per step size dt (one
+entry per grid increment, 16 B * 2**n per off-diagonal term and per Z
+run).  The memo holds its states weakly and keeps nothing alive that the
+caller has dropped.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .gevp import SectorBasis, block_dtype, sector_basis
+from .gevp import block_dtype, sector_basis
 from .paulis import PauliString, PauliSum, apply_action, check_state_qubits
 # no caller here, but the benchmark tracer wraps ktr.states.dense_matrix
 from .paulis import dense_matrix  # noqa: F401
@@ -171,20 +173,22 @@ def expectation(s: StateVector, o: PauliSum) -> float:
 class EvolutionPlan:
     """Reusable strategy for evolving states under one Hamiltonian.
 
-    ``exact`` mode splits H on its symmetry sectors and factorizes a block
-    (H_b = Q_b L_b Q_b+) only when some state reaches it: the plan memoizes,
-    keyed weakly by the state object, the reach of each state s it evolves
-    (the blocks where the sector coordinates of s are nonzero beyond
-    :func:`_reach_bound`) and its eigen-coefficients Q_b+ s on those blocks,
-    so evolving one start state to many times pays for the basis change and
-    Q_b+ once; an entry is read-only and goes when its state is collected.
-    The blocks a state does not reach are dropped, and the largest weight
-    so dropped is :attr:`dropped_weight`.  For each anticommuting involution
-    T it caches the block permutation pi and M_T of :meth:`reversal`, filled
-    on the blocks asked for and their images.  Filled blocks never change:
-    fills run under one lock and write blocks no reader has been handed, and
-    the arrays handed out are read-only views, so concurrent evolutions may
-    share them.  ``trotter2`` mode applies the symmetric second-order
+    ``exact`` mode builds the sector basis with the plan (more than
+    :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are refused there, before
+    anything is allocated) and factorizes a block (H_b = Q_b L_b Q_b+) only
+    when some state reaches it: the plan memoizes, keyed weakly by the state
+    object, the reach of each state s it evolves (the blocks where the sector
+    coordinates of s exceed :attr:`ktr.gevp.SectorBasis.rounding_bound`) and
+    its eigen-coefficients Q_b+ s, zero off those blocks, so evolving one start
+    state to many times pays for the basis change and Q_b+ once; an entry is
+    read-only and goes when its state is collected.  The blocks a state does
+    not reach are dropped, and the largest weight so dropped is
+    :attr:`dropped_weight`.  For each anticommuting involution T it caches the
+    block permutation pi and M_T of :meth:`reversal`, filled on the blocks
+    asked for and their images.  Filled blocks never change: fills run under
+    one lock and write blocks no reader has been handed, and the arrays handed
+    out are read-only views, so concurrent evolutions may share them.
+    ``trotter2`` mode builds no basis and applies the symmetric second-order
     splitting of :meth:`merged_step`: one ``evolve`` over an increment dtau
     takes ceil(|dtau| * steps_per_unit) equal steps.
     """
@@ -203,11 +207,14 @@ class EvolutionPlan:
         self.steps_per_unit = steps_per_unit
         # guards every fill of the exact-mode caches below
         self._lock = threading.RLock()
-        self._basis: SectorBasis | None = None
-        # read-only views (evals, evecs) of every block, zero where not filled
-        self._factorization: tuple[np.ndarray, np.ndarray] | None = None
-        self._filled: np.ndarray | None = None
-        # (reach, Q_b+ s on the reached blocks) per evolved state s, dropped with s
+        if mode == "exact":
+            self._basis = sector_basis(h)
+            shape = self._basis.shape
+            # read-only views (evals, evecs) of every block, zero where not filled
+            self._factorization = (_read_only(np.zeros(shape)),
+                                   _read_only(np.zeros(shape + shape[1:], block_dtype(h))))
+            self._filled = np.zeros(shape[0], dtype=bool)
+        # (reach, Q_b+ s zero off the reach) per evolved state s, dropped with s
         self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dropped = 0.0
         # (pi, rows, signs, M_T, filled) per involution T
@@ -230,37 +237,20 @@ class EvolutionPlan:
         this plan has taken coefficients of (0.0 before any)."""
         return self._dropped
 
-    def _sectors(self) -> SectorBasis:
-        """The sector basis, built on first use with the factorization arrays,
-        all zero."""
-        with self._lock:
-            if self._basis is None:
-                basis = sector_basis(self.h)
-                shape = (basis.orbit.size * basis.reps.shape[0], basis.reps.shape[1])
-                self._filled = np.zeros(shape[0], dtype=bool)
-                self._factorization = (_read_only(np.zeros(shape)),
-                                       _read_only(np.zeros(shape + shape[1:], block_dtype(self.h))))
-                self._basis = basis
-            return self._basis
-
     def factorization(self, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (2**r, k) and eigenvectors (2**r, k, k) of the
         symmetry blocks of H, read-only.
 
         ``blocks`` (a slice, int array or boolean mask over the 2**r blocks;
         default all) are factorized if they are not yet: one batched ``eigh``
-        of the blocks, assembled for their characters alone, each checked to
-        reproduce itself within :data:`FACTORIZATION_TOL`.  Blocks never asked
-        for are zero in both arrays."""
+        of those blocks alone, each checked to reproduce itself within
+        :data:`FACTORIZATION_TOL`.  Blocks never asked for are zero in both
+        arrays."""
         with self._lock:
-            basis = self._sectors()
-            sectors = basis.reps.shape[0]
             wanted = np.arange(self._filled.size)[blocks]
             wanted = wanted[~self._filled[wanted]]
             if wanted.size:
-                characters = np.unique(wanted // sectors)
-                assembled = basis.blocks(self.h, characters)[
-                    np.searchsorted(characters, wanted // sectors) * sectors + wanted % sectors]
+                assembled = self._basis.blocks(self.h, wanted)
                 evals, evecs = np.linalg.eigh(assembled)
                 residual = np.linalg.norm(
                     (evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1) - assembled,
@@ -279,24 +269,24 @@ class EvolutionPlan:
 
     def coefficients(self, s: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """The reach of s, a read-only boolean mask over the blocks, and its
-        block eigen-coefficients Q_b+ s on the reached blocks, shape
-        (reached blocks, k), read-only (exact mode, memoized per state).
+        block eigen-coefficients Q_b+ s, shape (2**r, k), read-only and zero
+        off the reach (exact mode, memoized per state).
 
         A block is reached when the norm of its sector coordinates
         (:meth:`ktr.gevp.SectorBasis.to_sectors`, the same norm as that of
-        Q_b+ s) exceeds :func:`_reach_bound` times the norm of s, so only
-        reached blocks are factorized."""
+        Q_b+ s) exceeds :attr:`ktr.gevp.SectorBasis.rounding_bound` times the
+        norm of s, so only reached blocks are factorized."""
         entry = self._coefficients.get(s)
         if entry is None:
-            basis = self._sectors()
-            coords = basis.to_sectors(s.amps)
+            coords = self._basis.to_sectors(s.amps)
             norms = np.linalg.norm(coords, axis=1)
             size = s.norm
             # written so that a NaN block counts as reached and stays visible
-            reach = ~(norms <= _reach_bound(basis) * size)
+            reach = ~(norms <= self._basis.rounding_bound * size)
             rows = _rows(reach)
             evecs = self.factorization(rows)[1][rows]
-            coeffs = _apply_blocks(evecs.conj().transpose(0, 2, 1), coords[rows])
+            coeffs = np.zeros(coords.shape, dtype=complex)
+            coeffs[rows] = _apply_blocks(evecs.conj().transpose(0, 2, 1), coords[rows])
             dropped = float(np.sum(norms[~reach] ** 2)) / size ** 2 if size > 0.0 else 0.0
             with self._lock:
                 entry = self._coefficients.setdefault(s, (_read_only(reach), _read_only(coeffs)))
@@ -305,19 +295,17 @@ class EvolutionPlan:
 
     def reversal(self, t: PauliString, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """An involution T that anticommutes with H in the block eigenbasis
-        (exact mode, cached per T): the block permutation pi, block
-        c * 2**r_z + zeta going to (c ^ delta) * 2**r_z + (zeta ^ eps), and
-        M_T[b] = Q_pi(b)+ P_T Q_b, shape (2**r, k, k), both read-only, where
-        P_T is the signed permutation that :meth:`ktr.gevp.SectorBasis.image`
-        gives.  M_T is filled on ``blocks`` (an index over the blocks as for
+        (exact mode, cached per T): the block permutation pi and
+        M_T[b] = Q_pi(b)+ P_T Q_b, shape (2**r, k, k), both read-only, pi and
+        the signed permutation P_T from :meth:`ktr.gevp.SectorBasis.image`.
+        M_T is filled on ``blocks`` (an index over the blocks as for
         :meth:`factorization`; default all) and their images under pi, and is
         zero on blocks never asked for; each fill is checked to square to the
         identity (:func:`_check_involution`)."""
         with self._lock:
             cached = self._reversals.get(t)
             if cached is None:
-                basis = self._sectors()
-                perm, rows, signs = basis.image(t, range(basis.orbit.size))
+                perm, rows, signs = self._basis.image(t, range(self._filled.size))
                 shape = self._factorization[1].shape
                 m_t = np.zeros(shape, np.result_type(block_dtype(self.h), signs))
                 cached = self._reversals[t] = (_read_only(perm), rows, signs, _read_only(m_t),
@@ -395,28 +383,6 @@ def _check_involution(perm: np.ndarray, m_t: np.ndarray, blocks=slice(None)) -> 
             f"(residual {residual[worst]:.3e} at block {np.arange(perm.size)[blocks][worst]})")
 
 
-def _reach_bound(basis: SectorBasis) -> float:
-    """The largest norm, relative to ||v||, that :meth:`ktr.gevp.SectorBasis.to_sectors`
-    can give the coordinates of a block where those of v are zero.
-
-    The gather is exact.  The real factors H_{2**hi} and H_{2**lo} of the
-    transform have entries +-2**(-m/2), so each output entry is a sum of
-    N = 2**m products h_j x_j.  Such a sum is off by at most
-    gamma_{N+1} sum_j |h_j| |x_j|, gamma_j = j u / (1 - j u) with u = 2**-53
-    and the +1 for a rounded entry h_j, in any order of summation, and
-    sum_j |h_j| |x_j| <= ||x|| by Cauchy-Schwarz over N terms of weight
-    2**(-m/2).  Carried through both factors, a coordinate of one
-    representative is off by at most (gamma_{2**hi+1} + gamma_{2**lo+1}
-    (1 + gamma_{2**hi+1})) ||x||, x the representative's orbit amplitudes,
-    real and imaginary parts alike, which is below (2**hi + 2**lo + 2) * 2u.
-    A block holds whole representatives, so its coordinates are off by at
-    most that times ||v||: 4.0e-15 on the gauge model at n = 10 (r_x = 6),
-    where the unreached blocks of its start states measure at most 2.8e-17
-    for ||v|| = 1 and the smallest reached block 0.18."""
-    high, low = basis.hadamards
-    return (high.shape[0] + low.shape[0] + 2) * np.finfo(float).eps
-
-
 def _rows(mask: np.ndarray) -> slice | np.ndarray:
     """The blocks of a boolean mask as an index: a slice, which takes views,
     when they are consecutive (all blocks among them), else their indices."""
@@ -481,7 +447,7 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         rows = _rows(reach)
         evals, evecs = plan.factorization(rows)
         coords = np.zeros(evals.shape, dtype=complex)
-        coords[rows] = _apply_blocks(evecs[rows], np.exp(-1j * t * evals[rows]) * coeffs)
+        coords[rows] = _apply_blocks(evecs[rows], np.exp(-1j * t * evals[rows]) * coeffs[rows])
         return StateVector(s.n, plan._basis.to_amplitudes(coords))
     steps = max(1, math.ceil(abs(t) * plan.steps_per_unit))
     ops = plan.merged_step(t / steps)
@@ -497,28 +463,28 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     each k of the sorted int array ``indices``, for each v in ``starts``:
     two (len(starts), len(indices)) arrays.
 
-    The exact curves, for an involution T that anticommutes with H.  Both
-    are read in the block eigenbasis from the memoized coefficients
-    c0 = Q+ v, with no amplitude vector: phi = exp(-i L tau) c0, then
+    The exact curves, for an involution T that anticommutes with H.  Both are
+    read in the block eigenbasis from the memoized coefficients c0 = Q+ v,
+    with no amplitude vector: phi = exp(-i L tau) c0, then
     sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi),
     with pi and M_T from :meth:`EvolutionPlan.reversal`.  The sums run over
     the d entries of the blocks that some start reaches, and their images
     under pi: a block outside them has phi zero on it and on its image for
     every start.  When those blocks are consecutive (every block, for one)
-    the plan's arrays are read as views; otherwise L and M_T on them are
-    copied once per call, as is the c0 of a start that reaches fewer.  The
-    indices run in groups for a chunk of K samples, whose work arrays and
-    copies take at most :data:`CURVE_CHUNK_BYTES`: a group starts at its
-    first index k0 and holds every later index below k0 + K.  The phases
-    come from one table exp(-i L r step) per call, over the offsets
-    r = k - k0 that occur, and one shift exp(-i L k0 step) per group, so a
-    call takes d * (min(K, len(indices)) + groups) complex exponentials, not
+    the plan's arrays, c0 among them, are read as views; otherwise L, M_T and
+    each c0 on them are copied once per call.  The indices run in groups for
+    a chunk of K samples, whose work arrays and copies take at most
+    :data:`CURVE_CHUNK_BYTES`: a group starts at its first index k0 and holds
+    every later index below k0 + K.  The phases come from one table
+    exp(-i L r step) per call, over the offsets r = 0 ... span - 1 of the
+    widest group (span <= K), and one shift exp(-i L k0 step) per group, so
+    a call takes d * (span + groups) complex exponentials, not
     d * len(indices).  On ``np.arange(m)`` and on the whole fine grid the
     groups are the chunks q = k // K.  Where the five-point windows of a
     derivative stencil lie at least K apart (20 samples per step at n = 10),
     each makes one group and all share five table columns.  The imaginary
-    residue of each value is checked against :data:`EXPECTATION_IMAG_TOL`,
-    as :func:`expectation` checks it.
+    residue of each value is checked against :data:`EXPECTATION_IMAG_TOL`, as
+    :func:`expectation` checks it.
     """
     entries = [plan.coefficients(s) for s in starts]
     reach = np.logical_or.reduce([reached for reached, _ in entries])
@@ -529,19 +495,11 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     rows = _rows(reach)
     evals = plan.factorization(rows)[0][rows]
     m_t = m_t[rows]
-    # what is copied (blocks not consecutive, a start that reaches fewer)
-    # counts against the chunk
-    copied = 0 if isinstance(rows, slice) else m_t.nbytes + evals.nbytes
+    coeffs = [c0[rows] for _, c0 in entries]
+    # what is copied (blocks not consecutive) counts against the chunk
+    copied = 0 if isinstance(rows, slice) else sum(x.nbytes for x in [m_t, evals, *coeffs])
     blocks = np.flatnonzero(reach)
     perm = np.searchsorted(blocks, perm[blocks])
-    coeffs = []
-    for reached, c0 in entries:
-        if c0.shape[0] < blocks.size:
-            wide = np.zeros(evals.shape, dtype=complex)
-            wide[reached[blocks]] = c0
-            c0 = wide
-            copied += c0.nbytes
-        coeffs.append(c0)
     dim = evals.size
     # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
     weights = np.stack((np.ones(dim), evals[perm].ravel()))
@@ -551,13 +509,10 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
                        (CURVE_CHUNK_BYTES - copied) // (80 * max(dim, 1))))
     # each group starts at its first index and spans fewer than K grid indices
     cuts = [0]
-    seen = np.zeros(chunk, dtype=bool)
     while cuts[-1] < indices.size:
-        lo = cuts[-1]
-        cuts.append(int(np.searchsorted(indices, indices[lo] + chunk)))
-        seen[indices[lo:cuts[-1]] - indices[lo]] = True
-    residues = np.flatnonzero(seen)
-    table = _phases(evals, step * residues)
+        cuts.append(int(np.searchsorted(indices, indices[cuts[-1]] + chunk)))
+    span = max((indices[hi - 1] - indices[lo] + 1 for lo, hi in zip(cuts, cuts[1:])), default=0)
+    table = _phases(evals, step * np.arange(span))
     a = np.empty((len(starts), indices.size))
     b = np.empty((len(starts), indices.size))
     for lo, hi in zip(cuts, cuts[1:]):
@@ -565,7 +520,7 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
         base = group[0]
         shift = _phases(evals, step * base)
         # the table's columns for this group, shared by every start state
-        phases = np.take(table, np.searchsorted(residues, group - base), axis=-1)
+        phases = np.take(table, group - base, axis=-1)
         for i, c0 in enumerate(coeffs):
             sums = _reversal_sums(perm, m_t, weights, phases * (shift * c0)[..., None])
             residue = max(np.max(np.abs(sums[0].imag)), np.max(np.abs(sums[1].real)))

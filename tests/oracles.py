@@ -119,8 +119,10 @@ def checked_dense_solve(a: np.ndarray, b: np.ndarray, epsilon: float) -> Spectru
     whitener = b_evecs[:, keep] / np.sqrt(b_evals[keep])
     reduced = whitener.conj().T @ a @ whitener
     reduced = 0.5 * (reduced + reduced.conj().T)
-    eigenvalues = np.linalg.eigvalsh(reduced)
-    return SpectrumResult(eigenvalues=np.sort(eigenvalues), kept_dim=kept_dim,
+    if not np.all(np.isfinite(reduced)):
+        raise DegeneratePencilError("the whitened matrix overflows")
+    # eigvalsh returns them in ascending order
+    return SpectrumResult(eigenvalues=np.linalg.eigvalsh(reduced), kept_dim=kept_dim,
                           threshold=epsilon, b_eigenvalues=b_evals)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktr.errors import DegeneratePencilError
@@ -111,8 +111,24 @@ def _solved(solver, *args):
         return type(err)
 
 
+def _sparse_rows(m, a_entries, b_entries):
+    row_a, row_b = np.zeros(m, complex), np.zeros(m, complex)
+    for row, entries in ((row_a, a_entries), (row_b, b_entries)):
+        for j, value in entries.items():
+            row[j] = value
+    return row_a, row_b
+
+
+# a subnormal positive Gram spectrum: whitening scales A to about 6e307, and
+# the symmetrized matrix overflows at prefixes 7 and 8
+_SUBNORMAL_GRAM = _sparse_rows(8, {0: -0.676001725621899}, {2: 1.11e-308j})
+
+
 @settings(max_examples=100, deadline=None)
 @given(_finite_rows())
+# signed zeros in an ascending spectrum, which a re-sort would rewrite
+@example((*_sparse_rows(20, {}, {9: 1j}), 1e-8))
+@example((*_SUBNORMAL_GRAM, 1e-8))
 def test_prefix_solves_match_the_checked_solve_bit_for_bit(case):
     row_a, row_b, epsilon = case
     m = row_a.size
@@ -132,6 +148,13 @@ def test_prefix_solves_match_the_checked_solve_bit_for_bit(case):
             assert got.b_eigenvalues.tobytes() == want.b_eigenvalues.tobytes()
         else:
             assert got is want
+
+
+def test_a_pencil_whose_whitened_matrix_overflows_is_refused():
+    pencil = ToeplitzPencil(*_SUBNORMAL_GRAM, TimeGrid(0.1, 8))
+    for m in (7, 8):
+        with pytest.raises(DegeneratePencilError, match="overflows"):
+            solve(pencil.prefix(m))
 
 
 def test_exact_reference_trivial():
@@ -289,17 +312,22 @@ def _basis_and_string(draw):
 @given(_basis_and_string())
 def test_sector_basis_image_is_the_string_action(case):
     basis, p, rng = case
-    sectors, k = basis.reps.shape
-    characters = 2 ** len(basis.pivots)
-    shape = (characters * sectors, k)
-    coords = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    count, k = basis.shape
+    coords = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
     want = basis.to_sectors(kron_matrix(p) @ basis.to_amplitudes(coords))
-    targets, rows, signs = basis.image(p, range(characters))
+    targets, rows, signs = basis.image(p, range(count))
     got = np.zeros_like(coords)
-    for block in range(characters * sectors):
+    for block in range(count):
         for j in range(k):
             got[targets[block], rows[block, j]] += signs[block, j] * coords[block, j]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(coords))
+    # a random subset of the blocks in random order, as a partial fill asks
+    # for them, reads the all-blocks entries bit for bit
+    subset = rng.permutation(count)[:rng.integers(1, count + 1)]
+    for part, whole in zip(basis.image(p, subset), (targets, rows, signs)):
+        assert part.dtype == whole.dtype and part.tobytes() == whole[subset].tobytes()
+    h = PauliSum(p.n, ((0.7, p), (-1.3, random_hermitian_string(p.n, rng))))
+    assert basis.blocks(h, subset).tobytes() == basis.blocks(h, range(count))[subset].tobytes()
 
 
 def test_sector_energy_rejects_noncommuting_generator_pair():

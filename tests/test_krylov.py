@@ -267,14 +267,16 @@ def test_reconstruction_refinement_orders():
 def test_reconstruction_input_validation():
     grid = TimeGrid(0.2, 5)
     for reconstruct in (reconstruct_b_from_a, reconstruct_a_from_b):
-        with pytest.raises(ValueError, match="at least 81 samples, got 10"):
+        with pytest.raises(ValueError, match="exactly 81 samples, got 10"):
             reconstruct(np.zeros(10), grid, 20)  # too few samples
+        with pytest.raises(ValueError, match="exactly 81 samples, got 82"):
+            reconstruct(np.zeros(82), grid, 20)  # too many samples
         with pytest.raises(ValueError, match="positive even"):
             reconstruct(np.zeros(200), grid, 15)  # odd panel count
     # m = 2 at 2 samples per step needs only 3 samples; the stencil needs 5
     short = TimeGrid(0.2, 2)
     with pytest.raises(ValueError, match="five-point"):
-        reconstruct_a_from_b(np.zeros(4), short, 2)
+        reconstruct_a_from_b(np.zeros(3), short, 2)
     assert np.allclose(reconstruct_b_from_a(np.zeros(3), short, 2), 1.0)
     h, t, plan, grid, prep = _tfim_setup(4, m=4)
     for sps in (0, 7):
@@ -286,20 +288,19 @@ def test_reconstruction_input_validation():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 40), st.integers(1, 20), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
-def test_reconstructed_rows_match_the_per_row_loops(m, half_sps, extra, seed):
-    # curves a few samples longer than the grid, which the windows clip at
+@given(st.integers(2, 40), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_reconstructed_rows_match_the_per_row_loops(m, half_sps, seed):
     sps = 2 * half_sps
     grid = TimeGrid(0.3, m)
     total, delta = _fine_grid(grid, sps)
     rng = np.random.default_rng(seed)
-    curve = rng.normal(size=total + extra) * 10.0 ** rng.uniform(-3, 3)
+    curve = rng.normal(size=total) * 10.0 ** rng.uniform(-3, 3)
     eps = np.finfo(float).eps
     # one sum of up to k_j + 1 terms in another order: a few ulps per term
     # of the row's scale 1 + (2 delta / 3) sum_i w_i |a_i|, Simpson weights w
     weights = np.where(np.arange(total) % 2, 4.0, 2.0)
     weights[0] = 1.0
-    scale = 1.0 + (2.0 * delta / 3.0) * np.cumsum(weights * np.abs(curve[:total]))[::sps]
+    scale = 1.0 + (2.0 * delta / 3.0) * np.cumsum(weights * np.abs(curve))[::sps]
     span = np.arange(m) * sps + 20
     got_b = reconstruct_b_from_a(curve, grid, sps)
     assert np.all(np.abs(got_b - b_row_by_rows(curve, m, sps, delta)) <= 2 * span * eps * scale)
@@ -313,6 +314,21 @@ def test_reconstructed_rows_match_the_per_row_loops(m, half_sps, extra, seed):
                            np.arange(5))
     magnitude = 48.0 * np.sum(np.abs(curve[windows]), axis=1) / (24.0 * delta)
     assert np.all(np.abs(reconstruct_a_from_b(curve, grid, sps) - want_a) <= 8 * eps * magnitude)
+
+
+def test_reconstruction_refuses_a_curve_sampled_at_another_density():
+    # read at 20 samples per step, a curve sampled at 40 would give rows off
+    # by 3.4 (B) and 6.1 (A) with no error; read at 40 it is within 5e-9 (B)
+    # and 4.5e-7 (A)
+    h, t, plan, grid, prep = _tfim_setup(6, m=8)
+    a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 40)
+    with pytest.raises(ValueError, match="exactly 141 samples, got 281"):
+        reconstruct_b_from_a(a_fine, grid, 20)
+    with pytest.raises(ValueError, match="exactly 141 samples, got 281"):
+        reconstruct_a_from_b(b_fine, grid, 20)
+    direct = build_ktr(h, t, prep, grid, plan)
+    assert np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 40) - direct.row_b)) <= 1e-8
+    assert np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 40) - direct.row_a)) <= 1e-6
 
 
 def test_fine_grid_without_a_sample_count_checks_its_own_total():
@@ -619,6 +635,9 @@ def test_eigenbasis_curves_at_scattered_indices(case, step, chunk, picked):
     want = _sampled_curves(plan, h, t, starts, step, indices)
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
+    # no indices: no group and an empty phase table
+    for curve in reversal_curves(plan, t, starts, step, indices[:0]):
+        assert curve.shape == (len(starts), 0)
 
 
 _DENSE = PauliSum(2, tuple((1.0, PauliString.from_label(label))
@@ -719,7 +738,7 @@ def test_reached_blocks_match_the_all_blocks_oracle(case, data, step, count):
     # subset holds some block and its image, so that no curve vanishes
     h, t, _ = case
     basis = sector_basis(h)
-    perm = basis.image(t, range(basis.orbit.size))[0]
+    perm = basis.image(t, range(basis.shape[0]))[0]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     starts = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -784,10 +803,10 @@ def test_a_block_below_the_reach_bound_is_dropped_and_reported(scale, kept):
     spec = ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1})
     h = build(spec)
     basis = sector_basis(h)
-    bound = states._reach_bound(basis)
+    bound = basis.rounding_bound
     # a unit block and a second one planted at scale * bound
     rng = np.random.default_rng(3)
-    coords = np.zeros((basis.orbit.size * basis.reps.shape[0], basis.reps.shape[1]), complex)
+    coords = np.zeros(basis.shape, complex)
     coords[0] = rng.normal(size=coords.shape[1])
     coords[0] /= np.linalg.norm(coords[0])
     coords[5] = rng.normal(size=coords.shape[1])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ktr.errors import InternalInconsistencyError, ResourceLimitError
 from ktr.gevp import exact_reference, sector_basis, sector_ground_energy
 from ktr.models import ModelSpec, build, gauss_generators, known_time_reversal
-from ktr.paulis import PauliString, PauliSum, symplectic_product
+from ktr.paulis import DENSE_QUBIT_CAP, PauliString, PauliSum, symplectic_product
 from ktr.states import (EvolutionPlan, StateVector, _apply_blocks, apply_pauli,
                         apply_pauli_to_array, evolve, expectation, inner, matrix_element,
                         plus_state)
@@ -57,6 +57,16 @@ def test_pauli_action_runs_on_the_leading_axis():
     for shape in ((4, 4), (4, 3)):
         arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         assert np.array_equal(apply_pauli_to_array(arr, p), kron_matrix(p) @ arr)
+
+
+def test_trotter2_plan_runs_past_the_dense_cap():
+    n = DENSE_QUBIT_CAP + 2  # the chain needs an even count
+    plan = EvolutionPlan.trotter2(build(ModelSpec("tfim", n, {"gamma": 0.5})), 2)
+    s = plus_state(n)
+    # the symmetric splitting is time-reversible: back and forth is the identity
+    there = evolve(plan, 0.5, s)
+    assert abs(there.norm - 1.0) <= 1e-12 and abs(inner(s, there)) < 1.0 - 1e-6
+    assert np.max(np.abs(evolve(plan, -0.5, there).amps - s.amps)) <= 1e-12
 
 
 def test_compiled_action_is_cached_and_read_only():
@@ -395,6 +405,11 @@ def test_plus_state_evolution_factorizes_one_block():
     got = evolve(plan, 0.7, s).amps
     # the plus state is +1 on every X-type symmetry: one character, one block
     assert plan._filled.size == 32 and np.count_nonzero(plan._filled) == 1
+    # its memoized coefficients keep the block shape, exactly zero off the reach
+    reach, coeffs = plan.coefficients(s)
+    assert np.count_nonzero(reach) == 1 and coeffs.shape == plan._basis.shape
+    assert not coeffs[~reach].any() and coeffs[reach].any()
+    assert not reach.flags.writeable and not coeffs.flags.writeable
     assert np.max(np.abs(got - dense_evolution(kron_matrix(h), 0.7) @ s.amps)) <= 1e-12
     evals, evecs = plan.factorization()
     assert plan._filled.all() and not evals.flags.writeable and not evecs.flags.writeable

@@ -337,7 +337,7 @@ def run(config: ExperimentConfig) -> RunReport:
     dt = config.dt if config.dt is not None else default_dt(h)
     grid = TimeGrid(dt, config.m)
     if config.evolution == "exact":
-        plan = EvolutionPlan.exact(h)
+        plan = EvolutionPlan.exact(h, t)
     else:
         plan = EvolutionPlan.trotter2(h, config.steps_per_unit)
     phi, v0, n_blocks = _resolve_init(config, t)

@@ -101,9 +101,10 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
         raise DegeneratePencilError(
             f"no Gram eigenvalue survives the threshold {epsilon:g}")
     whitener = b_evecs[:, keep] / np.sqrt(b_evals[keep])
-    reduced = whitener.conj().T @ pencil.matrix_a() @ whitener
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    # a subnormal kept Gram eigenvalue can scale A past the float range
+    # a subnormal kept Gram eigenvalue can overflow A: refused below, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = whitener.conj().T @ pencil.matrix_a() @ whitener
+        reduced = 0.5 * (reduced + reduced.conj().T)
     if not np.isfinite(reduced).all():
         raise DegeneratePencilError("the whitened matrix overflows")
     # eigvalsh returns them in ascending order

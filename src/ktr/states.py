@@ -39,29 +39,24 @@ an odd number of Y factors runs the same code in complex128.  States above
 :data:`ktr.paulis.STATE_QUBIT_CAP` qubits are refused with
 :class:`ResourceLimitError` before anything is allocated.
 
-An involution T that anticommutes with H maps each symmetry block onto
-another, so in the block eigenbasis it is M_T[b] = Q_pi(b)+ P_T Q_b for a
-block permutation pi, cached per involution by
-:meth:`EvolutionPlan.reversal` from :meth:`ktr.gevp.SectorBasis.image`:
-pi(b), and per column of block b its row in pi(b) and its sign.
-:func:`reversal_curves` reads <v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)> for
-v(tau) = exp(-i tau H)|v> from there: with phi(tau) = exp(-i L tau) Q+ v,
-they are sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T
-phi), and no amplitude vector is built.  A block b adds to them only if
-phi is nonzero on b or on pi(b), so the sums run over the blocks its start
-states reach and their images, and M_T is built on those alone.  It
-evaluates only the grid indices k (tau = k * step) a route asks for, in
-groups of fewer than K consecutive grid indices (the chunk size), each
-starting at its own first index k0, and takes their phases from one table
-exp(-i L r step) per call over the offsets r = k - k0 below the widest
-group's span, times one shift exp(-i L k0 step) per group.
+An involution T that anticommutes with H maps block b onto a block pi(b)
+by a signed permutation P_b (:meth:`ktr.gevp.SectorBasis.image`), so
+H_pi(b) = -P_b H_b P_b+, and a plan built with T pairs its eigenvectors
+exactly (:meth:`EvolutionPlan.reversal`): T q_j = s_j q_p(j), with a sign
+s_j = +-1 and L_p(j) = -L_j bit for bit.  A pair of blocks pi(b) != b takes
+one ``eigh``, and a block that T keeps the SVD of H_b on the +-1
+eigenvectors of P_b (the Jordan-Wielandt form; Golub & Van Loan, Matrix
+Computations, section 8.6).  :func:`reversal_curves` then reads
+<v(tau)|T|v(tau)> and <v(tau)|iHT|v(tau)>, v(tau) = exp(-i tau H)|v>, as one
+weighted phase sum over the eigen-entries its start states reach, and
+builds no amplitude vector.
 
 All values are immutable after construction and no operation has a visible
 side effect, so states and plans can be shared freely across threads.  Four
 caches fill on first use, each with read-only arrays that any thread
 computes bit for bit the same: the compiled actions, as in
-:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's factorization and its
-M_T per involution T, filled block by block under a lock and handed out as
+:meth:`ktr.paulis.PauliSum.compiled`; an exact plan's factorization and,
+with T, its pairing, filled block by block under a lock and handed out as
 read-only views, a filled block never written again; its memo of the reach
 and the block eigen-coefficients Q_b+ s of each start state s, in the block
 shape and zero off the reach, so that a later evolution of s costs one
@@ -81,9 +76,10 @@ import weakref
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, NotTimeReversalError
 from .gevp import block_dtype, sector_basis
 from .paulis import PauliString, PauliSum, apply_action, check_state_qubits
+from .symmetry import verify_time_reversal
 # no caller here, but the benchmark tracer wraps ktr.states.dense_matrix
 from .paulis import dense_matrix  # noqa: F401
 
@@ -91,14 +87,14 @@ from .paulis import dense_matrix  # noqa: F401
 EXPECTATION_IMAG_TOL = 1e-12
 
 #: relative Frobenius tolerance for the self-check of each block's
-#: eigenfactorization, and of M_T[pi] M_T = I (T**2 = I) in the block eigenbasis
+#: eigenfactorization, the blocks derived from a partner under T included
 FACTORIZATION_TOL = 1e-10
 
-#: bound on the work arrays of one chunk of :func:`reversal_curves`: five
-#: complex (d, K) arrays for the d <= 2**n block entries it reads, the phase
-#: table of at most K columns among them, K = CURVE_CHUNK_BYTES // (80 * 2**n)
-#: samples (at least one, and fewer if the blocks it copies leave less room),
-#: so memory does not grow with the number of samples
+#: bound on the work arrays of one chunk of :func:`reversal_curves`, which
+#: takes K = CURVE_CHUNK_BYTES // (80 * 2**n) samples at a time (at least
+#: one): its phase table and one group's columns of it, two complex (d, K)
+#: arrays for d <= 2**n eigen-entries, take 2/5 of it, and the weights fit in
+#: the rest, so memory does not grow with the number of samples
 CURVE_CHUNK_BYTES = 2 ** 20
 
 
@@ -163,11 +159,17 @@ def matrix_element(a: StateVector, o: PauliSum, b: StateVector) -> complex:
 
 def expectation(s: StateVector, o: PauliSum) -> float:
     """<s|O|s>; the imaginary residue is checked and discarded."""
-    value = matrix_element(s, o, s)
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
+    return float(_real(matrix_element(s, o, s)))
+
+
+def _real(values):
+    """The real part of Hermitian expectations, each imaginary residue
+    checked against :data:`EXPECTATION_IMAG_TOL`."""
+    residue = np.max(np.abs(np.imag(values)))
+    if residue > EXPECTATION_IMAG_TOL:
         raise InternalInconsistencyError(
-            f"Hermitian expectation has imaginary residue {value.imag:.3e}")
-    return value.real
+            f"Hermitian expectation has imaginary residue {residue:.3e}")
+    return np.real(values)
 
 
 class EvolutionPlan:
@@ -183,18 +185,18 @@ class EvolutionPlan:
     state to many times pays for the basis change and Q_b+ once; an entry is
     read-only and goes when its state is collected.  The blocks a state does
     not reach are dropped, and the largest weight so dropped is
-    :attr:`dropped_weight`.  For each anticommuting involution T it caches the
-    block permutation pi and M_T of :meth:`reversal`, filled on the blocks
-    asked for and their images.  Filled blocks never change: fills run under
-    one lock and write blocks no reader has been handed, and the arrays handed
-    out are read-only views, so concurrent evolutions may share them.
-    ``trotter2`` mode builds no basis and applies the symmetric second-order
-    splitting of :meth:`merged_step`: one ``evolve`` over an increment dtau
-    takes ceil(|dtau| * steps_per_unit) equal steps.
+    :attr:`dropped_weight`.  Built with an involution ``t``, it fills blocks
+    in pairs {b, pi(b)} and pairs their eigenvectors under T
+    (:meth:`reversal`); built without, it computes no image.  Filled blocks never change: fills run under one lock and write blocks no
+    reader has been handed, and the arrays handed out are read-only views, so
+    concurrent evolutions may share them.  ``trotter2`` mode builds no basis
+    and applies the symmetric second-order splitting of :meth:`merged_step`:
+    one ``evolve`` over an increment dtau takes ceil(|dtau| * steps_per_unit)
+    equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
-                 steps_per_unit: int | None = None):
+                 steps_per_unit: int | None = None, t: PauliString | None = None):
         if mode not in ("exact", "trotter2"):
             raise ValueError(f"unknown evolution mode {mode!r}")
         if mode == "trotter2":
@@ -205,26 +207,33 @@ class EvolutionPlan:
         self.h = h
         self.mode = mode
         self.steps_per_unit = steps_per_unit
+        self.t = t
         # guards every fill of the exact-mode caches below
         self._lock = threading.RLock()
         if mode == "exact":
             self._basis = sector_basis(h)
             shape = self._basis.shape
-            # read-only views (evals, evecs) of every block, zero where not filled
-            self._factorization = (_read_only(np.zeros(shape)),
-                                   _read_only(np.zeros(shape + shape[1:], block_dtype(h))))
+            if t is not None and not verify_time_reversal(t, h):
+                raise NotTimeReversalError("T is not an anticommuting Hermitian involution of H")
+            # pi, and per column of each block its row in pi(b) and its sign;
+            # without T, pi alone, which keeps every block in place
+            self._image = ((np.arange(shape[0]),) if t is None
+                           else self._basis.image(t, range(shape[0])))
+            dtype = np.result_type(block_dtype(h), *self._image[2:])
+            # read-only views of every block, zero where not filled: evals and
+            # evecs, then (with T) the flat partner index and sign per entry
+            self._arrays = tuple(_read_only(np.zeros(size, kind)) for size, kind in (
+                (shape, float), (shape + shape[1:], dtype), (shape, np.int64), (shape, float)))
             self._filled = np.zeros(shape[0], dtype=bool)
         # (reach, Q_b+ s zero off the reach) per evolved state s, dropped with s
         self._coefficients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dropped = 0.0
-        # (pi, rows, signs, M_T, filled) per involution T
-        self._reversals: dict[PauliString, tuple] = {}
         # the operations of one step per step size dt (trotter2 mode)
         self._steps: dict[float, tuple] = {}
 
     @classmethod
-    def exact(cls, h: PauliSum) -> "EvolutionPlan":
-        return cls(h, mode="exact")
+    def exact(cls, h: PauliSum, t: PauliString | None = None) -> "EvolutionPlan":
+        return cls(h, mode="exact", t=t)
 
     @classmethod
     def trotter2(cls, h: PauliSum, steps_per_unit: int) -> "EvolutionPlan":
@@ -239,19 +248,25 @@ class EvolutionPlan:
 
     def factorization(self, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (2**r, k) and eigenvectors (2**r, k, k) of the
-        symmetry blocks of H, read-only.
+        symmetry blocks of H, read-only (exact mode).
 
         ``blocks`` (a slice, int array or boolean mask over the 2**r blocks;
-        default all) are factorized if they are not yet: one batched ``eigh``
-        of those blocks alone, each checked to reproduce itself within
-        :data:`FACTORIZATION_TOL`.  Blocks never asked for are zero in both
-        arrays."""
+        default all), and with T their images, are factorized if they are
+        not yet, in one fill: one batched ``eigh`` of those blocks alone (with
+        T, of one block of each pair b != pi(b), and an SVD per block that T
+        keeps), each checked, derived ones included, to reproduce itself
+        within :data:`FACTORIZATION_TOL`.  Blocks never asked for are zero."""
+        if self.mode != "exact":
+            raise ValueError("factorization needs an exact plan, not a trotter2 one")
         with self._lock:
-            wanted = np.arange(self._filled.size)[blocks]
-            wanted = wanted[~self._filled[wanted]]
-            if wanted.size:
-                assembled = self._basis.blocks(self.h, wanted)
-                evals, evecs = np.linalg.eigh(assembled)
+            wanted = np.zeros(self._filled.size, dtype=bool)
+            wanted[blocks] = True
+            # with T the unit of a fill is the pair {b, pi(b)}
+            new = np.flatnonzero((wanted | wanted[self._image[0]]) & ~self._filled)
+            if new.size:
+                assembled = self._basis.blocks(self.h, new)
+                filled = np.linalg.eigh(assembled) if self.t is None else self._pair(new, assembled)
+                evals, evecs = filled[:2]
                 residual = np.linalg.norm(
                     (evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1) - assembled,
                     axis=(1, 2))
@@ -260,12 +275,33 @@ class EvolutionPlan:
                 if residual[worst] > FACTORIZATION_TOL * scale[worst]:
                     raise InternalInconsistencyError(
                         f"eigenfactorization residual {residual[worst]:.3e} of block "
-                        f"{int(wanted[worst])} exceeds tolerance")
+                        f"{int(new[worst])} exceeds tolerance")
                 # a fill writes the bases of the read-only views handed out
-                for view, values in zip(self._factorization, (evals, evecs)):
-                    view.base[wanted] = values
-                self._filled[wanted] = True
-            return self._factorization
+                for view, values in zip(self._arrays, filled):
+                    view.base[new] = values
+                self._filled[new] = True
+            return self._arrays[:2]
+
+    def _pair(self, new: np.ndarray, assembled: np.ndarray) -> tuple:
+        """The four arrays of :meth:`reversal` and :meth:`factorization` on
+        the sorted, pi-closed blocks ``new``, H assembled on them."""
+        perm, rows, signs = self._image
+        k = assembled.shape[-1]
+        evals, evecs = (np.zeros((new.size,) + view.shape[1:], view.dtype)
+                        for view in self._arrays[:2])
+        # T maps column j of b to column j of pi(b), sign 1, unless pi(b) = b
+        partner, sign = perm[new][:, None] * k + np.arange(k), np.ones(evals.shape)
+        # H_pi(b) = -P_b H_b P_b+, so L_pi(b) = -L_b and Q_pi(b) = P_b Q_b
+        at = np.flatnonzero(new < perm[new])
+        to = np.searchsorted(new, perm[new[at]])
+        evals[at], evecs[at] = np.linalg.eigh(assembled[at])
+        evals[to] = -evals[at]
+        evecs[to[:, None], rows[new[at]]] = signs[new[at]][..., None] * evecs[at]
+        for i in np.flatnonzero(new == perm[new]):
+            evals[i], evecs[i], columns, sign[i] = _jordan_wielandt(
+                assembled[i], rows[new[i]], signs[new[i]])
+            partner[i] = new[i] * k + columns
+        return evals, evecs, partner, sign
 
     def coefficients(self, s: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """The reach of s, a read-only boolean mask over the blocks, and its
@@ -275,7 +311,10 @@ class EvolutionPlan:
         A block is reached when the norm of its sector coordinates
         (:meth:`ktr.gevp.SectorBasis.to_sectors`, the same norm as that of
         Q_b+ s) exceeds :attr:`ktr.gevp.SectorBasis.rounding_bound` times the
-        norm of s, so only reached blocks are factorized."""
+        norm of s, so only reached blocks (and with T their images) are
+        factorized."""
+        if self.mode != "exact":
+            raise ValueError("coefficients needs an exact plan, not a trotter2 one")
         entry = self._coefficients.get(s)
         if entry is None:
             coords = self._basis.to_sectors(s.amps)
@@ -294,38 +333,16 @@ class EvolutionPlan:
         return entry
 
     def reversal(self, t: PauliString, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """An involution T that anticommutes with H in the block eigenbasis
-        (exact mode, cached per T): the block permutation pi and
-        M_T[b] = Q_pi(b)+ P_T Q_b, shape (2**r, k, k), both read-only, pi and
-        the signed permutation P_T from :meth:`ktr.gevp.SectorBasis.image`.
-        M_T is filled on ``blocks`` (an index over the blocks as for
-        :meth:`factorization`; default all) and their images under pi, and is
-        zero on blocks never asked for; each fill is checked to square to the
-        identity (:func:`_check_involution`)."""
-        with self._lock:
-            cached = self._reversals.get(t)
-            if cached is None:
-                perm, rows, signs = self._basis.image(t, range(self._filled.size))
-                shape = self._factorization[1].shape
-                m_t = np.zeros(shape, np.result_type(block_dtype(self.h), signs))
-                cached = self._reversals[t] = (_read_only(perm), rows, signs, _read_only(m_t),
-                                               np.zeros(perm.size, dtype=bool))
-            perm, rows, signs, m_t, filled = cached
-            wanted = np.zeros(perm.size, dtype=bool)
-            wanted[blocks] = True
-            wanted |= wanted[perm]
-            new = np.flatnonzero(wanted & ~filled)
-            if new.size:
-                evecs = self.factorization(wanted)[1]
-                # P_T Q_b, its rows placed in block pi(b)
-                moved = np.zeros((new.size,) + evecs.shape[1:], m_t.dtype)
-                moved[np.arange(new.size)[:, None], rows[new]] = signs[new][..., None] * evecs[new]
-                adjoint = np.ascontiguousarray(evecs[perm[new]].conj().transpose(0, 2, 1))
-                # the read-only view's base, as in factorization
-                m_t.base[new] = adjoint @ moved
-                _check_involution(perm, m_t, new)
-                filled[new] = True
-            return perm, m_t
+        """T in the block eigenbasis (exact mode, the T the plan was built
+        with): T q_j = s_j q_p(j) for each eigen-entry j = b * k + column, as
+        the flat partner index p(j) and the sign s_j = +-1, both (2**r, k)
+        and read-only, with L_p(j) = -L_j bit for bit, p(p(j)) = j and
+        s_p(j) s_j = 1; filled with the factorization of ``blocks`` (as
+        there) and their images, zero on blocks never asked for."""
+        if self.mode != "exact" or t != self.t:
+            raise ValueError("reversal needs an exact plan built with this involution")
+        self.factorization(blocks)
+        return self._arrays[2:]
 
     def merged_step(self, dt: float) -> tuple:
         """One symmetric step of size dt (trotter2 mode, cached per dt, arrays
@@ -345,15 +362,12 @@ class EvolutionPlan:
                     half.append((True, theta * string.signs(index)))
                     continue
                 src, diag = string.action()
-                coef = -1j * math.sin(theta) * diag
-                coef.flags.writeable = False
+                coef = _read_only(-1j * math.sin(theta) * diag)
                 half.append((False, (math.cos(theta), coef, src)))
             ops = []
             for diagonal, run in itertools.groupby(half + half[::-1], lambda term: term[0]):
                 if diagonal:
-                    phase = np.exp(-1j * sum(angle for _, angle in run))
-                    phase.flags.writeable = False
-                    ops.append(phase)
+                    ops.append(_read_only(np.exp(-1j * sum(angle for _, angle in run))))
                 else:
                     ops += [rotation for _, rotation in run]
             ops = self._steps[dt] = tuple(ops)
@@ -367,20 +381,6 @@ class EvolutionPlan:
         else:
             self.h.compiled()
         return self
-
-
-def _check_involution(perm: np.ndarray, m_t: np.ndarray, blocks=slice(None)) -> None:
-    """Refuse M_T unless pi is an involution and M_T[pi(b)] M_T[b] = I on
-    ``blocks`` (an index over the blocks; default all) within
-    :data:`FACTORIZATION_TOL` (relative Frobenius)."""
-    k = m_t.shape[-1]
-    residual = np.linalg.norm(m_t[perm[blocks]] @ m_t[blocks] - np.eye(k),
-                              axis=(1, 2)) / math.sqrt(k)
-    worst = int(np.argmax(residual))
-    if not np.array_equal(perm[perm], np.arange(perm.size)) or residual[worst] > FACTORIZATION_TOL:
-        raise InternalInconsistencyError(
-            f"involution in the block eigenbasis does not square to the identity "
-            f"(residual {residual[worst]:.3e} at block {np.arange(perm.size)[blocks][worst]})")
 
 
 def _rows(mask: np.ndarray) -> slice | np.ndarray:
@@ -463,72 +463,47 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     each k of the sorted int array ``indices``, for each v in ``starts``:
     two (len(starts), len(indices)) arrays.
 
-    The exact curves, for an involution T that anticommutes with H.  Both are
-    read in the block eigenbasis from the memoized coefficients c0 = Q+ v,
-    with no amplitude vector: phi = exp(-i L tau) c0, then
-    sum conj(phi_pi) . (M_T phi) and i sum L_pi conj(phi_pi) . (M_T phi),
-    with pi and M_T from :meth:`EvolutionPlan.reversal`.  The sums run over
-    the d entries of the blocks that some start reaches, and their images
-    under pi: a block outside them has phi zero on it and on its image for
-    every start.  When those blocks are consecutive (every block, for one)
-    the plan's arrays, c0 among them, are read as views; otherwise L, M_T and
-    each c0 on them are copied once per call.  The indices run in groups for
-    a chunk of K samples, whose work arrays and copies take at most
-    :data:`CURVE_CHUNK_BYTES`: a group starts at its first index k0 and holds
-    every later index below k0 + K.  The phases come from one table
-    exp(-i L r step) per call, over the offsets r = 0 ... span - 1 of the
-    widest group (span <= K), and one shift exp(-i L k0 step) per group, so
-    a call takes d * (span + groups) complex exponentials, not
-    d * len(indices).  On ``np.arange(m)`` and on the whole fine grid the
-    groups are the chunks q = k // K.  Where the five-point windows of a
-    derivative stencil lie at least K apart (20 samples per step at n = 10),
-    each makes one group and all share five table columns.  The imaginary
-    residue of each value is checked against :data:`EXPECTATION_IMAG_TOL`, as
-    :func:`expectation` checks it.
+    The exact curves, for the involution T that the plan was built with
+    (another is refused).  With the coefficients c0 = Q+ v and the pairing
+    T q_j = s_j q_p(j) of :meth:`EvolutionPlan.reversal`, and
+    w_j = s_j conj(c0_p(j)) c0_j, they are b = sum w_j exp(-2i L_j tau) and
+    a = -i sum L_j w_j exp(-2i L_j tau): terms j and p(j) are complex
+    conjugates, so both are real up to rounding, and each imaginary residue
+    is checked against :data:`EXPECTATION_IMAG_TOL`.  The weights run over
+    the d entries of the blocks that some start reaches (w_j is zero unless
+    a start reaches j and p(j)), read as views where those blocks are
+    consecutive.  The indices run in groups of a chunk of K samples
+    (:data:`CURVE_CHUNK_BYTES`): a group starts at its first index k0 and
+    holds every later index below k0 + K, and its phases are columns of one
+    table exp(-2i L r step) per call, over the offsets r below the widest
+    group's span, times one shift exp(-2i L k0 step) on the weights: a call
+    takes d * (span + groups) complex exponentials, and the five-point
+    windows of a derivative stencil (20 samples per step at n = 10) make a
+    group each, all sharing five table columns.
     """
     entries = [plan.coefficients(s) for s in starts]
     reach = np.logical_or.reduce([reached for reached, _ in entries])
-    perm, m_t = plan.reversal(t, reach)
-    # the blocks read: the union of the reaches and their images, which pi
-    # permutes; from here on pi, L, M_T and each c0 are taken on them alone
-    reach |= reach[perm]
     rows = _rows(reach)
-    evals = plan.factorization(rows)[0][rows]
-    m_t = m_t[rows]
-    coeffs = [c0[rows] for _, c0 in entries]
-    # what is copied (blocks not consecutive) counts against the chunk
-    copied = 0 if isinstance(rows, slice) else sum(x.nbytes for x in [m_t, evals, *coeffs])
-    blocks = np.flatnonzero(reach)
-    perm = np.searchsorted(blocks, perm[blocks])
-    dim = evals.size
-    # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
-    weights = np.stack((np.ones(dim), evals[perm].ravel()))
-    # K as for every block, so that the groups do not depend on the reach,
-    # unless the copies leave less room
-    chunk = max(1, min(CURVE_CHUNK_BYTES // (80 * 2 ** plan.h.n),
-                       (CURVE_CHUNK_BYTES - copied) // (80 * max(dim, 1))))
+    partner, signs = (x[rows].ravel() for x in plan.reversal(t, reach))
+    evals = plan.factorization(rows)[0][rows].ravel()
+    # w of every start, then -i L w: the real parts of their sums are b and
+    # a, the imaginary parts residue
+    weights = np.array([signs * np.conjugate(c0.ravel()[partner]) * c0[rows].ravel()
+                        for _, c0 in entries])
+    weights = np.concatenate((weights, -1j * evals * weights))
+    chunk = max(1, CURVE_CHUNK_BYTES // (80 * 2 ** plan.h.n))
     # each group starts at its first index and spans fewer than K grid indices
     cuts = [0]
     while cuts[-1] < indices.size:
         cuts.append(int(np.searchsorted(indices, indices[cuts[-1]] + chunk)))
     span = max((indices[hi - 1] - indices[lo] + 1 for lo, hi in zip(cuts, cuts[1:])), default=0)
-    table = _phases(evals, step * np.arange(span))
-    a = np.empty((len(starts), indices.size))
-    b = np.empty((len(starts), indices.size))
+    table = _phases(evals, 2.0 * step * np.arange(span))
+    a, b = np.empty((2, len(starts), indices.size))
     for lo, hi in zip(cuts, cuts[1:]):
         group = indices[lo:hi]
-        base = group[0]
-        shift = _phases(evals, step * base)
-        # the table's columns for this group, shared by every start state
-        phases = np.take(table, group - base, axis=-1)
-        for i, c0 in enumerate(coeffs):
-            sums = _reversal_sums(perm, m_t, weights, phases * (shift * c0)[..., None])
-            residue = max(np.max(np.abs(sums[0].imag)), np.max(np.abs(sums[1].real)))
-            if residue > EXPECTATION_IMAG_TOL:
-                raise InternalInconsistencyError(
-                    f"Hermitian expectation has imaginary residue {residue:.3e}")
-            b[i, lo:hi] = sums[0].real
-            a[i, lo:hi] = -sums[1].imag
+        sums = (weights * _phases(evals, 2.0 * step * group[0])) @ np.take(
+            table, group - group[0], axis=-1)
+        b[:, lo:hi], a[:, lo:hi] = np.split(_real(sums), 2)
     return a, b
 
 
@@ -540,14 +515,37 @@ def _phases(evals: np.ndarray, taus) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def _reversal_sums(perm: np.ndarray, m_t: np.ndarray, weights: np.ndarray,
-                   phi: np.ndarray) -> np.ndarray:
-    """sum_j w_j conj(phi_pi)_j (M_T phi)_j for each row w of ``weights``
-    (over the 2**n block-eigenbasis entries) and each column of a complex
-    (2**r, k, K) array ``phi``: a complex (len(weights), K) array.  Its two
-    work arrays go on return, so a chunk never holds more than five: these
-    two, ``phi``, its phases and the phase table of :func:`reversal_curves`."""
-    pair = phi[perm]
-    np.conjugate(pair, out=pair)
-    pair *= _apply_blocks(m_t, phi)
-    return (weights @ pair.reshape(weights.shape[1], phi.shape[-1]).view(float)).view(complex)
+def _jordan_wielandt(h_b: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> tuple:
+    """Eigenvalues, eigenvectors, partner columns and signs of a block that
+    T maps to itself, as :meth:`EvolutionPlan.reversal` pairs them.
+
+    T acts there as P, column j to row ``rows[j]`` times ``signs[j]``, with
+    P = P+, P**2 = I and PH = -HP.  Its +1 and -1 eigenvectors W+ and W- are
+    (e_j +- s_j e_l) / sqrt 2 on its 2-cycles and e_j on its fixed points, at
+    most two entries a column, so C = W+^+ H_b W- in H_b = [[0, C], [C+, 0]]
+    is gathered, not multiplied.  For C = U S V+, (W+ u +- W- v) / sqrt 2 are
+    eigenvectors at +-sigma that P swaps (sign 1); the columns of U or V
+    past the smaller side of C are zero modes that P keeps, at their side's
+    sign."""
+    k, half = rows.size, math.sqrt(0.5)
+    lead = np.flatnonzero(np.arange(k) <= rows)
+    other, sign = rows[lead], signs[lead]
+    cycle = lead != other
+    first, second = np.where(cycle, half, 1.0), half * cycle * sign
+    # each column of W+ and of W-: f at row j and g at row l
+    (j, l, f, g), (jm, lm, fm, gm) = sides = [
+        (lead[keep], other[keep], first[keep], side * second[keep])
+        for side, keep in ((1.0, cycle | (sign.real > 0)), (-1.0, cycle | (sign.real < 0)))]
+    h_minus = h_b[:, jm] * fm + h_b[:, lm] * gm
+    u, sigma, vh = np.linalg.svd(f[:, None] * h_minus[j] + np.conjugate(g)[:, None] * h_minus[l])
+    wu, wv = (np.zeros((k, x.shape[0]), np.result_type(second, x)) for x in (u, vh))
+    # W+ u and W- v: a row of the block lies in at most one column of a side
+    for (j, l, f, g), out, coeffs in zip(sides, (wu, wv), (u, vh.conj().T)):
+        out[j] = f[:, None] * coeffs
+        out[l] += g[:, None] * coeffs
+    m = sigma.size
+    evecs = np.concatenate(((wu[:, :m] + wv[:, :m]) * half, (wu[:, :m] - wv[:, :m]) * half,
+                            wu[:, m:], wv[:, m:]), axis=1)
+    evals = np.concatenate((sigma, -sigma, np.zeros(k - 2 * m)))
+    columns = np.concatenate((np.arange(m, 2 * m), np.arange(m), np.arange(2 * m, k)))
+    return evals, evecs, columns, np.repeat([1.0, -1.0], [u.shape[0] + m, vh.shape[0] - m])

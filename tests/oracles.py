@@ -5,9 +5,9 @@ library's own evolution/expectation code paths so that agreement between
 the two is meaningful.  Dense Pauli matrices come from :func:`kron_matrix`,
 a Kronecker-product loop that shares nothing with the library's compiled
 Pauli action.  The all-blocks oracles are the exception: they are the
-exact plan's own kernels as they ran before the plan learnt to skip the
-symmetry blocks a start state does not reach, so they check that skipping
-them changes nothing.
+exact plan's own kernels summed over every symmetry block, not only those a
+start state reaches, so they check that skipping the others changes
+nothing.
 """
 
 import math
@@ -18,8 +18,7 @@ import scipy.linalg as sla
 from ktr.errors import DegeneratePencilError, InternalInconsistencyError
 from ktr.gevp import SpectrumResult
 from ktr.paulis import PauliString, PauliSum
-from ktr.states import (CURVE_CHUNK_BYTES, EXPECTATION_IMAG_TOL, _apply_blocks, _phases,
-                        _reversal_sums)
+from ktr.states import EXPECTATION_IMAG_TOL, _apply_blocks
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -117,8 +116,10 @@ def checked_dense_solve(a: np.ndarray, b: np.ndarray, epsilon: float) -> Spectru
         raise DegeneratePencilError(
             f"no Gram eigenvalue survives the threshold {epsilon:g}")
     whitener = b_evecs[:, keep] / np.sqrt(b_evals[keep])
-    reduced = whitener.conj().T @ a @ whitener
-    reduced = 0.5 * (reduced + reduced.conj().T)
+    # an overflow is refused below, without a warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = whitener.conj().T @ a @ whitener
+        reduced = 0.5 * (reduced + reduced.conj().T)
     if not np.all(np.isfinite(reduced)):
         raise DegeneratePencilError("the whitened matrix overflows")
     # eigvalsh returns them in ascending order
@@ -321,38 +322,23 @@ def all_blocks_evolve(plan, t: float, amps: np.ndarray) -> np.ndarray:
 
 
 def all_blocks_curves(plan, t, starts, step, indices):
-    """``ktr.states.reversal_curves`` sampling every block of an exact plan:
-    its body before it read only the blocks its starts reach."""
-    evals, _ = plan.factorization()
-    perm, m_t = plan.reversal(t)
-    dim = evals.size
-    # rows: sum_j x_j and sum_j L_pi,j x_j over a (dim, K) array x
-    weights = np.stack((np.ones(dim), evals[perm].ravel()))
-    chunk = max(1, CURVE_CHUNK_BYTES // (80 * dim))
-    coeffs = [all_blocks_coefficients(plan, s.amps) for s in starts]
-    # each group starts at its first index and spans fewer than K grid indices
-    cuts = [0]
-    seen = np.zeros(chunk, dtype=bool)
-    while cuts[-1] < indices.size:
-        lo = cuts[-1]
-        cuts.append(int(np.searchsorted(indices, indices[lo] + chunk)))
-        seen[indices[lo:cuts[-1]] - indices[lo]] = True
-    residues = np.flatnonzero(seen)
-    table = _phases(evals, step * residues)
+    """``ktr.states.reversal_curves`` summing over every block of an exact
+    plan built with T, one sample at a time: b = sum w exp(-2i L tau) and
+    a = -i sum L w exp(-2i L tau), w_j = s_j conj(c0_p(j)) c0_j, from the
+    coefficients c0 of :func:`all_blocks_coefficients`."""
+    evals = plan.factorization()[0].ravel()
+    partner, signs = (x.ravel() for x in plan.reversal(t))
     a = np.empty((len(starts), indices.size))
     b = np.empty((len(starts), indices.size))
-    for lo, hi in zip(cuts, cuts[1:]):
-        group = indices[lo:hi]
-        base = group[0]
-        shift = _phases(evals, step * base)
-        # the table's columns for this group, shared by every start state
-        phases = np.take(table, np.searchsorted(residues, group - base), axis=-1)
-        for i, c0 in enumerate(coeffs):
-            sums = _reversal_sums(perm, m_t, weights, phases * (shift * c0)[..., None])
-            residue = max(np.max(np.abs(sums[0].imag)), np.max(np.abs(sums[1].real)))
+    for i, s in enumerate(starts):
+        c0 = all_blocks_coefficients(plan, s.amps).ravel()
+        weights = signs * np.conj(c0[partner]) * c0
+        for j, k in enumerate(indices):
+            phases = np.exp(-2j * evals * (k * step))
+            b_sum, a_sum = np.sum(weights * phases), -1j * np.sum(evals * weights * phases)
+            residue = max(abs(b_sum.imag), abs(a_sum.imag))
             if residue > EXPECTATION_IMAG_TOL:
                 raise InternalInconsistencyError(
                     f"Hermitian expectation has imaginary residue {residue:.3e}")
-            b[i, lo:hi] = sums[0].real
-            a[i, lo:hi] = -sums[1].imag
+            b[i, j], a[i, j] = b_sum.real, a_sum.real
     return a, b

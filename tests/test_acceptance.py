@@ -56,7 +56,7 @@ def _tfim8():
 def test_criterion_01_gram_identity():
     start = time.perf_counter()
     _, h, t = _tfim8()
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     rng = np.random.default_rng(101)
     spec = ProjectorSpec((t,), (0,))
     prep = project(random_state(8, rng), spec)
@@ -78,7 +78,7 @@ def test_criterion_01_gram_identity():
 
 def test_criterion_02_hamiltonian_overlap_identity():
     _, h, t = _tfim8()
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     rng = np.random.default_rng(202)
     spec = ProjectorSpec((t,), (0,))
     prep = project(random_state(8, rng), spec)
@@ -113,7 +113,7 @@ def test_criterion_03_route_equivalence():
     h2 = build(spec2)
     cases.append((h2, known_time_reversal(spec2), gauge_start(8, 1)))
     for h_i, t_i, prep_i in cases:
-        plan = EvolutionPlan.exact(h_i)
+        plan = EvolutionPlan.exact(h_i, t_i)
         grid = TimeGrid(default_dt(h_i), 32)
         ktr = build_ktr(h_i, t_i, prep_i, grid, plan)
         kqd = build_kqd(h_i, prep_i, grid, plan)
@@ -157,7 +157,7 @@ epsilon = 1e-10
     oracle = krylov_ritz_grounds(hd, v0.amps, dt, sizes)
 
     pen = build_ktr(h, t, v0, TimeGrid(dt, 32),
-                    EvolutionPlan.exact(h))
+                    EvolutionPlan.exact(h, t))
     results = [solve(pen.prefix(m), 1e-10) for m in sizes]
     via_run = np.array([rec.estimate for rec in report.records])
     via_solve = np.array([res.ground for res in results])
@@ -245,7 +245,7 @@ def test_criterion_06_xorsat_solver():
 
 def test_criterion_07_implicit_overlap_identities():
     _, h, t = _tfim8()
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     hd = kron_matrix(h)
     rng = np.random.default_rng(707)
     phi = random_state(8, rng)
@@ -275,7 +275,7 @@ def test_criterion_07_implicit_overlap_identities():
 
 def test_criterion_08_blockwise_projector_identity():
     _, h, t = _tfim8()
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     hd = kron_matrix(h)
     rng = np.random.default_rng(808)
     phi = random_state(8, rng)
@@ -310,7 +310,7 @@ def test_criterion_09_row_reconstructions():
     spec = ModelSpec("tfim", 6, {"gamma": 0.5})
     h = build(spec)
     t = known_time_reversal(spec)
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     grid = TimeGrid(default_dt(h), 10)
     prep = project(plus_state(6), ProjectorSpec((t,), (0,)))
     direct = build_ktr(h, t, prep, grid, plan)

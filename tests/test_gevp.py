@@ -167,7 +167,7 @@ def test_ktr_pipeline_reaches_reference():
     h = build(spec)
     t = known_time_reversal(spec)
     prep = project(plus_state(8), ProjectorSpec((t,), (0,)))
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 32), plan)
     res = solve(pen, 1e-10)
     reference = exact_reference(h)[0]
@@ -181,7 +181,7 @@ def test_ground_estimate_monotone_in_m_when_full_rank():
     h = build(spec)
     t = known_time_reversal(spec)
     prep = gauge_start(8, 1)
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 16), plan)
     last = np.inf
     for m in range(2, 17, 2):

@@ -20,7 +20,7 @@ from ktr.krylov import (TimeGrid, ToeplitzPencil, _fine_grid, _signed_curves, _s
                         sample_expectation_curves, stencil_indices)
 from ktr.models import PARAM_KEYS, ModelSpec, build, known_time_reversal
 from ktr.paulis import PauliString, PauliSum, build_iht_observable, symplectic_product
-from ktr.states import (CURVE_CHUNK_BYTES, EvolutionPlan, StateVector, _check_involution,
+from ktr.states import (CURVE_CHUNK_BYTES, EvolutionPlan, StateVector,
                         apply_pauli, evolve, expectation, inner, plus_state, reversal_curves)
 from ktr.symmetry import commutant, solve_time_reversal
 
@@ -33,7 +33,7 @@ def _tfim_setup(n, gamma=0.5, m=8, dt=None):
     spec = ModelSpec("tfim", n, {"gamma": gamma})
     h = build(spec)
     t = known_time_reversal(spec)
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     grid = TimeGrid(dt if dt is not None else default_dt(h), m)
     prep = project(plus_state(n), ProjectorSpec((t,), (0,)))
     return h, t, plan, grid, prep
@@ -228,7 +228,7 @@ def test_reconstruct_single_qubit_closed_forms():
     h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     t = PauliString.from_label("X")
     prep = project(plus_state(1), ProjectorSpec((t,), (0,)))
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     grid = TimeGrid(0.3, 6)
     a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
     taus = np.arange(a_fine.size) * (0.5 * grid.dt / 20)
@@ -514,7 +514,7 @@ def _chains(draw):
 def test_every_route_gives_the_first_rows_of_the_overlap_matrices(chain, m, dt, seed):
     h, t, alpha = chain
     grid = TimeGrid(dt, m)
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     v0 = project(plus_state(h.n), ProjectorSpec.blocks_of(t, alpha))
     a0, b0 = overlap_matrices_direct(h, v0.amps, grid)
     for pencil in (build_ktr(h, t, v0, grid, plan), build_kqd(h, v0, grid, plan)):
@@ -614,7 +614,7 @@ def _reversal_case(draw):
 @given(_reversal_case(), st.floats(0.05, 0.7), st.integers(1, 12))
 def test_eigenbasis_curves_match_sampled_expectations(case, step, count):
     h, t, starts = case
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     got = reversal_curves(plan, t, starts, step, np.arange(count))
     want = _sampled_curves(plan, h, t, starts, step, np.arange(count))
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
@@ -628,7 +628,7 @@ def test_eigenbasis_curves_at_scattered_indices(case, step, chunk, picked):
     # a chunk of 1 to 5 samples puts the indices into many groups, each with
     # its own phase shift, and leaves gaps and empty groups between them
     h, t, starts = case
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     indices = np.array(sorted(picked))
     with mock.patch.object(states, "CURVE_CHUNK_BYTES", chunk * 80 * 2 ** h.n):
         got = reversal_curves(plan, t, starts, step, indices)
@@ -654,18 +654,18 @@ _ODD_Y_INVOLUTION = PauliSum(1, ((0.7, PauliString.from_label("X")),
     (_DENSE, PauliString.from_label("YY"), 1, 0),
     # an odd-Y term: complex blocks, 4 of them, every one moved by T = IXI
     (_ODD_Y_TERM, PauliString.from_label("IXI"), 4, 4),
-    # T = Y carries the phase i: a complex M_T on one dense block
+    # T = Y carries the phase i: complex eigenvectors on one dense block
     (_ODD_Y_INVOLUTION, PauliString.from_label("Y"), 1, 0),
     # every block of the gauge model moves: pi has no fixed point
     (build(ModelSpec("z2higgs", 10, {"mu": 0.9, "g": 1.1})),
      known_time_reversal(ModelSpec("z2higgs", 10, {"mu": 0.9, "g": 1.1})), 64, 64),
 ], ids=["dense", "odd-y-term", "odd-y-involution", "z2higgs-10"])
 def test_eigenbasis_curves_on_fixed_cases(h, t, blocks, moved):
-    plan = EvolutionPlan.exact(h)
-    perm, m_t = plan.reversal(t)
-    assert perm.size == blocks
-    assert np.count_nonzero(perm != np.arange(perm.size)) == moved
-    assert plan.reversal(t)[1] is m_t and not m_t.flags.writeable
+    plan = EvolutionPlan.exact(h, t)
+    partner, signs = plan.reversal(t)
+    assert partner.shape[0] == blocks
+    assert np.count_nonzero(partner[:, 0] // partner.shape[1] != np.arange(blocks)) == moved
+    assert plan.reversal(t)[0] is partner and not partner.flags.writeable
     starts = _reflected_states(t, h.n, np.random.default_rng(h.n), (False, True))
     # 40 samples span three chunks at n = 10
     got = reversal_curves(plan, t, starts, 0.3, np.arange(40))
@@ -674,18 +674,107 @@ def test_eigenbasis_curves_on_fixed_cases(h, t, blocks, moved):
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
 
 
-def test_involution_self_check_refuses_a_wrong_m_t():
+@settings(max_examples=60, deadline=None)
+@given(_reversal_case())
+def test_the_eigenbasis_is_paired_exactly_under_t(case):
+    h, t, _ = case
+    plan = EvolutionPlan.exact(h, t)
+    evals, evecs = plan.factorization()
+    partner, signs = (x.ravel() for x in plan.reversal(t))
+    flat = np.arange(partner.size)
+    assert np.array_equal(evals.ravel()[partner], -evals.ravel())
+    assert np.array_equal(partner[partner], flat)
+    assert np.array_equal(signs[partner] * signs, np.ones(signs.size))
+    # P_b Q_b, its rows placed in block pi(b), against s_j q_p(j) there
+    perm, rows, image_signs = sector_basis(h).image(t, range(evals.shape[0]))
+    k = evals.shape[1]
+    moved = np.zeros_like(evecs, dtype=complex)
+    moved[np.arange(perm.size)[:, None], rows] = image_signs[..., None] * evecs
+    paired = evecs.transpose(0, 2, 1).reshape(-1, k)[partner] * signs[:, None]
+    assert np.max(np.abs(moved.transpose(0, 2, 1).reshape(-1, k) - paired), initial=0.0) <= 1e-12
+
+
+def _jordan_wielandt_case(fixed_sign, cycle_sign):
+    """A block of k = 3 where P swaps columns 0 and 1 (sign ``cycle_sign``)
+    and keeps column 2 (sign ``fixed_sign``), and an H = [[0, C], [C+, 0]]
+    on P's eigenvectors that anticommutes with it."""
+    rows, signs = np.array([1, 0, 2]), np.array([cycle_sign, np.conj(cycle_sign), fixed_sign])
+    p = np.zeros((3, 3), complex)
+    p[rows, np.arange(3)] = signs
+    pair = np.array([1.0, cycle_sign, 0.0]) / np.sqrt(2)
+    anti = np.array([1.0, -cycle_sign, 0.0]) / np.sqrt(2)
+    single = np.eye(3)[2]
+    # W+ and W- of P: the 2-cycle adds one vector to each, the fixed point to its side
+    w_plus = np.stack((pair, single) if fixed_sign > 0 else (pair,), axis=1)
+    w_minus = np.stack((anti,) if fixed_sign > 0 else (anti, single), axis=1)
+    c = np.random.default_rng(5).normal(size=(w_plus.shape[1], w_minus.shape[1]))
+    h = w_plus @ c @ w_minus.conj().T
+    return p, h + h.conj().T, rows, signs
+
+
+@pytest.mark.parametrize("fixed_sign", [1.0, -1.0])
+@pytest.mark.parametrize("cycle_sign", [1.0, 1j])
+def test_a_self_paired_block_with_a_fixed_point_keeps_its_zero_mode(fixed_sign, cycle_sign):
+    # in a symmetry block of a Hamiltonian P is traceless, so C is square;
+    # a fixed point that leaves C 2 x 1 or 1 x 2 is pinned on a built block
+    p, h, rows, signs = _jordan_wielandt_case(fixed_sign, cycle_sign)
+    assert np.allclose(p @ h, -h @ p)
+    evals, evecs, columns, pair_signs = states._jordan_wielandt(h, rows, signs)
+    sigma = np.linalg.eigvalsh(h)[-1]
+    assert np.allclose(evals, [sigma, -sigma, 0.0], atol=1e-14) and sigma > 0.1
+    assert list(columns) == [1, 0, 2] and list(pair_signs) == [1.0, 1.0, fixed_sign]
+    assert np.max(np.abs(evecs.conj().T @ evecs - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(h @ evecs - evecs * evals)) <= 1e-14
+    # the zero mode is P's own eigenvector at the sign of its side
+    assert np.max(np.abs(p @ evecs - evecs[:, columns] * pair_signs)) <= 1e-14
+
+
+def test_a_plan_reads_only_the_involution_it_was_built_with():
+    spec = ModelSpec("tfim", 4, {"gamma": 0.5})
+    h, t = build(spec), known_time_reversal(spec)
+    other = next(s for s in solve_time_reversal(h).solutions(limit=4) if s != t)
+    starts = [project(plus_state(4), ProjectorSpec((t,), (0,)))]
+    for plan, asked in ((EvolutionPlan.exact(h), t), (EvolutionPlan.exact(h, t), other)):
+        with pytest.raises(ValueError, match="involution"):
+            reversal_curves(plan, asked, starts, 0.1, np.arange(4))
+        with pytest.raises(ValueError, match="involution"):
+            plan.reversal(asked)
+    # a string that commutes with a term of H pairs nothing
+    with pytest.raises(NotTimeReversalError):
+        EvolutionPlan.exact(h, PauliString.from_label("XXXX"))
+
+
+def test_a_wrong_pairing_sign_fails_the_factorization_check():
     spec = ModelSpec("z2higgs", 6, {"mu": 0.9, "g": 1.1})
-    plan = EvolutionPlan.exact(build(spec))
-    perm, m_t = plan.reversal(known_time_reversal(spec))
-    _check_involution(perm, m_t)
-    bad = m_t.copy()
-    bad[0, 0, 0] += 1e-8
-    with pytest.raises(InternalInconsistencyError, match="square to the identity"):
-        _check_involution(perm, bad)
-    # the right blocks under a permutation that is no involution
-    with pytest.raises(InternalInconsistencyError, match="square to the identity"):
-        _check_involution(np.roll(perm, 1), m_t)
+    h, t = build(spec), known_time_reversal(spec)
+    plan = EvolutionPlan.exact(h, t)
+    perm, rows, signs = plan._image
+    wrong = signs.copy()
+    wrong[0, 0] *= -1.0
+    plan._image = perm, rows, wrong
+    with pytest.raises(InternalInconsistencyError, match="eigenfactorization residual"):
+        plan.factorization()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("z2higgs", {"mu": 0.9, "g": 1.1}),
+    ("tfim", {"gamma": 0.5}),
+    ("cluster", {"g_x": 1.0, "g_zz": 0.5, "g_zxz": 0.3}),
+])
+def test_eigenbasis_curves_stay_on_the_sampled_ones_at_long_times(kind, params):
+    # out to tau = 217, against per-sample evolve and expectation on a plan
+    # without T (its own eigh eigenbasis); both read phases L tau, whose
+    # rounding grows as tau ||h||_1 eps, so the bound is tau ||h||_1 1e-15,
+    # times ||h||_1 for a = <iHT>
+    spec = ModelSpec(kind, 10, params)
+    h, t = build(spec), known_time_reversal(spec)
+    starts = _reflected_states(t, h.n, np.random.default_rng(11), (True, False))
+    step, indices = 0.155, np.array([0, 1, 7, 100, 640, 1399, 1400])
+    got = reversal_curves(EvolutionPlan.exact(h, t), t, starts, step, indices)
+    want = _sampled_curves(EvolutionPlan.exact(h), h, t, starts, step, indices)
+    bound = indices[-1] * step * h.coeff_norm * 1e-15
+    assert np.max(np.abs(got[1] - want[1])) <= bound
+    assert np.max(np.abs(got[0] - want[0])) <= bound * h.coeff_norm
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -695,7 +784,7 @@ def test_involution_self_check_refuses_a_wrong_m_t():
 def test_eigenbasis_curves_memory_is_bounded_by_the_chunk(kind, params):
     spec = ModelSpec(kind, 10, params)
     h, t = build(spec), known_time_reversal(spec)
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     v0 = project(plus_state(10), ProjectorSpec.blocks_of(t, (0,)))
     # the plan's caches, built once per run
     plan.reversal(t)
@@ -715,7 +804,7 @@ def test_eigenbasis_curves_memory_is_bounded_by_the_chunk(kind, params):
 def test_eigenbasis_curves_on_the_stencil_match_the_full_grid():
     spec = ModelSpec("z2higgs", 10, {"mu": 0.9, "g": 1.1})
     h, t = build(spec), known_time_reversal(spec)
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     starts = _reflected_states(t, h.n, np.random.default_rng(7), (True, False))
     grid = TimeGrid(default_dt(h), 32)
     total, delta = _fine_grid(grid, 20)
@@ -750,7 +839,7 @@ def test_reached_blocks_match_the_all_blocks_oracle(case, data, step, count):
             size=coords[picked].shape)
         amps = basis.to_amplitudes(coords)
         starts.append(StateVector(h.n, amps / np.linalg.norm(amps)))
-    plan, oracle = EvolutionPlan.exact(h), EvolutionPlan.exact(h)
+    plan, oracle = EvolutionPlan.exact(h, t), EvolutionPlan.exact(h, t)
     got = reversal_curves(plan, t, starts, step, np.arange(count))
     want = all_blocks_curves(oracle, t, starts, step, np.arange(count))
     for curve, exact in zip(got, want):
@@ -775,15 +864,16 @@ evolution = exact
 
 def test_gauge_run_factorizes_and_reads_only_reached_blocks():
     plans, read = [], []
-    exact, sums = EvolutionPlan.exact.__func__, states._reversal_sums
+    exact, phases = EvolutionPlan.exact.__func__, states._phases
 
-    def capture(cls, h):
-        plans.append(exact(cls, h))
+    def capture(cls, h, t=None):
+        plans.append(exact(cls, h, t))
         return plans[-1]
 
-    def spy(perm, m_t, weights, phi):
-        read.append(phi.shape[0])
-        return sums(perm, m_t, weights, phi)
+    def spy(evals, taus):
+        # the eigenvalues of the blocks a call reads, k = 16 per block
+        read.append(evals.size // 16)
+        return phases(evals, taus)
 
     with mock.patch.object(EvolutionPlan, "exact", classmethod(capture)):
         report = run(parse_config(GAUGE_EXACT_CONFIG))
@@ -793,7 +883,7 @@ def test_gauge_run_factorizes_and_reads_only_reached_blocks():
     assert float(dict(report.provenance)["exact.dropped_weight"]) <= 1e-30
     # each implicit branch, (I + T) / 2 or (I - T) / 2 of the plus state, reaches 2
     h, t = plan.h, known_time_reversal(ModelSpec("z2higgs", 10, {"mu": 1.0, "g": 1.0}))
-    with mock.patch.object(states, "_reversal_sums", spy):
+    with mock.patch.object(states, "_phases", spy):
         implicit_hadamard_rows(plus_state(10), h, t, TimeGrid(default_dt(h), 32), plan)
     assert read and set(read) == {2}
 

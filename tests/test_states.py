@@ -226,12 +226,21 @@ def test_trotter_plan_refuses_a_non_integral_step_count():
     assert EvolutionPlan.trotter2(h, 3.0).steps_per_unit == 3
 
 
+def test_trotter_plan_refuses_the_exact_only_methods():
+    spec = ModelSpec("tfim", 4, {"gamma": 0.5})
+    plan = EvolutionPlan.trotter2(build(spec), 4)
+    for call in (plan.factorization, lambda: plan.coefficients(plus_state(4)),
+                 lambda: plan.reversal(known_time_reversal(spec))):
+        with pytest.raises(ValueError, match="needs an exact plan"):
+            call()
+
+
 def test_exact_paths_compile_no_string():
     spec = ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1})
     h, t = build(spec), known_time_reversal(spec)
     exact_reference(h)
     sector_ground_energy(h, gauss_generators(spec))
-    plan = EvolutionPlan.exact(h)
+    plan = EvolutionPlan.exact(h, t)
     plan.factorization()
     plan.reversal(t)
     # the sector layout reads signs from the string masks alone

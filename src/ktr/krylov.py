@@ -6,8 +6,12 @@ both overlap matrices
     A[a, b] = <v(t_a)| H |v(t_b)>,      B[a, b] = <v(t_a)|v(t_b)>
 
 are Hermitian-Toeplitz, so a pencil is stored as the pair of first rows.
-``build_kqd`` is the canonical route; its entries are complex full-time
-overlaps.  Every other route evaluates one quantity in one kernel,
+``build_kqd`` is the canonical route; its entries are full-time overlaps,
+complex in general.  For a start state stabilized by an involution T that
+anticommutes with H, THT = -H makes the B row real and the A row purely
+imaginary, and ``build_kqd`` returns them so when the plan carries that T,
+as every other route's rows are: the pencils that :func:`ktr.gevp.solve`
+splits into halves.  Every other route evaluates one quantity in one kernel,
 ``_signed_curves``, over a list of (weight, state) branches:
 
     a(tau) = sum_b w_b <v_b(tau)| iHT |v_b(tau)>,
@@ -68,9 +72,11 @@ from .initial import (PROJECTION_PROB_FLOOR, ProjectorSpec, enumerate_local_proj
                       project_array)
 # no caller here, but the benchmark tracer wraps ktr.krylov.project
 from .initial import project  # noqa: F401
-from .paulis import PauliString, PauliSum, build_iht_observable
-from .states import (EvolutionPlan, StateVector, apply_pauli, evolve,
-                     expectation, inner, matrix_element, reversal_curves)
+from .paulis import PauliString, PauliSum, apply_action, build_iht_observable
+from .states import (EvolutionPlan, StateVector, _real, apply_pauli, evolve,
+                     expectation, inner, reversal_curves)
+# no caller here, but the benchmark tracer wraps ktr.krylov.matrix_element
+from .states import matrix_element  # noqa: F401
 
 #: max-norm tolerance for the stabilizer precondition T|v0> = c|v0>
 STABILIZER_TOL = 1e-12
@@ -205,13 +211,26 @@ def _sample_states(plan: EvolutionPlan, step: float, count: int,
 
 def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
               plan: EvolutionPlan) -> ToeplitzPencil:
-    """Canonical first-row construction; entries are complex in general."""
+    """Canonical first-row construction: B row <v0|v(t_j)> and A row
+    <H v0|v(t_j)>, with H|v0> summed once.
+
+    The entries are complex in general.  If the plan was built with an
+    involution T that stabilizes v0 (T|v0> = +-|v0>, within
+    ``STABILIZER_TOL`` as in ``_stabilized``), THT = -H gives
+    <v0|exp(-iHt)|v0> = <v0|exp(iHt)|v0>, so the B row is real and the A
+    row purely imaginary; both are returned so, each residue checked
+    against :data:`ktr.states.EXPECTATION_IMAG_TOL`, and
+    :func:`ktr.gevp.solve` takes its time-reversal path."""
     _check_unit_norm(v0)
+    hv0 = StateVector(v0.n, sum(coeff * apply_action(action, v0.amps)
+                                for coeff, action in h.compiled()))
     row_a = np.zeros(grid.m, dtype=complex)
     row_b = np.zeros(grid.m, dtype=complex)
     for j, (vt,) in enumerate(_sample_states(plan, grid.dt, grid.m, [v0])):
         row_b[j] = inner(v0, vt)
-        row_a[j] = matrix_element(v0, h, vt)
+        row_a[j] = inner(hv0, vt)
+    if plan.t is not None and _stabilizer_sign(plan.t, v0)[0] <= STABILIZER_TOL:
+        return ToeplitzPencil(1j * _real(-1j * row_a), _real(row_b), grid)
     return ToeplitzPencil(row_a, row_b, grid)
 
 
@@ -256,13 +275,19 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
     return a, b
 
 
+def _stabilizer_sign(t: PauliString, v0: StateVector) -> tuple[float, int]:
+    """(deviation, c): the sign c of +1 and -1 that fits T|v0> = c|v0> best,
+    and the max-norm deviation of that fit."""
+    reflected = apply_pauli(v0, t).amps
+    return min((np.max(np.abs(reflected - sign * v0.amps)), sign) for sign in (1, -1))
+
+
 def _stabilized(t: PauliString, v0: StateVector) -> _Branches:
     """The branch list [(c, v0)], with c the sign of T|v0> = c|v0>.
 
     c is whichever of +1 and -1 fits within ``STABILIZER_TOL`` (max norm);
     a state that neither fits is not stabilized by T and is refused."""
-    reflected = apply_pauli(v0, t).amps
-    deviation, c = min((np.max(np.abs(reflected - sign * v0.amps)), sign) for sign in (1, -1))
+    deviation, c = _stabilizer_sign(t, v0)
     if deviation > STABILIZER_TOL:
         raise ValueError(
             f"initial state is not stabilized by the involution (deviation {deviation:.3e})")

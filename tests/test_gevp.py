@@ -1,11 +1,14 @@
 """Regularized generalized eigensolver and exact references."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ktr.cli import parse_config, run
 from ktr.errors import DegeneratePencilError
 from ktr.gevp import (SectorBasis, SpectrumResult, exact_reference, sector_ground_energy,
                       solve)
@@ -31,6 +34,21 @@ def _random_psd_toeplitz_pencil(m, rng):
     row_a[0] = rng.normal()
     grid = TimeGrid(0.1, m)
     return ToeplitzPencil(row_a, row_b, grid)
+
+
+def _random_reversal_pencil(m, rng):
+    # the real counterpart of _random_psd_toeplitz_pencil: a PSD real
+    # symmetric Toeplitz B, and A = i S with S real antisymmetric Toeplitz
+    w = rng.normal(size=4 * m)
+    row_b = np.array([w[: len(w) - k] @ w[k:] for k in range(m)])
+    row_b = row_b / row_b[0]
+    row_b[0] += 0.05
+    return ToeplitzPencil(1j * rng.normal(size=m), row_b, TimeGrid(0.1, m))
+
+
+def _general_path(row_a, row_b):
+    # what sends a pencil past the time-reversal split of solve
+    return bool(row_b.imag.any() or row_a.real.any())
 
 
 def test_one_by_one_pencil():
@@ -130,7 +148,10 @@ _SUBNORMAL_GRAM = _sparse_rows(8, {0: -0.676001725621899}, {2: 1.11e-308j})
 @example((*_sparse_rows(20, {}, {9: 1j}), 1e-8))
 @example((*_SUBNORMAL_GRAM, 1e-8))
 def test_prefix_solves_match_the_checked_solve_bit_for_bit(case):
+    # the whole-pencil path only: time-reversal pencils are solved on their
+    # halves and checked against the same oracle to a tolerance below
     row_a, row_b, epsilon = case
+    assume(_general_path(row_a, row_b))
     m = row_a.size
     pen = ToeplitzPencil(row_a, row_b, TimeGrid(0.1, m))
     for mat in (pen.matrix_a(), pen.matrix_b()):
@@ -139,6 +160,8 @@ def test_prefix_solves_match_the_checked_solve_bit_for_bit(case):
     for k in range(2, m + 1):
         sub = pen.prefix(k)
         assert np.shares_memory(sub.matrix_b(), pen.matrix_b())
+        if not _general_path(row_a[:k], row_b[:k]):
+            continue
         got = _solved(solve, sub, epsilon)
         want = _solved(checked_dense_solve, _hermitian_toeplitz(row_a[:k]),
                        _hermitian_toeplitz(row_b[:k]), epsilon)
@@ -155,6 +178,78 @@ def test_a_pencil_whose_whitened_matrix_overflows_is_refused():
     for m in (7, 8):
         with pytest.raises(DegeneratePencilError, match="overflows"):
             solve(pencil.prefix(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 2 ** 32 - 1))
+def test_time_reversal_prefixes_solved_on_their_halves_match_the_checked_solve(m, seed):
+    pen = _random_reversal_pencil(m, np.random.default_rng(seed))
+    for k in range(2, m + 1):
+        sub = pen.prefix(k)
+        got = solve(sub, 1e-14)
+        want = checked_dense_solve(sub.matrix_a(), sub.matrix_b(), 1e-14)
+        assert got.kept_dim == want.kept_dim
+        scale = np.max(np.abs(want.eigenvalues))
+        assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-10 * scale
+        assert (np.max(np.abs(got.b_eigenvalues - want.b_eigenvalues))
+                <= 1e-12 * want.b_eigenvalues[-1])
+        # +-sigma and zeros: symmetric about 0 exactly, not to rounding
+        assert np.array_equal(got.eigenvalues, -got.eigenvalues[::-1])
+
+
+# a real subnormal Gram matrix and an imaginary A row: the whitened coupling
+# of the halves, as the whitened A of the whole, overflows at every prefix
+_SUBNORMAL_REAL_GRAM = _sparse_rows(8, {1: 10j}, {0: 1.11e-308})
+
+
+def test_a_time_reversal_pencil_whose_whitened_coupling_overflows_is_refused():
+    pencil = ToeplitzPencil(*_SUBNORMAL_REAL_GRAM, TimeGrid(0.1, 8))
+    assert not _general_path(pencil.row_a, pencil.row_b)
+    for m in (2, 7, 8):
+        sub = pencil.prefix(m)
+        for solver, args in ((solve, (sub,)),
+                             (checked_dense_solve, (sub.matrix_a(), sub.matrix_b(), 1e-8))):
+            with pytest.raises(DegeneratePencilError, match="overflows"):
+                solver(*args)
+
+
+def _gevp_eigh_orders(monkeypatch, text):
+    """The orders of every np.linalg.eigh call made from ktr.gevp in a run
+    of the config ``text``."""
+    orders = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "ktr.gevp":
+            orders.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    run(parse_config(text))
+    return orders
+
+
+@pytest.mark.parametrize("model, methods, init", [
+    pytest.param("model.kind = tfim\nmodel.n = 4\nmodel.gamma = 0.5",
+                 "kqd,ktr,implicit,local:2,derivative,integral", "project:00", id="tfim"),
+    pytest.param("model.kind = z2higgs\nmodel.n = 4\nmodel.mu = 1.0\nmodel.g = 1.0",
+                 "kqd,ktr", "project:00", id="z2higgs"),
+    pytest.param("model.kind = heisenberg\nmodel.n = 4\nmodel.j_x = 1.0\nmodel.j_y = 0.8\n"
+                 "model.j_z = 0.6", "kqd", "plus", id="heisenberg"),
+])
+def test_time_reversal_pencils_take_no_eigh_above_half_their_order(monkeypatch, model,
+                                                                   methods, init):
+    m = 32
+    orders = _gevp_eigh_orders(
+        monkeypatch, f"{model}\nmethod = {methods}\ninit = {init}\ngrid.m = {m}\n")
+    prefixes = range(2, m + 1, 2)
+    if init == "plus":
+        # no involution stabilizes the start: every prefix is solved whole
+        assert orders == list(prefixes)
+    else:
+        # one eigh per half, orders ceil(k / 2) and floor(k / 2), per prefix k
+        halves = [order for k in prefixes for order in ((k + 1) // 2, k // 2)]
+        assert orders == halves * len(methods.split(","))
 
 
 def test_exact_reference_trivial():

@@ -104,6 +104,22 @@ def test_ktr_equals_kqd_for_stabilized_state():
     assert np.max(np.abs(ktr.row_b - kqd.row_b)) <= 1e-10
 
 
+def test_kqd_rows_of_a_stabilized_start_are_exactly_real_and_imaginary():
+    h, t, plan, grid, prep = _tfim_setup(6, m=8)
+    pen = build_kqd(h, prep, grid, plan)
+    assert not pen.row_b.imag.any() and not pen.row_a.real.any()
+    # the same values as the complex rows of a plan built without T
+    loose = build_kqd(h, prep, grid, EvolutionPlan.exact(h))
+    assert np.max(np.abs(loose.row_a - pen.row_a)) <= 1e-12
+    assert np.max(np.abs(loose.row_b - pen.row_b)) <= 1e-12
+    # a start state T does not stabilize keeps complex rows
+    assert build_kqd(h, plus_state(6), grid, plan).row_b.imag.any()
+    # a residue above the tolerance is an inconsistency, not rounding
+    with mock.patch("ktr.krylov.inner", lambda a, b: inner(a, b) + 1e-9j):
+        with pytest.raises(InternalInconsistencyError, match="imaginary residue"):
+            build_kqd(h, prep, grid, plan)
+
+
 def test_ktr_row_structure():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
     pen = build_ktr(h, t, prep, grid, plan)

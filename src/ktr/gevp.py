@@ -104,9 +104,12 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
     on its even and odd halves (:func:`_solve_halves`); any other on the
     whole: the reduced matrix W+ A W is symmetrized, because rounding leaves
     it not quite Hermitian.  The split keeps every ``eigh`` at order
-    ceil(m / 2), at most 16 for m <= 32: below order 26, from which an
-    ``eigh`` with vectors, real or complex, wakes a second OpenBLAS thread
-    (OpenBLAS 0.3.31, 2 cores), which then spins for about 0.13 s of CPU."""
+    ceil(m / 2), at most 16 for m <= 32, about a quarter of the flops of
+    the whole.  It is also below order 26, from which an ``eigh`` with
+    vectors wakes a second OpenBLAS thread (OpenBLAS 0.3.31, 2 cores) that
+    then spins for about 0.13 s of CPU; ``ktr`` commands run every BLAS
+    call on one thread anyway (:func:`ktr.cli._one_blas_thread`), so this
+    matters to library callers alone."""
     if not (pencil.row_b.imag.any() or pencil.row_a.real.any()):
         return _solve_halves(pencil, epsilon)
     b_evals, b_evecs = np.linalg.eigh(pencil.matrix_b())

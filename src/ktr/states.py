@@ -294,14 +294,29 @@ class EvolutionPlan:
         # H_pi(b) = -P_b H_b P_b+, so L_pi(b) = -L_b and Q_pi(b) = P_b Q_b
         at = np.flatnonzero(new < perm[new])
         to = np.searchsorted(new, perm[new[at]])
-        evals[at], evecs[at] = np.linalg.eigh(assembled[at])
-        evals[to] = -evals[at]
-        evecs[to[:, None], rows[new[at]]] = signs[new[at]][..., None] * evecs[at]
+        if at.size:
+            evals[at], evecs[at] = np.linalg.eigh(assembled[at])
+            evals[to] = -evals[at]
+            evecs[to[:, None], rows[new[at]]] = signs[new[at]][..., None] * evecs[at]
         for i in np.flatnonzero(new == perm[new]):
             evals[i], evecs[i], columns, sign[i] = _jordan_wielandt(
                 assembled[i], rows[new[i]], signs[new[i]])
             partner[i] = new[i] * k + columns
         return evals, evecs, partner, sign
+
+    def lowest_eigenvalue(self) -> float:
+        """The smallest eigenvalue of H (exact mode): the least of the filled
+        blocks' eigenvalues and of one values-only ``eigvalsh`` of the
+        others, which stay unfilled."""
+        if self.mode != "exact":
+            raise ValueError("lowest_eigenvalue needs an exact plan, not a trotter2 one")
+        with self._lock:
+            filled = self._filled.copy()
+        lowest = float(np.min(self._arrays[0][filled], initial=np.inf))
+        rest = np.flatnonzero(~filled)
+        if rest.size:
+            lowest = min(lowest, float(np.linalg.eigvalsh(self._basis.blocks(self.h, rest)).min()))
+        return lowest
 
     def coefficients(self, s: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """The reach of s, a read-only boolean mask over the blocks, and its

@@ -1,18 +1,23 @@
 """Config parsing, the pipeline runner and the emitters."""
 
+import ctypes
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ktr
-from ktr.cli import CSV_HEADER, emit, main, parse_config, report_table, run
+from ktr.cli import (CSV_HEADER, _one_blas_thread, _openblas, emit, main, parse_config,
+                     report_table, run)
 from ktr.errors import ConfigError
 from ktr.gevp import exact_reference
 from ktr.krylov import default_dt
 from ktr.models import ModelSpec, build
+from ktr.states import EvolutionPlan
 
 from helpers import pauli_sum_to_text
 
@@ -133,6 +138,36 @@ def test_reference_is_the_exact_ground_energy(evolution):
     cfg = parse_config(TFIM_CONFIG.replace("evolution = exact", f"evolution = {evolution}"))
     want = float(exact_reference(build(cfg.model))[0])
     assert all(abs(rec.reference - want) <= 1e-12 * abs(want) for rec in run(cfg).records)
+
+
+@pytest.mark.parametrize("model, routes", [
+    ("model.kind = cluster\nmodel.n = 8\nmodel.g_x = 1.0\nmodel.g_zz = 0.5\nmodel.g_zxz = 0.3",
+     "method = kqd,ktr,implicit,local:2,derivative,integral\ninit = project:00"),
+    *[(f"model.kind = heisenberg\nmodel.n = {n}\nmodel.j_x = 1.0\nmodel.j_y = 0.8\n"
+       "model.j_z = 0.6", "method = kqd\ninit = plus") for n in (7, 8)],
+], ids=["cluster-8", "heisenberg-7", "heisenberg-8"])
+def test_exact_reference_fills_only_the_reached_blocks(monkeypatch, model, routes):
+    # the reference reads the blocks the pencils filled and takes the
+    # eigenvalues of the rest without filling them
+    reaches = []
+    coefficients = EvolutionPlan.coefficients
+
+    def spy(plan, s):
+        entry = coefficients(plan, s)
+        reaches.append((plan, entry[0]))
+        return entry
+
+    monkeypatch.setattr(EvolutionPlan, "coefficients", spy)
+    cfg = parse_config(f"{model}\n{routes}\ngrid.m = 16\n")
+    report = run(cfg)
+    plan = reaches[0][0]
+    assert all(other is plan for other, _ in reaches)
+    reached = np.logical_or.reduce([reach for _, reach in reaches])
+    want = reached.copy()
+    want[plan._image[0][reached]] = True
+    assert np.array_equal(plan._filled, want) and not want.all()
+    exact = float(exact_reference(build(cfg.model))[0])
+    assert all(abs(rec.reference - exact) <= 1e-14 * abs(exact) for rec in report.records)
 
 
 def test_error_curve_non_increasing_band():
@@ -379,3 +414,99 @@ def test_module_entry_point_runs(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert [float(v) for v in done.stdout.split()] == [-1.0, 1.0]
+
+
+def _blas_threads(lib) -> int:
+    """The thread count of the OpenBLAS that ``ktr`` sets."""
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter()
+    pytest.skip("this OpenBLAS exports no thread-count getter")
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS set to two threads, and back to its count after."""
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    before = lib.openblas_set_num_threads_local(2)
+    yield lib
+    lib.openblas_set_num_threads_local(before)
+
+
+def test_numpy_openblas_thread_setter_is_found():
+    # a lookup that quietly finds nothing would leave every command on all threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    version = tuple(int(part) for part in blas.get("version", "0").split(".")[:3])
+    if blas.get("name") != "scipy-openblas" or version < (0, 3, 27):
+        pytest.skip(f"numpy's BLAS is {blas.get('name')} {blas.get('version')}")
+    assert _openblas() is not None
+
+
+def test_cli_factorizations_run_on_one_blas_thread(tmp_path, monkeypatch, capsys, openblas):
+    seen = []
+    for name in ("eigh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            seen.append((_name, _blas_threads(openblas)))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    cfg = tmp_path / "tfim8.cfg"
+    cfg.write_text(TFIM_CONFIG.replace("model.n = 6", "model.n = 8"))
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    # the self-paired tfim blocks take an SVD, the pencil prefixes eigh
+    assert {name for name, _ in seen} == {"eigh", "svd"}
+    assert all(threads == 1 for _, threads in seen), seen
+    assert _blas_threads(openblas) == 2
+
+
+def test_cli_restores_the_blas_thread_count_on_every_exit(tmp_path, capsys, openblas):
+    good = tmp_path / "good.cfg"
+    good.write_text(TFIM_CONFIG)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model.kind = tfim\n")
+    for argv, code in ((["run", str(good)], 0), (["run", str(bad)], 2),
+                       (["run", str(tmp_path / "missing.cfg")], 3)):
+        assert main(argv) == code
+        assert _blas_threads(openblas) == 2
+    capsys.readouterr()
+
+
+def test_overlapping_commands_share_one_blas_thread_scope(openblas):
+    # the count is one per process: the first command to leave must not
+    # restore it under the other, and the last must restore the original
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    counts = {}
+
+    def first():
+        with _one_blas_thread():
+            first_in.set()
+            assert second_in.wait(30)
+            counts["first"] = _blas_threads(openblas)
+
+    def second():
+        assert first_in.wait(30)
+        with _one_blas_thread():
+            second_in.set()
+            assert first_out.wait(30)
+            counts["second"] = _blas_threads(openblas)
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    threads[0].join(30)
+    assert not threads[0].is_alive()
+    counts["between"] = _blas_threads(openblas)
+    first_out.set()
+    threads[1].join(30)
+    assert not threads[1].is_alive()
+    assert counts == {"first": 1, "between": 1, "second": 1}
+    assert _blas_threads(openblas) == 2

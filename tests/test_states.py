@@ -430,6 +430,39 @@ def test_plus_state_evolution_factorizes_one_block():
     assert np.isnan(evolve(plan, 0.7, StateVector(8, broken)).amps).any()
 
 
+@pytest.mark.parametrize("spec", [ModelSpec("tfim", 8, {"gamma": 0.7}),
+                                  ModelSpec("cluster", 8, {"g_x": 1.0, "g_zz": 0.5, "g_zxz": 0.3})],
+                         ids=lambda spec: spec.kind)
+def test_self_paired_fill_takes_no_empty_eigh(monkeypatch, spec):
+    # T keeps both blocks: each takes an SVD, and no pair is left to an eigh
+    h = build(spec)
+    plan = EvolutionPlan.exact(h, known_time_reversal(spec))
+    batches = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        batches.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    plan.factorization()
+    assert plan._filled.all()
+    assert not [shape for shape in batches if 0 in shape], batches
+
+
+def test_lowest_eigenvalue_fills_no_block():
+    h = build(ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1}))
+    plan = EvolutionPlan.exact(h)
+    want = float(exact_reference(h)[0])
+    # from no filled block, then from the plus state's one and the rest
+    for filled in (0, 1):
+        assert abs(plan.lowest_eigenvalue() - want) <= 1e-14 * abs(want)
+        assert np.count_nonzero(plan._filled) == filled
+        evolve(plan, 0.3, plus_state(8))
+    with pytest.raises(ValueError, match="exact plan"):
+        EvolutionPlan.trotter2(h, 10).lowest_eigenvalue()
+
+
 def test_threads_filling_different_blocks_agree():
     # states that each reach their own few blocks, evolved by racing threads on
     # a fresh plan, so the fills interleave

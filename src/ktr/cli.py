@@ -49,7 +49,7 @@ from .krylov import (SAMPLES_PER_STEP, TimeGrid, ToeplitzPencil, _fine_grid, bui
                      reconstruct_b_from_a, sample_expectation_curves,
                      stencil_indices)
 from .models import MODEL_KINDS, PARAM_KEYS, ModelSpec, build, gauss_generators, known_time_reversal
-from .paulis import PauliSum, pauli_sum_from_text
+from .paulis import pauli_sum_from_text
 from .states import EvolutionPlan, StateVector, plus_state
 from .symmetry import Infeasible, solve_time_reversal
 
@@ -304,25 +304,25 @@ def _resolve_init(config: ExperimentConfig, t):
     return phi, project(phi, ProjectorSpec.blocks_of(t, bits)), len(bits)
 
 
-def _build_pencil(method: str, config: ExperimentConfig, h: PauliSum, t,
-                  phi: StateVector, v0: StateVector | None,
-                  n_blocks: int, grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
+def _build_pencil(method: str, config: ExperimentConfig, phi: StateVector,
+                  v0: StateVector | None, n_blocks: int, grid: TimeGrid,
+                  plan: EvolutionPlan) -> ToeplitzPencil:
     name, _, arg = method.partition(":")
     if name == "kqd":
-        return build_kqd(h, v0 if v0 is not None else phi, grid, plan)
+        return build_kqd(v0 if v0 is not None else phi, grid, plan)
     if name == "ktr":
-        return build_ktr(h, t, v0, grid, plan)
+        return build_ktr(v0, grid, plan)
     if name == "implicit":
-        return implicit_hadamard_rows(phi, h, t, grid, plan)
+        return implicit_hadamard_rows(phi, grid, plan)
     if name == "local":
         projector_set = enumerate_local_projectors(
-            ProjectorSpec.blocks_of(t, (0,) * n_blocks).t_blocks)
-        return extended_local_pencil(phi, projector_set, h, t, grid, plan, int(arg))
+            ProjectorSpec.blocks_of(plan.involution(), (0,) * n_blocks).t_blocks)
+        return extended_local_pencil(phi, projector_set, grid, plan, int(arg))
     # reconstruction routes: one row direct, the other from fine samples;
     # the derivative reads only its stencil, so only that is sampled
     indices = stencil_indices(grid, config.samples_per_step) if name == "derivative" else None
     a_fine, b_fine = sample_expectation_curves(
-        h, t, v0, grid, plan, samples_per_step=config.samples_per_step, indices=indices)
+        v0, grid, plan, samples_per_step=config.samples_per_step, indices=indices)
     # the curves keep the fine-grid length: every samples_per_step-th sample is a Krylov point
     if name == "derivative":
         row_a = reconstruct_a_from_b(b_fine, grid, config.samples_per_step)
@@ -347,9 +347,9 @@ def run(config: ExperimentConfig) -> RunReport:
     if config.evolution == "exact":
         plan = EvolutionPlan.exact(h, t)
     else:
-        plan = EvolutionPlan.trotter2(h, config.steps_per_unit)
+        plan = EvolutionPlan.trotter2(h, config.steps_per_unit, t)
     phi, v0, n_blocks = _resolve_init(config, t)
-    pencils = [_build_pencil(method, config, h, t, phi, v0, n_blocks, grid, plan)
+    pencils = [_build_pencil(method, config, phi, v0, n_blocks, grid, plan)
                for method in config.methods]
 
     if config.model.kind == "z2higgs":

@@ -199,11 +199,10 @@ class SectorBasis:
     """Orbit x character basis of the group of reduced X-type rows and
     Z-type masks; see the module docstring.  Arrays are read-only."""
 
-    pivots: tuple[int, ...]   # pivot bit of each reduced X-type row
     orbit: np.ndarray         # orbit[a] = S(a), 2**r_x entries
     reps: np.ndarray          # (2**r_z, k) representatives, one row per Z sector
-    slot: np.ndarray          # slot[rep] = index of rep in reps flattened, sector * k + column
     order: np.ndarray         # (2**r_x, 2**r_z * k): index of S(a) ^ rep, reps flattened
+    place: np.ndarray         # inverse of order: place[S(a) ^ rep] = a * 2**r_z * k + slot
     hadamards: tuple[np.ndarray, np.ndarray]  # H_{2**hi}, H_{2**lo}, hi + lo = r_x
 
     @classmethod
@@ -227,14 +226,14 @@ class SectorBasis:
             sector |= _parity(reps & row) << j
         # every Z sector holds the same number k of representatives
         reps = reps[np.argsort(sector, kind="stable")].reshape(2 ** len(z_rows), -1)
-        slot = np.zeros_like(index)
-        slot[reps] = np.arange(reps.size).reshape(reps.shape)
         order = orbit[:, None] ^ reps.ravel()
+        place = np.empty_like(index)
+        place[order.ravel()] = index
         rx = len(pivots)
         hadamards = (_hadamard((rx + 1) // 2), _hadamard(rx // 2))
-        for arr in (orbit, reps, slot, order, *hadamards):
+        for arr in (orbit, reps, order, place, *hadamards):
             arr.flags.writeable = False
-        return cls(pivots, orbit, reps, slot, order, hadamards)
+        return cls(orbit, reps, order, place, hadamards)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -294,16 +293,15 @@ class SectorBasis:
         maps it to, shape (B,), and per column the row there and the sign,
         both shape (B, k)."""
         sectors, k = self.reps.shape
-        v = self.reps ^ p.x
-        a0 = np.zeros_like(v)
-        delta = 0
-        for i, bit in enumerate(self.pivots):
-            a0[(v & bit) != 0] |= 1 << i
-            delta |= (p.z & int(self.orbit[1 << i])).bit_count() % 2 << i
+        # rep ^ x = S(a0) ^ rep(rep ^ x), at a flat slot of the representatives
+        a0, slots = np.divmod(self.place[self.reps ^ p.x], self.reps.size)
+        # delta_i = parity(z & s_i), where s_i = S(2**i)
+        delta = sum((p.z & int(self.orbit[1 << i])).bit_count() % 2 << i
+                    for i in range(self.orbit.size.bit_length() - 1))
         characters, zetas = np.divmod(np.asarray(blocks, dtype=np.int64), sectors)
         characters ^= delta
         signs = p.signs(self.reps)[zetas] * (1.0 - 2.0 * _parity(a0[zetas] & characters[:, None]))
-        to_sector, rows = np.divmod(self.slot[v ^ self.orbit[a0]], k)
+        to_sector, rows = np.divmod(slots, k)
         # every representative of one Z sector lands in the same sector
         return characters * sectors + to_sector[zetas, 0], rows[zetas], signs
 

@@ -6,12 +6,14 @@ both overlap matrices
     A[a, b] = <v(t_a)| H |v(t_b)>,      B[a, b] = <v(t_a)|v(t_b)>
 
 are Hermitian-Toeplitz, so a pencil is stored as the pair of first rows.
-``build_kqd`` is the canonical route; its entries are full-time overlaps,
-complex in general.  For a start state stabilized by an involution T that
-anticommutes with H, THT = -H makes the B row real and the A row purely
-imaginary, and ``build_kqd`` returns them so when the plan carries that T,
-as every other route's rows are: the pencils that :func:`ktr.gevp.solve`
-splits into halves.  Every other route evaluates one quantity in one kernel,
+Every route takes its start state or states, its grid and an
+:class:`ktr.states.EvolutionPlan`, the one carrier of H and of the
+involution T that anticommutes with it.  ``build_kqd`` is the canonical
+route; its entries are full-time overlaps, complex in general.  For a start
+state that T stabilizes, THT = -H makes the B row real and the A row purely
+imaginary, and ``build_kqd`` on an exact plan returns them so, as every
+other route's rows are: the pencils that :func:`ktr.gevp.solve` splits into
+halves.  Every other route evaluates one quantity in one kernel,
 ``_signed_curves``, over a list of (weight, state) branches:
 
     a(tau) = sum_b w_b <v_b(tau)| iHT |v_b(tau)>,
@@ -38,12 +40,10 @@ and differs only in its branch list and its times:
   and reads only them (``stencil_indices``, at most 5 m samples), which is
   all the ``derivative`` route evaluates.
 
-Every route asks the kernel for a sorted array of grid indices k, tau =
-k * step: ``np.arange(m)`` for the half-time routes, the whole fine grid
-or the stencil for the reconstruction routes.
-
-In ``trotter2`` mode each sample advances the previous state by the grid
-increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
+Each asks the kernel for a sorted array of grid indices k, tau = k * step:
+``np.arange(m)`` for the half-time routes, the whole fine grid or the
+stencil for the reconstruction routes.  In ``trotter2`` mode each sample
+advances the previous state by the grid increment: dt for ``kqd``, dt / 2 for the half-time routes, dt / (2 *
 samples_per_step) on the fine grid.  A pencil then sees powers of one
 Trotter step unitary and B is a Gram matrix; ``kqd`` and the half-time
 routes differ when ceil(dt * spu) != 2 ceil(dt / 2 * spu) for
@@ -67,7 +67,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NotTimeReversalError
 from .initial import (PROJECTION_PROB_FLOOR, ProjectorSpec, enumerate_local_projectors,
                       project_array)
 # no caller here, but the benchmark tracer wraps ktr.krylov.project
@@ -209,27 +208,27 @@ def _sample_states(plan: EvolutionPlan, step: float, count: int,
         yield states
 
 
-def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
-              plan: EvolutionPlan) -> ToeplitzPencil:
+def build_kqd(v0: StateVector, grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
     """Canonical first-row construction: B row <v0|v(t_j)> and A row
     <H v0|v(t_j)>, with H|v0> summed once.
 
-    The entries are complex in general.  If the plan was built with an
-    involution T that stabilizes v0 (T|v0> = +-|v0>, within
-    ``STABILIZER_TOL`` as in ``_stabilized``), THT = -H gives
-    <v0|exp(-iHt)|v0> = <v0|exp(iHt)|v0>, so the B row is real and the A
-    row purely imaginary; both are returned so, each residue checked
-    against :data:`ktr.states.EXPECTATION_IMAG_TOL`, and
-    :func:`ktr.gevp.solve` takes its time-reversal path."""
+    The entries are complex in general.  If the plan is exact and its T
+    stabilizes v0 (T|v0> = +-|v0>, within ``STABILIZER_TOL`` as in
+    ``_stabilized``), THT = -H gives <v0|exp(-iHt)|v0> = <v0|exp(iHt)|v0>,
+    so the B row is real and the A row purely imaginary; both are returned
+    so, each residue checked against :data:`ktr.states.EXPECTATION_IMAG_TOL`,
+    and :func:`ktr.gevp.solve` takes its time-reversal path.  A Trotter step
+    does not commute with H, so ``trotter2`` rows stay complex."""
     _check_unit_norm(v0)
     hv0 = StateVector(v0.n, sum(coeff * apply_action(action, v0.amps)
-                                for coeff, action in h.compiled()))
+                                for coeff, action in plan.h.compiled()))
     row_a = np.zeros(grid.m, dtype=complex)
     row_b = np.zeros(grid.m, dtype=complex)
     for j, (vt,) in enumerate(_sample_states(plan, grid.dt, grid.m, [v0])):
         row_b[j] = inner(v0, vt)
         row_a[j] = inner(hv0, vt)
-    if plan.t is not None and _stabilizer_sign(plan.t, v0)[0] <= STABILIZER_TOL:
+    if (plan.mode == "exact" and plan.t is not None
+            and _stabilizer_sign(plan.t, v0)[0] <= STABILIZER_TOL):
         return ToeplitzPencil(1j * _real(-1j * row_a), _real(row_b), grid)
     return ToeplitzPencil(row_a, row_b, grid)
 
@@ -237,10 +236,10 @@ def build_kqd(h: PauliSum, v0: StateVector, grid: TimeGrid,
 _Branches = list[tuple[float, StateVector]]
 
 
-def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float,
-                   indices: np.ndarray, plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The one pencil kernel: curves (a, b) of iHT and T at tau = k * step
-    for each k of the sorted, distinct int array ``indices``.
+def _signed_curves(branches: _Branches, step: float, indices: np.ndarray,
+                   plan: EvolutionPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The one pencil kernel: curves (a, b) of the plan's iHT and T at
+    tau = k * step for each k of the sorted, distinct int array ``indices``.
 
     a[i] = sum_b w_b <v_b(tau)| iHT |v_b(tau)> at tau = indices[i] * step,
     and b[i] likewise with T, over the (w_b, v_b) ``branches``, where
@@ -249,19 +248,14 @@ def _signed_curves(h: PauliSum, t: PauliString, branches: _Branches, step: float
     ``trotter2`` steps amplitude vectors along every grid point up to the
     last index and takes two expectations at each requested one.
     """
-    # looked up in ktr.symmetry per call, where the benchmark tracer wraps it
-    from .symmetry import verify_time_reversal
-
-    if not verify_time_reversal(t, h):
-        raise NotTimeReversalError(
-            "operator is not an anticommuting Hermitian involution for this Hamiltonian")
+    t = plan.involution()
     starts = [state for _, state in branches]
     if plan.mode == "exact":
         weights = np.array([weight for weight, _ in branches])
-        a, b = reversal_curves(plan, t, starts, step, indices)
+        a, b = reversal_curves(plan, starts, step, indices)
         return weights @ a, weights @ b
-    t_obs = PauliSum(h.n, ((1.0, t),))
-    iht = build_iht_observable(h, t)
+    t_obs = PauliSum(t.n, ((1.0, t),))
+    iht = build_iht_observable(plan.h, t)
     a = np.zeros(indices.size)
     b = np.zeros(indices.size)
     slots = {int(k): i for i, k in enumerate(indices)}
@@ -282,12 +276,12 @@ def _stabilizer_sign(t: PauliString, v0: StateVector) -> tuple[float, int]:
     return min((np.max(np.abs(reflected - sign * v0.amps)), sign) for sign in (1, -1))
 
 
-def _stabilized(t: PauliString, v0: StateVector) -> _Branches:
-    """The branch list [(c, v0)], with c the sign of T|v0> = c|v0>.
+def _stabilized(plan: EvolutionPlan, v0: StateVector) -> _Branches:
+    """The branch list [(c, v0)], with c the sign of T|v0> = c|v0>, T the plan's.
 
     c is whichever of +1 and -1 fits within ``STABILIZER_TOL`` (max norm);
     a state that neither fits is not stabilized by T and is refused."""
-    deviation, c = _stabilizer_sign(t, v0)
+    deviation, c = _stabilizer_sign(plan.involution(), v0)
     if deviation > STABILIZER_TOL:
         raise ValueError(
             f"initial state is not stabilized by the involution (deviation {deviation:.3e})")
@@ -308,8 +302,7 @@ def _ranked_branches(phi: StateVector, projector_set: list[ProjectorSpec],
             for prob, _, spec, work in ranked[:subset_size] if prob > PROJECTION_PROB_FLOOR]
 
 
-def build_ktr(h: PauliSum, t: PauliString, v0: StateVector,
-              grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
+def build_ktr(v0: StateVector, grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
     """Expectation-only route at half times for a stabilized start state.
 
     B row:  c <v(t_j/2)| T |v(t_j/2)>            (real)
@@ -317,12 +310,12 @@ def build_ktr(h: PauliSum, t: PauliString, v0: StateVector,
 
     where T|v0> = c|v0>; v0 must be stabilized by T with either sign.
     """
-    a, b = _signed_curves(h, t, _stabilized(t, v0), 0.5 * grid.dt, np.arange(grid.m), plan)
+    a, b = _signed_curves(_stabilized(plan, v0), 0.5 * grid.dt, np.arange(grid.m), plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
-def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
-                           grid: TimeGrid, plan: EvolutionPlan) -> ToeplitzPencil:
+def implicit_hadamard_rows(phi: StateVector, grid: TimeGrid,
+                           plan: EvolutionPlan) -> ToeplitzPencil:
     """Signed overlap rows for an arbitrary (unstabilized) start state.
 
     B row:  Re <phi| U(t_j) |phi>
@@ -333,12 +326,13 @@ def implicit_hadamard_rows(phi: StateVector, h: PauliSum, t: PauliString,
     symmetric start states where the route degenerates to ``build_ktr``.
     This is the local route on the one-block set {(I + T) / 2, (I - T) / 2}.
     """
-    return extended_local_pencil(phi, enumerate_local_projectors((t,)), h, t, grid, plan, 2)
+    return extended_local_pencil(
+        phi, enumerate_local_projectors((plan.involution(),)), grid, plan, 2)
 
 
 def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
-                          h: PauliSum, t: PauliString, grid: TimeGrid,
-                          plan: EvolutionPlan, subset_size: int) -> ToeplitzPencil:
+                          grid: TimeGrid, plan: EvolutionPlan,
+                          subset_size: int) -> ToeplitzPencil:
     """Full pencil from the blockwise-projector route.
 
     The B row accumulates sum_i p(alpha_i) <phi| P_i (sqrtU+ T sqrtU) P_i |phi>
@@ -351,13 +345,12 @@ def extended_local_pencil(phi: StateVector, projector_set: list[ProjectorSpec],
     if not 1 <= subset_size <= len(projector_set):
         raise ValueError("subset size out of range")
     _check_unit_norm(phi)
-    a, b = _signed_curves(h, t, _ranked_branches(phi, projector_set, subset_size),
+    a, b = _signed_curves(_ranked_branches(phi, projector_set, subset_size),
                           0.5 * grid.dt, np.arange(grid.m), plan)
     return ToeplitzPencil(1j * a, b, grid)
 
 
-def sample_expectation_curves(h: PauliSum, t: PauliString, v0: StateVector,
-                              grid: TimeGrid, plan: EvolutionPlan,
+def sample_expectation_curves(v0: StateVector, grid: TimeGrid, plan: EvolutionPlan,
                               samples_per_step: int = SAMPLES_PER_STEP,
                               indices: np.ndarray | None = None,
                               ) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +371,7 @@ def sample_expectation_curves(h: PauliSum, t: PauliString, v0: StateVector,
     if (indices.size == 0 or indices[0] < 0 or indices[-1] >= total
             or np.any(np.diff(indices) <= 0)):
         raise ValueError(f"sample indices must be sorted, distinct and in [0, {total})")
-    a, b = _signed_curves(h, t, _stabilized(t, v0), delta, indices, plan)
+    a, b = _signed_curves(_stabilized(plan, v0), delta, indices, plan)
     a_fine = np.full(total, np.nan)
     b_fine = np.full(total, np.nan)
     a_fine[indices] = a

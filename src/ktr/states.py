@@ -173,7 +173,11 @@ def _real(values):
 
 
 class EvolutionPlan:
-    """Reusable strategy for evolving states under one Hamiltonian.
+    """Reusable strategy for evolving states under one Hamiltonian H, and
+    the one carrier of H and of an optional involution ``t``, checked here
+    in both modes to anticommute with H: every pencil route reads both from
+    the plan, and a time-reversal route refuses a plan without T
+    (:meth:`involution`).
 
     ``exact`` mode builds the sector basis with the plan (more than
     :data:`ktr.paulis.DENSE_QUBIT_CAP` qubits are refused there, before
@@ -185,14 +189,14 @@ class EvolutionPlan:
     state to many times pays for the basis change and Q_b+ once; an entry is
     read-only and goes when its state is collected.  The blocks a state does
     not reach are dropped, and the largest weight so dropped is
-    :attr:`dropped_weight`.  Built with an involution ``t``, it fills blocks
-    in pairs {b, pi(b)} and pairs their eigenvectors under T
-    (:meth:`reversal`); built without, it computes no image.  Filled blocks never change: fills run under one lock and write blocks no
-    reader has been handed, and the arrays handed out are read-only views, so
-    concurrent evolutions may share them.  ``trotter2`` mode builds no basis
-    and applies the symmetric second-order splitting of :meth:`merged_step`:
-    one ``evolve`` over an increment dtau takes ceil(|dtau| * steps_per_unit)
-    equal steps.
+    :attr:`dropped_weight`.  Built with T, it fills blocks in pairs
+    {b, pi(b)} and pairs their eigenvectors under T (:meth:`reversal`);
+    built without, it computes no image.  Filled blocks never change: fills
+    run under one lock and write blocks no reader has been handed, and the
+    arrays handed out are read-only views, so concurrent evolutions may share
+    them.  ``trotter2`` mode builds no basis and applies the symmetric
+    second-order splitting of :meth:`merged_step`: one ``evolve`` over an
+    increment dtau takes ceil(|dtau| * steps_per_unit) equal steps.
     """
 
     def __init__(self, h: PauliSum, mode: str = "exact",
@@ -204,6 +208,8 @@ class EvolutionPlan:
                     or steps_per_unit < 1):
                 raise ValueError("trotter2 mode needs an integral steps_per_unit >= 1")
             steps_per_unit = int(steps_per_unit)
+        if t is not None and not verify_time_reversal(t, h):
+            raise NotTimeReversalError("T is not an anticommuting Hermitian involution of H")
         self.h = h
         self.mode = mode
         self.steps_per_unit = steps_per_unit
@@ -213,8 +219,6 @@ class EvolutionPlan:
         if mode == "exact":
             self._basis = sector_basis(h)
             shape = self._basis.shape
-            if t is not None and not verify_time_reversal(t, h):
-                raise NotTimeReversalError("T is not an anticommuting Hermitian involution of H")
             # pi, and per column of each block its row in pi(b) and its sign;
             # without T, pi alone, which keeps every block in place
             self._image = ((np.arange(shape[0]),) if t is None
@@ -236,8 +240,15 @@ class EvolutionPlan:
         return cls(h, mode="exact", t=t)
 
     @classmethod
-    def trotter2(cls, h: PauliSum, steps_per_unit: int) -> "EvolutionPlan":
-        return cls(h, mode="trotter2", steps_per_unit=steps_per_unit)
+    def trotter2(cls, h: PauliSum, steps_per_unit: int,
+                 t: PauliString | None = None) -> "EvolutionPlan":
+        return cls(h, mode="trotter2", steps_per_unit=steps_per_unit, t=t)
+
+    def involution(self) -> PauliString:
+        """The plan's T, which every time-reversal route reads from here."""
+        if self.t is None:
+            raise NotTimeReversalError("the plan was built without an anticommuting involution T")
+        return self.t
 
     @property
     def dropped_weight(self) -> float:
@@ -347,15 +358,14 @@ class EvolutionPlan:
                 self._dropped = max(self._dropped, dropped)
         return entry
 
-    def reversal(self, t: PauliString, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """T in the block eigenbasis (exact mode, the T the plan was built
-        with): T q_j = s_j q_p(j) for each eigen-entry j = b * k + column, as
-        the flat partner index p(j) and the sign s_j = +-1, both (2**r, k)
-        and read-only, with L_p(j) = -L_j bit for bit, p(p(j)) = j and
-        s_p(j) s_j = 1; filled with the factorization of ``blocks`` (as
-        there) and their images, zero on blocks never asked for."""
-        if self.mode != "exact" or t != self.t:
-            raise ValueError("reversal needs an exact plan built with this involution")
+    def reversal(self, blocks=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's T in the block eigenbasis (exact mode): T q_j = s_j q_p(j)
+        for each eigen-entry j = b * k + column, as the flat partner index
+        p(j) and the sign s_j = +-1, both (2**r, k) and read-only, with
+        L_p(j) = -L_j bit for bit, p(p(j)) = j and s_p(j) s_j = 1; filled
+        with the factorization of ``blocks`` (as there) and their images,
+        zero on blocks never asked for."""
+        self.involution()
         self.factorization(blocks)
         return self._arrays[2:]
 
@@ -472,15 +482,14 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
     return StateVector(s.n, amps)
 
 
-def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVector],
-                    step: float, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reversal_curves(plan: EvolutionPlan, starts: list[StateVector], step: float,
+                    indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<v(tau)| iHT |v(tau)> and <v(tau)| T |v(tau)> at tau = k * step for
     each k of the sorted int array ``indices``, for each v in ``starts``:
     two (len(starts), len(indices)) arrays.
 
-    The exact curves, for the involution T that the plan was built with
-    (another is refused).  With the coefficients c0 = Q+ v and the pairing
-    T q_j = s_j q_p(j) of :meth:`EvolutionPlan.reversal`, and
+    The exact curves of the plan's T.  With c0 = Q+ v, the pairing
+    T q_j = s_j q_p(j) of :meth:`EvolutionPlan.reversal` and
     w_j = s_j conj(c0_p(j)) c0_j, they are b = sum w_j exp(-2i L_j tau) and
     a = -i sum L_j w_j exp(-2i L_j tau): terms j and p(j) are complex
     conjugates, so both are real up to rounding, and each imaginary residue
@@ -499,7 +508,7 @@ def reversal_curves(plan: EvolutionPlan, t: PauliString, starts: list[StateVecto
     entries = [plan.coefficients(s) for s in starts]
     reach = np.logical_or.reduce([reached for reached, _ in entries])
     rows = _rows(reach)
-    partner, signs = (x[rows].ravel() for x in plan.reversal(t, reach))
+    partner, signs = (x[rows].ravel() for x in plan.reversal(reach))
     evals = plan.factorization(rows)[0][rows].ravel()
     # w of every start, then -i L w: the real parts of their sums are b and
     # a, the imaginary parts residue

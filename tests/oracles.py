@@ -321,13 +321,13 @@ def all_blocks_evolve(plan, t: float, amps: np.ndarray) -> np.ndarray:
     return plan._basis.to_amplitudes(_apply_blocks(evecs, phased))
 
 
-def all_blocks_curves(plan, t, starts, step, indices):
+def all_blocks_curves(plan, starts, step, indices):
     """``ktr.states.reversal_curves`` summing over every block of an exact
     plan built with T, one sample at a time: b = sum w exp(-2i L tau) and
     a = -i sum L w exp(-2i L tau), w_j = s_j conj(c0_p(j)) c0_j, from the
     coefficients c0 of :func:`all_blocks_coefficients`."""
     evals = plan.factorization()[0].ravel()
-    partner, signs = (x.ravel() for x in plan.reversal(t))
+    partner, signs = (x.ravel() for x in plan.reversal())
     a = np.empty((len(starts), indices.size))
     b = np.empty((len(starts), indices.size))
     for i, s in enumerate(starts):

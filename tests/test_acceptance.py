@@ -91,7 +91,7 @@ def test_criterion_02_hamiltonian_overlap_identity():
         w = evolve(plan, (tb - ta) / 2.0, prep)
         rhs = 1j * spec.parity * expectation(w, iht)
         worst = max(worst, abs(lhs - rhs))
-    pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 16), plan)
+    pen = build_ktr(prep, TimeGrid(default_dt(h), 16), plan)
     head = abs(pen.row_a[0])
     b_imag = float(np.max(np.abs(pen.row_b.imag)))
     ok = worst <= 1e-10 and head <= 1e-12 and b_imag <= 1e-12
@@ -115,8 +115,8 @@ def test_criterion_03_route_equivalence():
     for h_i, t_i, prep_i in cases:
         plan = EvolutionPlan.exact(h_i, t_i)
         grid = TimeGrid(default_dt(h_i), 32)
-        ktr = build_ktr(h_i, t_i, prep_i, grid, plan)
-        kqd = build_kqd(h_i, prep_i, grid, plan)
+        ktr = build_ktr(prep_i, grid, plan)
+        kqd = build_kqd(prep_i, grid, plan)
         worst_entry = max(worst_entry,
                           float(np.max(np.abs(ktr.matrix_a() - kqd.matrix_a()))),
                           float(np.max(np.abs(ktr.matrix_b() - kqd.matrix_b()))))
@@ -156,8 +156,7 @@ epsilon = 1e-10
     v0 = build_block_product(4, 2)
     oracle = krylov_ritz_grounds(hd, v0.amps, dt, sizes)
 
-    pen = build_ktr(h, t, v0, TimeGrid(dt, 32),
-                    EvolutionPlan.exact(h, t))
+    pen = build_ktr(v0, TimeGrid(dt, 32), EvolutionPlan.exact(h, t))
     results = [solve(pen.prefix(m), 1e-10) for m in sizes]
     via_run = np.array([rec.estimate for rec in report.records])
     via_solve = np.array([res.ground for res in results])
@@ -292,11 +291,11 @@ def test_criterion_08_blockwise_projector_identity():
         return out
 
     reference_row = rhs_row()
-    full = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
+    full = extended_local_pencil(phi, specs, grid, plan, 4).row_b.real
     full_dev = float(np.max(np.abs(full - reference_row)))
     truncated_devs = []
     for subset in (1, 2, 3):
-        row = extended_local_pencil(phi, specs, h, t, grid, plan, subset).row_b.real
+        row = extended_local_pencil(phi, specs, grid, plan, subset).row_b.real
         truncated_devs.append(float(np.max(np.abs(row - reference_row))))
     ok = full_dev <= 1e-10 and all(d > full_dev for d in truncated_devs)
     _verdict(8, "blockwise projector sum rule and truncation", ok,
@@ -313,8 +312,8 @@ def test_criterion_09_row_reconstructions():
     plan = EvolutionPlan.exact(h, t)
     grid = TimeGrid(default_dt(h), 10)
     prep = project(plus_state(6), ProjectorSpec((t,), (0,)))
-    direct = build_ktr(h, t, prep, grid, plan)
-    a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
+    direct = build_ktr(prep, grid, plan)
+    a_fine, b_fine = sample_expectation_curves(prep, grid, plan, 20)
     row_b_rec = reconstruct_b_from_a(a_fine, grid, 20)
     row_a_rec = reconstruct_a_from_b(b_fine, grid, 20)
     err_b = float(np.max(np.abs(row_b_rec - direct.row_b)))

@@ -263,7 +263,7 @@ def test_ktr_pipeline_reaches_reference():
     t = known_time_reversal(spec)
     prep = project(plus_state(8), ProjectorSpec((t,), (0,)))
     plan = EvolutionPlan.exact(h, t)
-    pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 32), plan)
+    pen = build_ktr(prep, TimeGrid(default_dt(h), 32), plan)
     res = solve(pen, 1e-10)
     reference = exact_reference(h)[0]
     assert abs(res.ground - reference) / abs(reference) <= 1e-3
@@ -277,7 +277,7 @@ def test_ground_estimate_monotone_in_m_when_full_rank():
     t = known_time_reversal(spec)
     prep = gauge_start(8, 1)
     plan = EvolutionPlan.exact(h, t)
-    pen = build_ktr(h, t, prep, TimeGrid(default_dt(h), 16), plan)
+    pen = build_ktr(prep, TimeGrid(default_dt(h), 16), plan)
     last = np.inf
     for m in range(2, 17, 2):
         res = solve(pen.prefix(m), 1e-10)
@@ -408,6 +408,7 @@ def _basis_and_string(draw):
 def test_sector_basis_image_is_the_string_action(case):
     basis, p, rng = case
     count, k = basis.shape
+    assert (basis.place[basis.order].ravel() == np.arange(basis.order.size)).all()
     coords = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
     want = basis.to_sectors(kron_matrix(p) @ basis.to_amplitudes(coords))
     targets, rows, signs = basis.image(p, range(count))

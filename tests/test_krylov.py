@@ -78,14 +78,14 @@ def test_toeplitz_pencil_refuses_non_finite_rows(bad):
 def test_kqd_single_qubit_closed_form():
     h = PauliSum(1, ((1.0, PauliString.from_label("Z")),))
     grid = TimeGrid(0.4, 6)
-    pen = build_kqd(h, plus_state(1), grid, EvolutionPlan.exact(h))
+    pen = build_kqd(plus_state(1), grid, EvolutionPlan.exact(h))
     assert np.allclose(pen.row_b, np.cos(grid.dt * np.arange(grid.m)), atol=1e-12)
     assert np.allclose(pen.row_a, -1j * np.sin(grid.dt * np.arange(grid.m)), atol=1e-12)
 
 
 def test_kqd_matches_double_loop_oracle():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    pen = build_kqd(h, prep, grid, plan)
+    pen = build_kqd(prep, grid, plan)
     a_direct, b_direct = overlap_matrices_direct(h, prep.amps, grid)
     assert np.max(np.abs(pen.matrix_a() - a_direct)) <= 1e-10
     assert np.max(np.abs(pen.matrix_b() - b_direct)) <= 1e-10
@@ -98,31 +98,31 @@ def test_kqd_matches_double_loop_oracle():
 
 def test_ktr_equals_kqd_for_stabilized_state():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    ktr = build_ktr(h, t, prep, grid, plan)
-    kqd = build_kqd(h, prep, grid, plan)
+    ktr = build_ktr(prep, grid, plan)
+    kqd = build_kqd(prep, grid, plan)
     assert np.max(np.abs(ktr.row_a - kqd.row_a)) <= 1e-10
     assert np.max(np.abs(ktr.row_b - kqd.row_b)) <= 1e-10
 
 
 def test_kqd_rows_of_a_stabilized_start_are_exactly_real_and_imaginary():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    pen = build_kqd(h, prep, grid, plan)
+    pen = build_kqd(prep, grid, plan)
     assert not pen.row_b.imag.any() and not pen.row_a.real.any()
     # the same values as the complex rows of a plan built without T
-    loose = build_kqd(h, prep, grid, EvolutionPlan.exact(h))
+    loose = build_kqd(prep, grid, EvolutionPlan.exact(h))
     assert np.max(np.abs(loose.row_a - pen.row_a)) <= 1e-12
     assert np.max(np.abs(loose.row_b - pen.row_b)) <= 1e-12
     # a start state T does not stabilize keeps complex rows
-    assert build_kqd(h, plus_state(6), grid, plan).row_b.imag.any()
+    assert build_kqd(plus_state(6), grid, plan).row_b.imag.any()
     # a residue above the tolerance is an inconsistency, not rounding
     with mock.patch("ktr.krylov.inner", lambda a, b: inner(a, b) + 1e-9j):
         with pytest.raises(InternalInconsistencyError, match="imaginary residue"):
-            build_kqd(h, prep, grid, plan)
+            build_kqd(prep, grid, plan)
 
 
 def test_ktr_row_structure():
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    pen = build_ktr(h, t, prep, grid, plan)
+    pen = build_ktr(prep, grid, plan)
     assert np.max(np.abs(pen.row_b.imag)) <= 1e-12
     assert np.max(np.abs(pen.row_a.real)) <= 1e-12
     assert abs(pen.row_a[0]) <= 1e-12
@@ -132,19 +132,54 @@ def test_ktr_row_structure():
 def test_ktr_rejects_unstabilized_state():
     h, t, plan, grid, _ = _tfim_setup(4, m=4)
     with pytest.raises(ValueError):
-        build_ktr(h, t, plus_state(4), grid, plan)
+        build_ktr(plus_state(4), grid, plan)
 
 
 def test_ktr_rejects_commuting_operator():
-    h, _, plan, grid, prep = _tfim_setup(4, m=4)
-    with pytest.raises(NotTimeReversalError):
-        build_ktr(h, PauliString.from_label("XXXX"), prep, grid, plan)
+    # T is checked once, where the plan that carries it is built, in both modes
+    h = build(ModelSpec("tfim", 4, {"gamma": 0.5}))
+    commuting = PauliString.from_label("XXXX")
+    for factory in (lambda: EvolutionPlan.exact(h, commuting),
+                    lambda: EvolutionPlan.trotter2(h, 4, commuting)):
+        with pytest.raises(NotTimeReversalError):
+            factory()
+
+
+_T_ROUTES = {
+    "ktr": lambda t, phi, v0, grid, plan: build_ktr(v0, grid, plan),
+    "implicit": lambda t, phi, v0, grid, plan: implicit_hadamard_rows(phi, grid, plan),
+    "local": lambda t, phi, v0, grid, plan: extended_local_pencil(
+        phi, enumerate_local_projectors([t]), grid, plan, 2),
+    "derivative": lambda t, phi, v0, grid, plan: sample_expectation_curves(
+        v0, grid, plan, 20, stencil_indices(grid, 20)),
+    "integral": lambda t, phi, v0, grid, plan: sample_expectation_curves(v0, grid, plan, 20),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter2"])
+@pytest.mark.parametrize("route", sorted(_T_ROUTES))
+def test_time_reversal_routes_refuse_a_plan_built_without_t(route, mode):
+    h, t, _, grid, prep = _tfim_setup(4, m=4)
+    plan = EvolutionPlan.exact(h) if mode == "exact" else EvolutionPlan.trotter2(h, 10)
+    with pytest.raises(NotTimeReversalError, match="built without an anticommuting involution"):
+        _T_ROUTES[route](t, plus_state(4), prep, grid, plan)
+
+
+def test_trotter_kqd_rows_are_the_same_on_a_plan_with_or_without_t():
+    # a Trotter step does not commute with H, so T does not make the rows
+    # real and imaginary there, and the plan's T leaves them as they are
+    h, t, _, grid, prep = _tfim_setup(6, m=8)
+    with_t, without_t = (build_kqd(prep, grid, EvolutionPlan.trotter2(h, 20, *carried))
+                         for carried in ((t,), ()))
+    assert with_t.row_a.tobytes() == without_t.row_a.tobytes()
+    assert with_t.row_b.tobytes() == without_t.row_b.tobytes()
+    assert with_t.row_a.real.any()
 
 
 def test_implicit_rows_symmetric_state_degenerates_to_ktr():
     h, t, plan, grid, prep = _tfim_setup(6, m=6)
-    imp = implicit_hadamard_rows(prep, h, t, grid, plan)
-    ktr = build_ktr(h, t, prep, grid, plan)
+    imp = implicit_hadamard_rows(prep, grid, plan)
+    ktr = build_ktr(prep, grid, plan)
     assert np.max(np.abs(imp.row_b - ktr.row_b)) <= 1e-12
     assert np.max(np.abs(imp.row_a - ktr.row_a)) <= 1e-12
 
@@ -153,7 +188,7 @@ def test_implicit_rows_match_dense_oracle():
     h, t, plan, grid, _ = _tfim_setup(6, m=6)
     rng = np.random.default_rng(23)
     phi = random_state(6, rng)
-    pen = implicit_hadamard_rows(phi, h, t, grid, plan)
+    pen = implicit_hadamard_rows(phi, grid, plan)
     hd = kron_matrix(h)
     for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         u = dense_evolution(hd, float(tj))
@@ -177,7 +212,7 @@ def test_magnitude_closes_the_re_im_identity():
     h, t, plan, grid, _ = _tfim_setup(4, m=4)
     rng = np.random.default_rng(31)
     phi = random_state(4, rng)
-    pen = implicit_hadamard_rows(phi, h, t, grid, plan)
+    pen = implicit_hadamard_rows(phi, grid, plan)
     for j, tj in enumerate(grid.dt * np.arange(grid.m)):
         mag = abs(inner(phi, evolve(plan, float(tj), phi))) ** 2
         re = pen.row_b[j].real
@@ -193,7 +228,7 @@ def test_extended_local_full_set_matches_dense():
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
     specs = enumerate_local_projectors(blocks)
-    row_b = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
+    row_b = extended_local_pencil(phi, specs, grid, plan, 4).row_b.real
     dense = [dense_projector(s) for s in specs]
     hd = kron_matrix(h)
     for j, tj in enumerate(grid.dt * np.arange(grid.m)):
@@ -208,8 +243,8 @@ def test_extended_local_truncation_deviates():
     phi = random_state(8, rng)
     blocks = ProjectorSpec.blocks_of(t, (0, 0)).t_blocks
     specs = enumerate_local_projectors(blocks)
-    full = extended_local_pencil(phi, specs, h, t, grid, plan, 4).row_b.real
-    partial = extended_local_pencil(phi, specs, h, t, grid, plan, 1).row_b.real
+    full = extended_local_pencil(phi, specs, grid, plan, 4).row_b.real
+    partial = extended_local_pencil(phi, specs, grid, plan, 1).row_b.real
     assert np.max(np.abs(partial - full)) > 1e-3
 
 
@@ -219,7 +254,7 @@ def test_extended_local_single_block_rows_match_overlap_oracle():
     rng = np.random.default_rng(47)
     phi = random_state(4, rng)
     specs = enumerate_local_projectors([t])
-    pen = extended_local_pencil(phi, specs, h, t, grid, plan, 2)
+    pen = extended_local_pencil(phi, specs, grid, plan, 2)
     a, b = overlap_matrices_direct(h, phi.amps, grid)
     assert np.max(np.abs(pen.row_b - b[0].real)) <= 1e-12
     assert np.max(np.abs(pen.row_a - 1j * a[0].imag)) <= 1e-12
@@ -246,19 +281,19 @@ def test_reconstruct_single_qubit_closed_forms():
     prep = project(plus_state(1), ProjectorSpec((t,), (0,)))
     plan = EvolutionPlan.exact(h, t)
     grid = TimeGrid(0.3, 6)
-    a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
+    a_fine, b_fine = sample_expectation_curves(prep, grid, plan, 20)
     taus = np.arange(a_fine.size) * (0.5 * grid.dt / 20)
     assert np.max(np.abs(b_fine - np.cos(2 * taus))) <= 1e-12
     assert np.max(np.abs(a_fine - (-np.sin(2 * taus)))) <= 1e-12
-    direct = build_ktr(h, t, prep, grid, plan)
+    direct = build_ktr(prep, grid, plan)
     assert np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 20) - direct.row_b)) <= 1e-9
     assert np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 20) - direct.row_a)) <= 1e-7
 
 
 def test_reconstruction_errors_at_default_density():
     h, t, plan, grid, prep = _tfim_setup(6, m=10)
-    direct = build_ktr(h, t, prep, grid, plan)
-    a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 20)
+    direct = build_ktr(prep, grid, plan)
+    a_fine, b_fine = sample_expectation_curves(prep, grid, plan, 20)
     err_b = np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 20) - direct.row_b))
     err_a = np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 20) - direct.row_a))
     assert err_b <= 1e-6
@@ -267,11 +302,11 @@ def test_reconstruction_errors_at_default_density():
 
 def test_reconstruction_refinement_orders():
     h, t, plan, grid, prep = _tfim_setup(6, m=6)
-    direct = build_ktr(h, t, prep, grid, plan)
+    direct = build_ktr(prep, grid, plan)
     densities = [10, 20, 40]
     errs_b, errs_a = [], []
     for sps in densities:
-        a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, sps)
+        a_fine, b_fine = sample_expectation_curves(prep, grid, plan, sps)
         errs_b.append(np.max(np.abs(reconstruct_b_from_a(a_fine, grid, sps) - direct.row_b)))
         errs_a.append(np.max(np.abs(reconstruct_a_from_b(b_fine, grid, sps) - direct.row_a)))
     slope_b = np.polyfit(np.log([1 / d for d in densities]), np.log(errs_b), 1)[0]
@@ -297,10 +332,10 @@ def test_reconstruction_input_validation():
     h, t, plan, grid, prep = _tfim_setup(4, m=4)
     for sps in (0, 7):
         with pytest.raises(ValueError, match="positive even"):
-            sample_expectation_curves(h, t, prep, grid, plan, sps)
+            sample_expectation_curves(prep, grid, plan, sps)
     for indices in ([3, 2], [1, 1], [-1, 2], [0, 61], []):
         with pytest.raises(ValueError, match="sorted, distinct"):
-            sample_expectation_curves(h, t, prep, grid, plan, 20, np.array(indices, dtype=int))
+            sample_expectation_curves(prep, grid, plan, 20, np.array(indices, dtype=int))
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,12 +372,12 @@ def test_reconstruction_refuses_a_curve_sampled_at_another_density():
     # by 3.4 (B) and 6.1 (A) with no error; read at 40 it is within 5e-9 (B)
     # and 4.5e-7 (A)
     h, t, plan, grid, prep = _tfim_setup(6, m=8)
-    a_fine, b_fine = sample_expectation_curves(h, t, prep, grid, plan, 40)
+    a_fine, b_fine = sample_expectation_curves(prep, grid, plan, 40)
     with pytest.raises(ValueError, match="exactly 141 samples, got 281"):
         reconstruct_b_from_a(a_fine, grid, 20)
     with pytest.raises(ValueError, match="exactly 141 samples, got 281"):
         reconstruct_a_from_b(b_fine, grid, 20)
-    direct = build_ktr(h, t, prep, grid, plan)
+    direct = build_ktr(prep, grid, plan)
     assert np.max(np.abs(reconstruct_b_from_a(a_fine, grid, 40) - direct.row_b)) <= 1e-8
     assert np.max(np.abs(reconstruct_a_from_b(b_fine, grid, 40) - direct.row_a)) <= 1e-6
 
@@ -367,9 +402,9 @@ def test_stencil_indices_are_the_derivative_windows():
 
 def test_derivative_reads_only_its_stencil():
     h, t, plan, grid, prep = _tfim_setup(6, m=10)
-    a_full, b_full = sample_expectation_curves(h, t, prep, grid, plan, 20)
+    a_full, b_full = sample_expectation_curves(prep, grid, plan, 20)
     stencil = stencil_indices(grid, 20)
-    a_part, b_part = sample_expectation_curves(h, t, prep, grid, plan, 20, stencil)
+    a_part, b_part = sample_expectation_curves(prep, grid, plan, 20, stencil)
     off = np.setdiff1d(np.arange(b_full.size), stencil)
     assert np.isnan(a_part[off]).all() and np.isnan(b_part[off]).all()
     assert np.max(np.abs(b_part[stencil] - b_full[stencil])) <= 1e-14
@@ -388,13 +423,13 @@ def test_derivative_reads_only_its_stencil():
 
 def test_trotter_curves_on_a_subset_match_the_full_grid_bit_for_bit():
     h, t, _, grid, prep = _tfim_setup(6, m=6)
-    plan = EvolutionPlan.trotter2(h, 40)
-    branches = _stabilized(t, prep)
+    plan = EvolutionPlan.trotter2(h, 40, t)
+    branches = _stabilized(plan, prep)
     step = 0.5 * grid.dt / 4
     count = (grid.m - 1) * 4 + 1
-    a_full, b_full = _signed_curves(h, t, branches, step, np.arange(count), plan)
+    a_full, b_full = _signed_curves(branches, step, np.arange(count), plan)
     for subset in (stencil_indices(grid, 4), np.array([0, 7, 8, count - 1]), np.array([5])):
-        a, b = _signed_curves(h, t, branches, step, subset, plan)
+        a, b = _signed_curves(branches, step, subset, plan)
         assert np.array_equal(a, a_full[subset]) and np.array_equal(b, b_full[subset])
 
 
@@ -404,11 +439,11 @@ def test_phi_routes_require_unit_norm():
     doubled = StateVector(4, 2.0 * phi.amps)
     specs = enumerate_local_projectors([t])
     with pytest.raises(ValueError, match="unit norm"):
-        build_kqd(h, doubled, grid, plan)
+        build_kqd(doubled, grid, plan)
     with pytest.raises(ValueError, match="unit norm"):
-        implicit_hadamard_rows(doubled, h, t, grid, plan)
+        implicit_hadamard_rows(doubled, grid, plan)
     with pytest.raises(ValueError, match="unit norm"):
-        extended_local_pencil(doubled, specs, h, t, grid, plan, 2)
+        extended_local_pencil(doubled, specs, grid, plan, 2)
 
 
 def test_phi_routes_refuse_a_nan_state():
@@ -420,11 +455,11 @@ def test_phi_routes_refuse_a_nan_state():
     phi = StateVector(4, amps)
     specs = enumerate_local_projectors([t])
     with pytest.raises(ValueError, match="unit norm"):
-        build_kqd(h, phi, grid, plan)
+        build_kqd(phi, grid, plan)
     with pytest.raises(ValueError, match="unit norm"):
-        implicit_hadamard_rows(phi, h, t, grid, plan)
+        implicit_hadamard_rows(phi, grid, plan)
     with pytest.raises(ValueError, match="unit norm"):
-        extended_local_pencil(phi, specs, h, t, grid, plan, 2)
+        extended_local_pencil(phi, specs, grid, plan, 2)
 
 
 def test_trotter_pencils_step_along_the_grid():
@@ -441,19 +476,19 @@ def test_trotter_pencils_step_along_the_grid():
         assert rec.rel_error <= 1e-3, rec.method
     h = build(config.model)
     t = known_time_reversal(config.model)
-    plan = EvolutionPlan.trotter2(h, 100)
+    plan = EvolutionPlan.trotter2(h, 100, t)
     grid = TimeGrid(default_dt(h), 32)
     phi = plus_state(8)
     prep = project(phi, ProjectorSpec.blocks_of(t, (0, 0)))
-    for pencil in (build_kqd(h, prep, grid, plan), build_ktr(h, t, prep, grid, plan),
-                   implicit_hadamard_rows(phi, h, t, grid, plan)):
+    for pencil in (build_kqd(prep, grid, plan), build_ktr(prep, grid, plan),
+                   implicit_hadamard_rows(phi, grid, plan)):
         b_evals = solve(pencil).b_eigenvalues
         assert abs(b_evals[0] / b_evals[-1]) <= 1e-12
 
 
 def test_pencil_prefix():
     h, t, plan, grid, prep = _tfim_setup(4, m=8)
-    pen = build_ktr(h, t, prep, grid, plan)
+    pen = build_ktr(prep, grid, plan)
     sub = pen.prefix(4)
     assert sub.grid.m == 4
     assert np.array_equal(sub.row_b, pen.row_b[:4])
@@ -492,7 +527,7 @@ def test_row_entries_independent_across_threads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         concurrent = list(pool.map(entry, range(grid.m)))
     assert sequential == concurrent
-    pen = build_ktr(h, t, prep, grid, plan)
+    pen = build_ktr(prep, grid, plan)
     assert np.allclose(pen.row_b.real, sequential, atol=1e-14)
 
 
@@ -501,9 +536,9 @@ def test_reconstruction_routes_at_negative_stabilizer_sign():
     # meet the direct ktr rows; a sign applied twice, or not at all, flips them
     h, t, plan, grid, _ = _tfim_setup(6, m=10)
     v0 = project(plus_state(6), ProjectorSpec((t,), (1,)))
-    direct = build_ktr(h, t, v0, grid, plan)
-    assert np.max(np.abs(direct.row_b - build_kqd(h, v0, grid, plan).row_b)) <= 1e-10
-    a_fine, b_fine = sample_expectation_curves(h, t, v0, grid, plan, 20)
+    direct = build_ktr(v0, grid, plan)
+    assert np.max(np.abs(direct.row_b - build_kqd(v0, grid, plan).row_b)) <= 1e-10
+    a_fine, b_fine = sample_expectation_curves(v0, grid, plan, 20)
     targets = np.arange(grid.m) * 20
     assert np.max(np.abs(b_fine[targets] - direct.row_b)) <= 1e-12
     assert np.max(np.abs(1j * a_fine[targets] - direct.row_a)) <= 1e-12
@@ -533,19 +568,19 @@ def test_every_route_gives_the_first_rows_of_the_overlap_matrices(chain, m, dt, 
     plan = EvolutionPlan.exact(h, t)
     v0 = project(plus_state(h.n), ProjectorSpec.blocks_of(t, alpha))
     a0, b0 = overlap_matrices_direct(h, v0.amps, grid)
-    for pencil in (build_ktr(h, t, v0, grid, plan), build_kqd(h, v0, grid, plan)):
+    for pencil in (build_ktr(v0, grid, plan), build_kqd(v0, grid, plan)):
         assert np.max(np.abs(pencil.row_a - a0[0])) <= 1e-10
         assert np.max(np.abs(pencil.row_b - b0[0])) <= 1e-10
 
     phi = random_state(h.n, seed)
     a_phi, b_phi = overlap_matrices_direct(h, phi.amps, grid)
-    imp = implicit_hadamard_rows(phi, h, t, grid, plan)
+    imp = implicit_hadamard_rows(phi, grid, plan)
     assert np.max(np.abs(imp.row_a - 1j * a_phi[0].imag)) <= 1e-10
     assert np.max(np.abs(imp.row_b - b_phi[0].real)) <= 1e-10
 
     specs = enumerate_local_projectors(ProjectorSpec.blocks_of(t, (0,) * len(alpha)).t_blocks)
     parts = [overlap_matrices_direct(h, project_array(phi.amps, spec), grid) for spec in specs]
-    local = extended_local_pencil(phi, specs, h, t, grid, plan, len(specs))
+    local = extended_local_pencil(phi, specs, grid, plan, len(specs))
     assert np.max(np.abs(local.row_a - sum(1j * a[0].imag for a, _ in parts))) <= 1e-10
     assert np.max(np.abs(local.row_b - sum(b[0].real for _, b in parts))) <= 1e-10
 
@@ -631,7 +666,7 @@ def _reversal_case(draw):
 def test_eigenbasis_curves_match_sampled_expectations(case, step, count):
     h, t, starts = case
     plan = EvolutionPlan.exact(h, t)
-    got = reversal_curves(plan, t, starts, step, np.arange(count))
+    got = reversal_curves(plan, starts, step, np.arange(count))
     want = _sampled_curves(plan, h, t, starts, step, np.arange(count))
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
@@ -647,12 +682,12 @@ def test_eigenbasis_curves_at_scattered_indices(case, step, chunk, picked):
     plan = EvolutionPlan.exact(h, t)
     indices = np.array(sorted(picked))
     with mock.patch.object(states, "CURVE_CHUNK_BYTES", chunk * 80 * 2 ** h.n):
-        got = reversal_curves(plan, t, starts, step, indices)
+        got = reversal_curves(plan, starts, step, indices)
     want = _sampled_curves(plan, h, t, starts, step, indices)
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
     # no indices: no group and an empty phase table
-    for curve in reversal_curves(plan, t, starts, step, indices[:0]):
+    for curve in reversal_curves(plan, starts, step, indices[:0]):
         assert curve.shape == (len(starts), 0)
 
 
@@ -678,13 +713,13 @@ _ODD_Y_INVOLUTION = PauliSum(1, ((0.7, PauliString.from_label("X")),
 ], ids=["dense", "odd-y-term", "odd-y-involution", "z2higgs-10"])
 def test_eigenbasis_curves_on_fixed_cases(h, t, blocks, moved):
     plan = EvolutionPlan.exact(h, t)
-    partner, signs = plan.reversal(t)
+    partner, signs = plan.reversal()
     assert partner.shape[0] == blocks
     assert np.count_nonzero(partner[:, 0] // partner.shape[1] != np.arange(blocks)) == moved
-    assert plan.reversal(t)[0] is partner and not partner.flags.writeable
+    assert plan.reversal()[0] is partner and not partner.flags.writeable
     starts = _reflected_states(t, h.n, np.random.default_rng(h.n), (False, True))
     # 40 samples span three chunks at n = 10
-    got = reversal_curves(plan, t, starts, 0.3, np.arange(40))
+    got = reversal_curves(plan, starts, 0.3, np.arange(40))
     want = _sampled_curves(plan, h, t, starts, 0.3, np.arange(40))
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * max(1.0, h.coeff_norm)
@@ -696,7 +731,7 @@ def test_the_eigenbasis_is_paired_exactly_under_t(case):
     h, t, _ = case
     plan = EvolutionPlan.exact(h, t)
     evals, evecs = plan.factorization()
-    partner, signs = (x.ravel() for x in plan.reversal(t))
+    partner, signs = (x.ravel() for x in plan.reversal())
     flat = np.arange(partner.size)
     assert np.array_equal(evals.ravel()[partner], -evals.ravel())
     assert np.array_equal(partner[partner], flat)
@@ -748,16 +783,12 @@ def test_a_self_paired_block_with_a_fixed_point_keeps_its_zero_mode(fixed_sign, 
 def test_a_plan_reads_only_the_involution_it_was_built_with():
     spec = ModelSpec("tfim", 4, {"gamma": 0.5})
     h, t = build(spec), known_time_reversal(spec)
-    other = next(s for s in solve_time_reversal(h).solutions(limit=4) if s != t)
     starts = [project(plus_state(4), ProjectorSpec((t,), (0,)))]
-    for plan, asked in ((EvolutionPlan.exact(h), t), (EvolutionPlan.exact(h, t), other)):
-        with pytest.raises(ValueError, match="involution"):
-            reversal_curves(plan, asked, starts, 0.1, np.arange(4))
-        with pytest.raises(ValueError, match="involution"):
-            plan.reversal(asked)
-    # a string that commutes with a term of H pairs nothing
-    with pytest.raises(NotTimeReversalError):
-        EvolutionPlan.exact(h, PauliString.from_label("XXXX"))
+    plan = EvolutionPlan.exact(h)
+    with pytest.raises(NotTimeReversalError, match="involution"):
+        reversal_curves(plan, starts, 0.1, np.arange(4))
+    with pytest.raises(NotTimeReversalError, match="involution"):
+        plan.reversal()
 
 
 def test_a_wrong_pairing_sign_fails_the_factorization_check():
@@ -786,7 +817,7 @@ def test_eigenbasis_curves_stay_on_the_sampled_ones_at_long_times(kind, params):
     h, t = build(spec), known_time_reversal(spec)
     starts = _reflected_states(t, h.n, np.random.default_rng(11), (True, False))
     step, indices = 0.155, np.array([0, 1, 7, 100, 640, 1399, 1400])
-    got = reversal_curves(EvolutionPlan.exact(h, t), t, starts, step, indices)
+    got = reversal_curves(EvolutionPlan.exact(h, t), starts, step, indices)
     want = _sampled_curves(EvolutionPlan.exact(h), h, t, starts, step, indices)
     bound = indices[-1] * step * h.coeff_norm * 1e-15
     assert np.max(np.abs(got[1] - want[1])) <= bound
@@ -803,12 +834,12 @@ def test_eigenbasis_curves_memory_is_bounded_by_the_chunk(kind, params):
     plan = EvolutionPlan.exact(h, t)
     v0 = project(plus_state(10), ProjectorSpec.blocks_of(t, (0,)))
     # the plan's caches, built once per run
-    plan.reversal(t)
+    plan.reversal()
     plan.coefficients(v0)
     dim, count = 2 ** 10, 4096
     tracemalloc.start()
     try:
-        reversal_curves(plan, t, [v0], 0.01, np.arange(count))
+        reversal_curves(plan, [v0], 0.01, np.arange(count))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -830,8 +861,8 @@ def test_eigenbasis_curves_on_the_stencil_match_the_full_grid():
     groups = stencil // chunk
     assert np.unique(groups).size > 10
     assert np.any((np.diff(stencil) == 1) & (np.diff(groups) == 1))
-    a_full, b_full = reversal_curves(plan, t, starts, delta, np.arange(total))
-    a, b = reversal_curves(plan, t, starts, delta, stencil)
+    a_full, b_full = reversal_curves(plan, starts, delta, np.arange(total))
+    a, b = reversal_curves(plan, starts, delta, stencil)
     assert np.max(np.abs(b - b_full[:, stencil])) <= 1e-14
     assert np.max(np.abs(a - a_full[:, stencil])) <= 1e-14 * h.coeff_norm
 
@@ -856,8 +887,8 @@ def test_reached_blocks_match_the_all_blocks_oracle(case, data, step, count):
         amps = basis.to_amplitudes(coords)
         starts.append(StateVector(h.n, amps / np.linalg.norm(amps)))
     plan, oracle = EvolutionPlan.exact(h, t), EvolutionPlan.exact(h, t)
-    got = reversal_curves(plan, t, starts, step, np.arange(count))
-    want = all_blocks_curves(oracle, t, starts, step, np.arange(count))
+    got = reversal_curves(plan, starts, step, np.arange(count))
+    want = all_blocks_curves(oracle, starts, step, np.arange(count))
     for curve, exact in zip(got, want):
         assert np.all(np.abs(curve - exact) <= 1e-13 * np.max(np.abs(exact), axis=1)[:, None])
     for s in starts:
@@ -900,7 +931,7 @@ def test_gauge_run_factorizes_and_reads_only_reached_blocks():
     # each implicit branch, (I + T) / 2 or (I - T) / 2 of the plus state, reaches 2
     h, t = plan.h, known_time_reversal(ModelSpec("z2higgs", 10, {"mu": 1.0, "g": 1.0}))
     with mock.patch.object(states, "_phases", spy):
-        implicit_hadamard_rows(plus_state(10), h, t, TimeGrid(default_dt(h), 32), plan)
+        implicit_hadamard_rows(plus_state(10), TimeGrid(default_dt(h), 32), plan)
     assert read and set(read) == {2}
 
 

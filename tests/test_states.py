@@ -228,9 +228,8 @@ def test_trotter_plan_refuses_a_non_integral_step_count():
 
 def test_trotter_plan_refuses_the_exact_only_methods():
     spec = ModelSpec("tfim", 4, {"gamma": 0.5})
-    plan = EvolutionPlan.trotter2(build(spec), 4)
-    for call in (plan.factorization, lambda: plan.coefficients(plus_state(4)),
-                 lambda: plan.reversal(known_time_reversal(spec))):
+    plan = EvolutionPlan.trotter2(build(spec), 4, known_time_reversal(spec))
+    for call in (plan.factorization, lambda: plan.coefficients(plus_state(4)), plan.reversal):
         with pytest.raises(ValueError, match="needs an exact plan"):
             call()
 
@@ -242,7 +241,7 @@ def test_exact_paths_compile_no_string():
     sector_ground_energy(h, gauss_generators(spec))
     plan = EvolutionPlan.exact(h, t)
     plan.factorization()
-    plan.reversal(t)
+    plan.reversal()
     # the sector layout reads signs from the string masks alone
     assert h._compiled is None
     assert t._action is None and all(p._action is None for _, p in h.terms)

@@ -34,7 +34,7 @@ state), 24 B * 2**n for a complex one, and is cached on the string; a
 :class:`PauliSum` caches its ``(coeff, (src, diag))`` list the same way.
 Nothing compiles until a statevector operation or a dense matrix asks for
 it; the symmetry blocks of :mod:`ktr.gevp` read the sign rule from the masks.
-:func:`apply_action` acts on the leading axis of 1-D and 2-D arrays, and
+:func:`apply_action` acts on 1-D amplitude arrays, and
 :func:`dense_matrix` scatters the same pairs into a matrix.  Both take
 their dtype from their inputs, so a sum of real strings assembles a
 float64 matrix and stays real through everything built on it.
@@ -77,11 +77,9 @@ def check_state_qubits(n: int) -> None:
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry, folded over all 64 bits."""
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+    """Parity of the set bits of each entry, as int64: callers shift it left
+    by a row index, past the 8 bits of ``np.bitwise_count``'s uint8."""
+    return (np.bitwise_count(values) & 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -223,11 +221,9 @@ class PauliSum:
 
 
 def apply_action(action: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.ndarray:
-    """One compiled string on the leading axis of a 1-D or 2-D array; the
-    result has the dtype ``np.result_type(diag, arr)``."""
+    """One compiled string on a 1-D amplitude array; the result has the
+    dtype ``np.result_type(diag, arr)``."""
     src, diag = action
-    if arr.ndim == 2:
-        diag = diag[:, None]
     return diag * arr[src]
 
 

@@ -128,8 +128,8 @@ def plus_state(n: int) -> StateVector:
 
 
 def apply_pauli_to_array(amps: np.ndarray, p: PauliString) -> np.ndarray:
-    """Low-level Pauli action on the leading axis of a raw 1-D or 2-D array."""
-    if amps.shape[0] != 2 ** p.n:
+    """Low-level Pauli action on a raw 1-D amplitude array."""
+    if amps.shape != (2 ** p.n,):
         raise ValueError("amplitude length does not match the string")
     return apply_action(p.action(), amps)
 
@@ -199,24 +199,18 @@ class EvolutionPlan:
     increment dtau takes ceil(|dtau| * steps_per_unit) equal steps.
     """
 
-    def __init__(self, h: PauliSum, mode: str = "exact",
-                 steps_per_unit: int | None = None, t: PauliString | None = None):
-        if mode not in ("exact", "trotter2"):
-            raise ValueError(f"unknown evolution mode {mode!r}")
-        if mode == "trotter2":
-            if (steps_per_unit is None or not float(steps_per_unit).is_integer()
-                    or steps_per_unit < 1):
-                raise ValueError("trotter2 mode needs an integral steps_per_unit >= 1")
-            steps_per_unit = int(steps_per_unit)
+    def __init__(self, h: PauliSum, steps_per_unit: int | None = None,
+                 t: PauliString | None = None):
         if t is not None and not verify_time_reversal(t, h):
             raise NotTimeReversalError("T is not an anticommuting Hermitian involution of H")
         self.h = h
-        self.mode = mode
+        # a step count is what makes a trotter2 plan
+        self.mode = "exact" if steps_per_unit is None else "trotter2"
         self.steps_per_unit = steps_per_unit
         self.t = t
         # guards every fill of the exact-mode caches below
         self._lock = threading.RLock()
-        if mode == "exact":
+        if self.mode == "exact":
             self._basis = sector_basis(h)
             shape = self._basis.shape
             # pi, and per column of each block its row in pi(b) and its sign;
@@ -237,12 +231,15 @@ class EvolutionPlan:
 
     @classmethod
     def exact(cls, h: PauliSum, t: PauliString | None = None) -> "EvolutionPlan":
-        return cls(h, mode="exact", t=t)
+        return cls(h, t=t)
 
     @classmethod
     def trotter2(cls, h: PauliSum, steps_per_unit: int,
                  t: PauliString | None = None) -> "EvolutionPlan":
-        return cls(h, mode="trotter2", steps_per_unit=steps_per_unit, t=t)
+        if (steps_per_unit is None or not float(steps_per_unit).is_integer()
+                or steps_per_unit < 1):
+            raise ValueError("trotter2 mode needs an integral steps_per_unit >= 1")
+        return cls(h, int(steps_per_unit), t)
 
     def involution(self) -> PauliString:
         """The plan's T, which every time-reversal route reads from here."""
@@ -315,20 +312,6 @@ class EvolutionPlan:
             partner[i] = new[i] * k + columns
         return evals, evecs, partner, sign
 
-    def lowest_eigenvalue(self) -> float:
-        """The smallest eigenvalue of H (exact mode): the least of the filled
-        blocks' eigenvalues and of one values-only ``eigvalsh`` of the
-        others, which stay unfilled."""
-        if self.mode != "exact":
-            raise ValueError("lowest_eigenvalue needs an exact plan, not a trotter2 one")
-        with self._lock:
-            filled = self._filled.copy()
-        lowest = float(np.min(self._arrays[0][filled], initial=np.inf))
-        rest = np.flatnonzero(~filled)
-        if rest.size:
-            lowest = min(lowest, float(np.linalg.eigvalsh(self._basis.blocks(self.h, rest)).min()))
-        return lowest
-
     def coefficients(self, s: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """The reach of s, a read-only boolean mask over the blocks, and its
         block eigen-coefficients Q_b+ s, shape (2**r, k), read-only and zero
@@ -348,7 +331,7 @@ class EvolutionPlan:
             size = s.norm
             # written so that a NaN block counts as reached and stays visible
             reach = ~(norms <= self._basis.rounding_bound * size)
-            rows = _rows(reach)
+            rows = np.flatnonzero(reach)
             evecs = self.factorization(rows)[1][rows]
             coeffs = np.zeros(coords.shape, dtype=complex)
             coeffs[rows] = _apply_blocks(evecs.conj().transpose(0, 2, 1), coords[rows])
@@ -408,16 +391,6 @@ class EvolutionPlan:
         return self
 
 
-def _rows(mask: np.ndarray) -> slice | np.ndarray:
-    """The blocks of a boolean mask as an index: a slice, which takes views,
-    when they are consecutive (all blocks among them), else their indices."""
-    blocks = np.flatnonzero(mask)
-    if blocks.size == 0:
-        return slice(0, 0)
-    first, last = int(blocks[0]), int(blocks[-1])
-    return slice(first, last + 1) if last - first + 1 == blocks.size else blocks
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``; the base stays writable for the fills."""
     view = arr.view()
@@ -426,13 +399,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _apply_blocks(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats[b] @ vecs[b] for every block b of a complex (blocks, k) or
-    (blocks, k, K) array.
+    """mats[b] @ vecs[b] for every block b of a complex (blocks, k) array.
 
     A real ``mats`` acts on the float view of ``vecs``, whose (re, im) pairs
-    form twice the columns: numpy would otherwise copy it to complex128 on
-    every call."""
-    columns = np.ascontiguousarray(vecs).reshape(*vecs.shape[:2], math.prod(vecs.shape[2:]))
+    form two columns: numpy would otherwise copy it to complex128 on every
+    call."""
+    columns = np.ascontiguousarray(vecs)[..., None]
     if np.isrealobj(mats):
         return (mats @ columns.view(float)).view(complex).reshape(vecs.shape)
     return (mats @ columns).reshape(vecs.shape)
@@ -469,7 +441,7 @@ def evolve(plan: EvolutionPlan, t: float, s: StateVector) -> StateVector:
         return s
     if plan.mode == "exact":
         reach, coeffs = plan.coefficients(s)
-        rows = _rows(reach)
+        rows = np.flatnonzero(reach)
         evals, evecs = plan.factorization(rows)
         coords = np.zeros(evals.shape, dtype=complex)
         coords[rows] = _apply_blocks(evecs[rows], np.exp(-1j * t * evals[rows]) * coeffs[rows])
@@ -495,11 +467,10 @@ def reversal_curves(plan: EvolutionPlan, starts: list[StateVector], step: float,
     conjugates, so both are real up to rounding, and each imaginary residue
     is checked against :data:`EXPECTATION_IMAG_TOL`.  The weights run over
     the d entries of the blocks that some start reaches (w_j is zero unless
-    a start reaches j and p(j)), read as views where those blocks are
-    consecutive.  The indices run in groups of a chunk of K samples
-    (:data:`CURVE_CHUNK_BYTES`): a group starts at its first index k0 and
-    holds every later index below k0 + K, and its phases are columns of one
-    table exp(-2i L r step) per call, over the offsets r below the widest
+    a start reaches j and p(j)).  The indices run in groups of a chunk of K
+    samples (:data:`CURVE_CHUNK_BYTES`): a group starts at its first index k0
+    and holds every later index below k0 + K, and its phases are columns of
+    one table exp(-2i L r step) per call, over the offsets r below the widest
     group's span, times one shift exp(-2i L k0 step) on the weights: a call
     takes d * (span + groups) complex exponentials, and the five-point
     windows of a derivative stencil (20 samples per step at n = 10) make a
@@ -507,7 +478,7 @@ def reversal_curves(plan: EvolutionPlan, starts: list[StateVector], step: float,
     """
     entries = [plan.coefficients(s) for s in starts]
     reach = np.logical_or.reduce([reached for reached, _ in entries])
-    rows = _rows(reach)
+    rows = np.flatnonzero(reach)
     partner, signs = (x[rows].ravel() for x in plan.reversal(reach))
     evals = plan.factorization(rows)[0][rows].ravel()
     # w of every start, then -i L w: the real parts of their sums are b and

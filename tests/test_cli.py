@@ -146,26 +146,21 @@ def test_reference_is_the_exact_ground_energy(evolution):
     *[(f"model.kind = heisenberg\nmodel.n = {n}\nmodel.j_x = 1.0\nmodel.j_y = 0.8\n"
        "model.j_z = 0.6", "method = kqd\ninit = plus") for n in (7, 8)],
 ], ids=["cluster-8", "heisenberg-7", "heisenberg-8"])
-def test_exact_reference_fills_only_the_reached_blocks(monkeypatch, model, routes):
-    # the reference reads the blocks the pencils filled and takes the
-    # eigenvalues of the rest without filling them
+def test_exact_reference_covers_the_unreached_blocks(monkeypatch, model, routes):
+    # no start state reaches every block, and the reference is still the
+    # least eigenvalue of them all
     reaches = []
     coefficients = EvolutionPlan.coefficients
 
     def spy(plan, s):
         entry = coefficients(plan, s)
-        reaches.append((plan, entry[0]))
+        reaches.append(entry[0])
         return entry
 
     monkeypatch.setattr(EvolutionPlan, "coefficients", spy)
     cfg = parse_config(f"{model}\n{routes}\ngrid.m = 16\n")
     report = run(cfg)
-    plan = reaches[0][0]
-    assert all(other is plan for other, _ in reaches)
-    reached = np.logical_or.reduce([reach for _, reach in reaches])
-    want = reached.copy()
-    want[plan._image[0][reached]] = True
-    assert np.array_equal(plan._filled, want) and not want.all()
+    assert not np.logical_or.reduce(reaches).all()
     exact = float(exact_reference(build(cfg.model))[0])
     assert all(abs(rec.reference - exact) <= 1e-14 * abs(exact) for rec in report.records)
 
@@ -301,6 +296,22 @@ grid.m = 4
 """)
     assert main(["run", str(heis)]) == 2  # caught at config/init resolution
     capsys.readouterr()
+
+
+def test_run_refuses_a_gram_threshold_below_the_floor(tmp_path, capsys):
+    # at epsilon = 0 rounding noise survives the threshold: kqd at m = 22
+    # reported -107.41 against E0 = -3.8730 and the run exited 0
+    path = tmp_path / "noise.cfg"
+    text = ("model.kind = tfim\nmodel.n = 4\nmodel.gamma = 0.7\nmethod = kqd,ktr\n"
+            "init = project:00\ngrid.m = 24\ngrid.dt = 0.4\nepsilon = {}\n")
+    for epsilon in ("0", "1e-16", "9.9e-13"):
+        path.write_text(text.format(epsilon))
+        assert main(["run", str(path)]) == 2
+        assert "epsilon must lie in [1e-12, 1)" in capsys.readouterr().err
+    path.write_text(text.format("1e-12"))
+    assert main(["run", str(path)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert all(float(row[3]) >= float(row[4]) - 1e-9 * abs(float(row[4])) for row in rows)
 
 
 def test_derivative_on_a_grid_below_five_samples_is_a_config_error(tmp_path, capsys):

@@ -368,8 +368,20 @@ def _xz_sector_case(draw):
     return PauliSum(n, tuple(terms)), gens
 
 
+def _ten_z_rows():
+    """A Z field and a ZZ chain at n=10 with the generators -Z_0, -Z_1 and
+    +Z_j elsewhere: ten Z rows, more than a uint8 sector label holds, and a
+    joint sector of one basis state at energy 7.0."""
+    n = 10
+    z = [1 << (n - 1 - j) for j in range(n)]
+    terms = ([(0.1 * (j + 1), PauliString.from_xz(n, 0, z[j])) for j in range(n)]
+             + [(0.3, PauliString.from_xz(n, 0, z[j] | z[j + 1])) for j in range(n - 1)])
+    return PauliSum(n, tuple(terms)), [PauliString(n, 0, z[j], 2 * (j < 2)) for j in range(n)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_xz_sector_case())
+@example(_ten_z_rows())
 def test_sector_energy_matches_penalty_oracle_on_xz_groups(case):
     h, gens = case
     eye = np.eye(2 ** h.n)

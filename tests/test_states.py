@@ -51,14 +51,6 @@ def test_sign_folds_all_index_bits():
     assert expectation(basis_state(18, 1), z0) == 1.0
 
 
-def test_pauli_action_runs_on_the_leading_axis():
-    p = PauliString.from_label("ZX")
-    rng = np.random.default_rng(3)
-    for shape in ((4, 4), (4, 3)):
-        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.array_equal(apply_pauli_to_array(arr, p), kron_matrix(p) @ arr)
-
-
 def test_trotter2_plan_runs_past_the_dense_cap():
     n = DENSE_QUBIT_CAP + 2  # the chain needs an even count
     plan = EvolutionPlan.trotter2(build(ModelSpec("tfim", n, {"gamma": 0.5})), 2)
@@ -95,10 +87,8 @@ def _kernel_case(draw):
     n = draw(st.integers(1, 6))
     masks = st.integers(0, 2 ** n - 1)
     op = PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
-    dim = 2 ** n
-    shape = draw(st.sampled_from([(dim,), (dim, draw(st.integers(1, 4))), (dim, dim)]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return op, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return op, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,19 +437,6 @@ def test_self_paired_fill_takes_no_empty_eigh(monkeypatch, spec):
     plan.factorization()
     assert plan._filled.all()
     assert not [shape for shape in batches if 0 in shape], batches
-
-
-def test_lowest_eigenvalue_fills_no_block():
-    h = build(ModelSpec("z2higgs", 8, {"mu": 0.9, "g": 1.1}))
-    plan = EvolutionPlan.exact(h)
-    want = float(exact_reference(h)[0])
-    # from no filled block, then from the plus state's one and the rest
-    for filled in (0, 1):
-        assert abs(plan.lowest_eigenvalue() - want) <= 1e-14 * abs(want)
-        assert np.count_nonzero(plan._filled) == filled
-        evolve(plan, 0.3, plus_state(8))
-    with pytest.raises(ValueError, match="exact plan"):
-        EvolutionPlan.trotter2(h, 10).lowest_eigenvalue()
 
 
 def test_threads_filling_different_blocks_agree():

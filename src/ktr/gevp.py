@@ -9,14 +9,9 @@ the ordinary Hermitian problem there.  :func:`solve` takes a
 Hermitian by construction, and neither checks nor rebuilds them.
 
 Time reversal makes the matrix elements real (arXiv:2507.22559): B is then
-real symmetric Toeplitz and A = iS with S real antisymmetric Toeplitz, as
-every stabilized route builds them.  Such a B commutes with the exchange J
-that reverses the time grid and S anticommutes with it, so B keeps the
-J-even and J-odd halves apart and A couples only the one to the other.
-:func:`solve` recognizes these pencils from their rows and solves them on
-the two halves, with one real ``eigh`` of half the order each and one real
-SVD, instead of the complex ``eigh`` of the whole; the kept dimension comes
-from the same threshold over the same spectrum, the union of the halves'.
+real symmetric and A = iS with S real antisymmetric, as every stabilized
+route builds them.  :func:`solve` recognizes these pencils from their rows
+and takes the real ``eigh`` of B; the reduced A stays purely imaginary.
 
 :class:`SectorBasis` is the orbit x character basis of an abelian group of
 X-type and Z-type Pauli strings, the case of qubit tapering that needs no
@@ -99,21 +94,27 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
 
     It relies on the pencil's invariant (:class:`ktr.krylov.ToeplitzPencil`):
     A and B are finite and exactly Hermitian, so they are neither checked
-    nor symmetrized here.  A time-reversal pencil, whose B row has no
-    nonzero imaginary part and whose A row no nonzero real part, is solved
-    on its even and odd halves (:func:`_solve_halves`); any other on the
-    whole: the reduced matrix W+ A W is symmetrized, because rounding leaves
-    it not quite Hermitian.  The split keeps every ``eigh`` at order
-    ceil(m / 2), at most 16 for m <= 32, about a quarter of the flops of
-    the whole.  It is also below order 26, from which an ``eigh`` with
-    vectors wakes a second OpenBLAS thread (OpenBLAS 0.3.31, 2 cores) that
-    then spins for about 0.13 s of CPU; ``ktr`` commands run every BLAS
-    call on one thread anyway (:func:`ktr.cli._one_blas_thread`), so this
-    matters to library callers alone."""
+    nor symmetrized here; the reduced matrix W+ A W is, because rounding
+    leaves it not quite Hermitian.  The Gram eigenvalues kept are those
+    with b > 0 and b >= epsilon * b_max; negative ones are noise (B is
+    positive semidefinite) and always dropped.  A time-reversal pencil,
+    whose B row has no nonzero imaginary part and whose A row no nonzero
+    real part, takes a real ``eigh`` of B.  ``ktr`` commands run every BLAS
+    call on one thread (:func:`ktr.cli._one_blas_thread`); outside
+    :func:`ktr.cli.main`, an ``eigh`` with vectors of order >= 26 can wake
+    a second OpenBLAS thread, which then spins for about 0.13 s of CPU
+    (OpenBLAS 0.3.31, 2 cores)."""
+    b = pencil.matrix_b()
     if not (pencil.row_b.imag.any() or pencil.row_a.real.any()):
-        return _solve_halves(pencil, epsilon)
-    b_evals, b_evecs = np.linalg.eigh(pencil.matrix_b())
-    keep = _kept(b_evals, epsilon)
+        b = b.real
+    b_evals, b_evecs = np.linalg.eigh(b)
+    b_max = float(b_evals[-1])
+    if b_max <= 0.0:
+        raise DegeneratePencilError("Gram matrix has no positive spectrum")
+    keep = (b_evals > 0.0) & (b_evals >= epsilon * b_max)
+    if not keep.any():
+        raise DegeneratePencilError(
+            f"no Gram eigenvalue survives the threshold {epsilon:g}")
     whitener = b_evecs[:, keep] / np.sqrt(b_evals[keep])
     # a subnormal kept Gram eigenvalue can overflow A: refused below, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
@@ -125,66 +126,6 @@ def solve(pencil: ToeplitzPencil, epsilon: float = DEFAULT_EPSILON) -> SpectrumR
     return SpectrumResult(eigenvalues=np.linalg.eigvalsh(reduced),
                           kept_dim=int(np.count_nonzero(keep)),
                           threshold=epsilon, b_eigenvalues=b_evals)
-
-
-def _kept(b_evals: np.ndarray, epsilon: float) -> np.ndarray:
-    """The mask of the kept Gram eigenvalues: b > 0 and b >= epsilon * b_max.
-    Negative eigenvalues are noise (B is positive semidefinite) and always
-    dropped."""
-    b_max = float(b_evals.max())
-    if b_max <= 0.0:
-        raise DegeneratePencilError("Gram matrix has no positive spectrum")
-    keep = (b_evals > 0.0) & (b_evals >= epsilon * b_max)
-    if not keep.any():
-        raise DegeneratePencilError(
-            f"no Gram eigenvalue survives the threshold {epsilon:g}")
-    return keep
-
-
-def _solve_halves(pencil: ToeplitzPencil, epsilon: float) -> SpectrumResult:
-    """:func:`solve` for B real symmetric Toeplitz and A = iS, S real
-    antisymmetric Toeplitz: the pencil time reversal makes.
-
-    A symmetric Toeplitz B commutes with the exchange J that reverses the
-    grid, and an antisymmetric Toeplitz S anticommutes with it (Cantoni &
-    Butler, Linear Algebra Appl. 13, 275 (1976)).  In the orthonormal basis
-    (e_j +- e_{p-1-j}) / sqrt 2, the middle index e_{p//2} of an odd p in the
-    even half, B is diag(B+, B-) and A is [[0, iX], [-iX^T, 0]] with
-    X = S+-.  Each half takes one real ``eigh`` (orders ceil(p/2) and
-    floor(p/2)) and the threshold of the whole spectrum, their union; with
-    W+- the whitened kept eigenvectors of each half, the reduced A is
-    [[0, iC], [-iC^T, 0]], C = W+^T X W-, whose eigenvalues are +-sigma for
-    the singular values sigma of C and |k+ - k-| zeros."""
-    n_odd = pencil.grid.m // 2
-    n_even = pencil.grid.m - n_odd
-    # rows and columns j and p-1-j folded together
-    b = pencil.matrix_b().real
-    s = pencil.matrix_a().imag
-    b_top, b_flip = b[:n_even, :n_even], b[:n_even, ::-1][:, :n_even]
-    b_even = b_top + b_flip
-    b_odd = (b_top - b_flip)[:n_odd, :n_odd]
-    coupling = s[:n_even, :n_odd] - s[:n_even, ::-1][:, :n_odd]
-    if n_even > n_odd:
-        # the fold counts the middle index of an odd p twice
-        b_even[-1] *= np.sqrt(0.5)
-        b_even[:, -1] *= np.sqrt(0.5)
-        coupling[-1] *= np.sqrt(0.5)
-    (even_evals, even_evecs), (odd_evals, odd_evecs) = map(np.linalg.eigh, (b_even, b_odd))
-    b_evals = np.concatenate((even_evals, odd_evals))
-    keep = _kept(b_evals, epsilon)
-    keep_even, keep_odd = keep[:n_even], keep[n_even:]
-    # a subnormal kept Gram eigenvalue can overflow C: refused below, unwarned
-    with np.errstate(over="ignore", invalid="ignore"):
-        reduced = ((even_evecs[:, keep_even] / np.sqrt(even_evals[keep_even])).T @ coupling
-                   @ (odd_evecs[:, keep_odd] / np.sqrt(odd_evals[keep_odd])))
-    if not np.isfinite(reduced).all():
-        raise DegeneratePencilError("the whitened matrix overflows")
-    # descending singular values, so the spectrum below is ascending
-    sigma = np.linalg.svd(reduced, compute_uv=False)
-    zeros = np.zeros(abs(reduced.shape[0] - reduced.shape[1]))
-    return SpectrumResult(eigenvalues=np.concatenate((-sigma, zeros, sigma[::-1])),
-                          kept_dim=sum(reduced.shape), threshold=epsilon,
-                          b_eigenvalues=np.sort(b_evals))
 
 
 def _hadamard(r: int) -> np.ndarray:

@@ -12,9 +12,9 @@ involution T that anticommutes with it.  ``build_kqd`` is the canonical
 route; its entries are full-time overlaps, complex in general.  For a start
 state that T stabilizes, THT = -H makes the B row real and the A row purely
 imaginary, and ``build_kqd`` on an exact plan returns them so, as every
-other route's rows are: the pencils that :func:`ktr.gevp.solve` splits into
-halves.  Every other route evaluates one quantity in one kernel,
-``_signed_curves``, over a list of (weight, state) branches:
+other route's rows are: the pencils whose real B :func:`ktr.gevp.solve`
+factorizes with a real ``eigh``.  Every other route evaluates one quantity
+in one kernel, ``_signed_curves``, over a list of (weight, state) branches:
 
     a(tau) = sum_b w_b <v_b(tau)| iHT |v_b(tau)>,
     b(tau) = sum_b w_b <v_b(tau)| T |v_b(tau)>,    v_b(tau) = exp(-i tau H)|v_b>,

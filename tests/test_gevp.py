@@ -47,7 +47,7 @@ def _random_reversal_pencil(m, rng):
 
 
 def _general_path(row_a, row_b):
-    # what sends a pencil past the time-reversal split of solve
+    # what keeps a pencil off the real Gram eigh of solve
     return bool(row_b.imag.any() or row_a.real.any())
 
 
@@ -148,8 +148,8 @@ _SUBNORMAL_GRAM = _sparse_rows(8, {0: -0.676001725621899}, {2: 1.11e-308j})
 @example((*_sparse_rows(20, {}, {9: 1j}), 1e-8))
 @example((*_SUBNORMAL_GRAM, 1e-8))
 def test_prefix_solves_match_the_checked_solve_bit_for_bit(case):
-    # the whole-pencil path only: time-reversal pencils are solved on their
-    # halves and checked against the same oracle to a tolerance below
+    # complex Gram matrices only: time-reversal pencils take a real eigh of B
+    # and are checked against the same oracle to a tolerance below
     row_a, row_b, epsilon = case
     assume(_general_path(row_a, row_b))
     m = row_a.size
@@ -182,7 +182,7 @@ def test_a_pencil_whose_whitened_matrix_overflows_is_refused():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 32), st.integers(0, 2 ** 32 - 1))
-def test_time_reversal_prefixes_solved_on_their_halves_match_the_checked_solve(m, seed):
+def test_time_reversal_prefixes_match_the_checked_solve(m, seed):
     pen = _random_reversal_pencil(m, np.random.default_rng(seed))
     for k in range(2, m + 1):
         sub = pen.prefix(k)
@@ -193,12 +193,12 @@ def test_time_reversal_prefixes_solved_on_their_halves_match_the_checked_solve(m
         assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-10 * scale
         assert (np.max(np.abs(got.b_eigenvalues - want.b_eigenvalues))
                 <= 1e-12 * want.b_eigenvalues[-1])
-        # +-sigma and zeros: symmetric about 0 exactly, not to rounding
-        assert np.array_equal(got.eigenvalues, -got.eigenvalues[::-1])
+        # A = iS: the spectrum is symmetric about 0, to rounding
+        assert np.max(np.abs(got.eigenvalues + got.eigenvalues[::-1])) <= 1e-10 * scale
 
 
-# a real subnormal Gram matrix and an imaginary A row: the whitened coupling
-# of the halves, as the whitened A of the whole, overflows at every prefix
+# a real subnormal Gram matrix and an imaginary A row: the whitened A
+# overflows at every prefix
 _SUBNORMAL_REAL_GRAM = _sparse_rows(8, {1: 10j}, {0: 1.11e-308})
 
 
@@ -213,20 +213,20 @@ def test_a_time_reversal_pencil_whose_whitened_coupling_overflows_is_refused():
                 solver(*args)
 
 
-def _gevp_eigh_orders(monkeypatch, text):
-    """The orders of every np.linalg.eigh call made from ktr.gevp in a run
-    of the config ``text``."""
-    orders = []
+def _gevp_eighs(monkeypatch, text):
+    """The (order, dtype) of every np.linalg.eigh call made from ktr.gevp
+    in a run of the config ``text``."""
+    calls = []
     eigh = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "ktr.gevp":
-            orders.append(np.shape(a)[-1])
+            calls.append((np.shape(a)[-1], np.asarray(a).dtype))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     run(parse_config(text))
-    return orders
+    return calls
 
 
 @pytest.mark.parametrize("model, methods, init", [
@@ -237,19 +237,17 @@ def _gevp_eigh_orders(monkeypatch, text):
     pytest.param("model.kind = heisenberg\nmodel.n = 4\nmodel.j_x = 1.0\nmodel.j_y = 0.8\n"
                  "model.j_z = 0.6", "kqd", "plus", id="heisenberg"),
 ])
-def test_time_reversal_pencils_take_no_eigh_above_half_their_order(monkeypatch, model,
-                                                                   methods, init):
+def test_time_reversal_pencils_take_a_real_gram_eigh(monkeypatch, model, methods, init):
     m = 32
-    orders = _gevp_eigh_orders(
+    calls = _gevp_eighs(
         monkeypatch, f"{model}\nmethod = {methods}\ninit = {init}\ngrid.m = {m}\n")
     prefixes = range(2, m + 1, 2)
     if init == "plus":
-        # no involution stabilizes the start: every prefix is solved whole
-        assert orders == list(prefixes)
+        # no involution stabilizes the start: a complex B at every prefix
+        assert calls == [(k, np.dtype(complex)) for k in prefixes]
     else:
-        # one eigh per half, orders ceil(k / 2) and floor(k / 2), per prefix k
-        halves = [order for k in prefixes for order in ((k + 1) // 2, k // 2)]
-        assert orders == halves * len(methods.split(","))
+        # one real eigh of the whole B per prefix k and route
+        assert calls == [(k, np.dtype(float)) for k in prefixes] * len(methods.split(","))
 
 
 def test_exact_reference_trivial():

@@ -1,5 +1,6 @@
 """Krylov subspace diagonalization of spin Hamiltonians via anticommuting
-involutions, on an exact dense statevector backend.
+involutions, on statevectors evolved exactly on the Hamiltonian's symmetry
+blocks or by second-order Trotter steps.
 
 The subpackages follow the pipeline order: :mod:`ktr.paulis` (operator
 algebra), :mod:`ktr.symmetry` (GF(2) search for reversal operators),

@@ -10,7 +10,8 @@ class NotTimeReversalError(KtrError):
 
 
 class ResourceLimitError(KtrError):
-    """A dense-backend operation exceeds the configured qubit cap."""
+    """A state or an exact computation exceeds a fixed qubit cap
+    (:data:`ktr.paulis.STATE_QUBIT_CAP` or :data:`ktr.paulis.DENSE_QUBIT_CAP`)."""
 
 
 class DegenerateProjectionError(KtrError):

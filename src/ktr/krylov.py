@@ -125,18 +125,17 @@ def _toeplitz_from_row(row: np.ndarray) -> np.ndarray:
 class ToeplitzPencil:
     """First rows of the Hermitian-Toeplitz pair (A, B) on a time grid.
 
-    The rows are refused if any entry is not finite.  A and B are assembled
-    once, on first use, symmetrized there as 0.5 (M + M+), so exactly
-    Hermitian, and cached read-only.  A prefix reads the leading entries of
+    The rows are refused if any entry is not finite, and A and B are
+    assembled from them at construction, symmetrized as 0.5 (M + M+), so
+    exactly Hermitian, and read-only.  A prefix reads the leading entries of
     both rows and the leading blocks of both matrices as views, and neither
-    copies nor checks them again; assembly is elementwise, so these are the
-    matrices it would assemble from its own rows, bit for bit."""
+    copies, checks nor assembles them again; assembly is elementwise, so
+    these are the matrices it would assemble from its own rows, bit for bit."""
 
     row_a: np.ndarray
     row_b: np.ndarray
     grid: TimeGrid
-    _matrices: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _matrices: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row_a = np.array(self.row_a, dtype=complex, copy=True)
@@ -152,30 +151,25 @@ class ToeplitzPencil:
         row_b.flags.writeable = False
         object.__setattr__(self, "row_a", row_a)
         object.__setattr__(self, "row_b", row_b)
-
-    def _assembled(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._matrices is None:
-            object.__setattr__(self, "_matrices", (_toeplitz_from_row(self.row_a),
-                                                   _toeplitz_from_row(self.row_b)))
-        return self._matrices
+        object.__setattr__(self, "_matrices", tuple(map(_toeplitz_from_row, (row_a, row_b))))
 
     def matrix_a(self) -> np.ndarray:
-        return self._assembled()[0]
+        return self._matrices[0]
 
     def matrix_b(self) -> np.ndarray:
-        return self._assembled()[1]
+        return self._matrices[1]
 
     def prefix(self, m: int) -> "ToeplitzPencil":
         """Leading m x m sub-pencil on the same grid spacing, its matrices
         views of this pencil's."""
         if not 2 <= m <= self.grid.m:
             raise ValueError(f"prefix size must be in [2, {self.grid.m}]")
-        # the rows are read-only slices of rows already checked, so the
-        # sub-pencil skips the copy and the check of __post_init__
+        # read-only slices of rows already checked and assembled: the
+        # sub-pencil skips the copy, the check and the assembly of __post_init__
         sub = object.__new__(ToeplitzPencil)
         for name, value in (("row_a", self.row_a[:m]), ("row_b", self.row_b[:m]),
                             ("grid", TimeGrid(self.grid.dt, m)),
-                            ("_matrices", tuple(mat[:m, :m] for mat in self._assembled()))):
+                            ("_matrices", tuple(mat[:m, :m] for mat in self._matrices))):
             object.__setattr__(sub, name, value)
         return sub
 

@@ -122,6 +122,15 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
+def check_steps_per_unit(steps_per_unit) -> int:
+    """The ``trotter2`` step count as an int, refused unless it is integral
+    and at least 1 (None included)."""
+    if (steps_per_unit is None or not float(steps_per_unit).is_integer()
+            or steps_per_unit < 1):
+        raise ValueError("trotter2 mode needs an integral steps_per_unit >= 1")
+    return int(steps_per_unit)
+
+
 def plus_state(n: int) -> StateVector:
     check_state_qubits(n)
     return StateVector(n, np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex))
@@ -196,7 +205,9 @@ class EvolutionPlan:
     arrays handed out are read-only views, so concurrent evolutions may share
     them.  ``trotter2`` mode builds no basis and applies the symmetric
     second-order splitting of :meth:`merged_step`: one ``evolve`` over an
-    increment dtau takes ceil(|dtau| * steps_per_unit) equal steps.
+    increment dtau takes ceil(|dtau| * steps_per_unit) equal steps.  A step
+    count that fails :func:`check_steps_per_unit` is refused, and so is None
+    by :meth:`trotter2` (here it makes an exact plan).
     """
 
     def __init__(self, h: PauliSum, steps_per_unit: int | None = None,
@@ -206,7 +217,7 @@ class EvolutionPlan:
         self.h = h
         # a step count is what makes a trotter2 plan
         self.mode = "exact" if steps_per_unit is None else "trotter2"
-        self.steps_per_unit = steps_per_unit
+        self.steps_per_unit = None if steps_per_unit is None else check_steps_per_unit(steps_per_unit)
         self.t = t
         # guards every fill of the exact-mode caches below
         self._lock = threading.RLock()
@@ -236,10 +247,8 @@ class EvolutionPlan:
     @classmethod
     def trotter2(cls, h: PauliSum, steps_per_unit: int,
                  t: PauliString | None = None) -> "EvolutionPlan":
-        if (steps_per_unit is None or not float(steps_per_unit).is_integer()
-                or steps_per_unit < 1):
-            raise ValueError("trotter2 mode needs an integral steps_per_unit >= 1")
-        return cls(h, int(steps_per_unit), t)
+        # None would make an exact plan
+        return cls(h, check_steps_per_unit(steps_per_unit), t)
 
     def involution(self) -> PauliString:
         """The plan's T, which every time-reversal route reads from here."""

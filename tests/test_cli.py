@@ -49,12 +49,13 @@ def test_parse_config_round_trip():
     ("model.n = six", "expected an integer"),
     ("method = teleport", "unknown method"),
     ("init = w1-blocks:2", "unknown init"),
-    ("grid.m = 1", "at least 2"),
+    ("grid.m = 1", "at least two Krylov vectors"),
     ("grid.dt = -0.5", "positive"),
     ("grid.dt = inf", "expected a finite number"),
     ("grid.dt = nan", "expected a finite number"),
     ("model.gamma = inf", "expected a finite number"),
     ("evolution = trotter4:2", "unknown evolution"),
+    ("evolution = trotter2:0", "integral steps_per_unit >= 1"),
     ("epsilon = 2.0", "epsilon"),
     ("samples_per_step = 7", "even"),
     ("bogus = 1", "unknown key"),
@@ -163,6 +164,24 @@ def test_exact_reference_covers_the_unreached_blocks(monkeypatch, model, routes)
     assert not np.logical_or.reduce(reaches).all()
     exact = float(exact_reference(build(cfg.model))[0])
     assert all(abs(rec.reference - exact) <= 1e-14 * abs(exact) for rec in report.records)
+
+
+@pytest.mark.parametrize("model", [
+    "model.kind = tfim\nmodel.n = 16\nmodel.gamma = 0.5",
+    "model.kind = z2higgs\nmodel.n = 16\nmodel.mu = 1.0\nmodel.g = 1.0",
+], ids=["tfim-16", "z2higgs-16"])
+def test_trotter_run_past_the_dense_cap_evolves_nothing(tmp_path, capsys, monkeypatch, model):
+    # the reference comes before the pencils, so its dense cap refuses the
+    # run before any state is evolved
+    calls = []
+    evolve = ktr.krylov.evolve
+    monkeypatch.setattr(ktr.krylov, "evolve", lambda *args: calls.append(args) or evolve(*args))
+    path = tmp_path / "past-cap.cfg"
+    path.write_text(f"{model}\nmethod = ktr\ninit = project:0\ngrid.m = 4\n"
+                    "evolution = trotter2:4\n")
+    assert main(["run", str(path)]) == 3
+    assert "16 qubits exceed the dense cap of 14" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_error_curve_non_increasing_band():

@@ -213,6 +213,10 @@ def test_trotter_plan_refuses_a_non_integral_step_count():
     for bad in (2.5, 1.9, 0.5, 0, -3, None, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="integral steps_per_unit >= 1"):
             EvolutionPlan.trotter2(h, bad)
+        # the constructor too: unchecked, 0 and -3 make plans of one step per evolve
+        if bad is not None:
+            with pytest.raises(ValueError, match="integral steps_per_unit >= 1"):
+                EvolutionPlan(h, bad)
     assert EvolutionPlan.trotter2(h, 3.0).steps_per_unit == 3
 
 
